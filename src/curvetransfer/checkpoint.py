@@ -10,11 +10,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataValidationError
 from .scaling import CurveScalers
-from .seqnet import PARAM_NAMES, ModelParams, OptimizerState
+from .seqnet import PARAM_NAMES, ModelParams
 
 FORMAT_VERSION = 1
 
@@ -31,7 +29,6 @@ class ModelCheckpoint:
     seed: int
     source_dataset: str
     stage: str
-    optimizer_state: OptimizerState | None = None
 
     @property
     def input_dim(self) -> int:
@@ -42,7 +39,7 @@ class ModelCheckpoint:
         return self.params.hidden_dim
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "format_version": FORMAT_VERSION,
             "input_dim": self.params.input_dim,
             "hidden_dim": self.params.hidden_dim,
@@ -52,34 +49,13 @@ class ModelCheckpoint:
             "feature_scalers": self.scalers.to_dict(),
             "weights": {name: getattr(self.params, name).tolist() for name in PARAM_NAMES},
         }
-        if self.optimizer_state is not None and self.optimizer_state.kind == "adam":
-            doc["optimizer_state"] = {
-                "kind": self.optimizer_state.kind,
-                "step": self.optimizer_state.step,
-                "m": {k: v.tolist() for k, v in self.optimizer_state.m.items()},
-                "v": {k: v.tolist() for k, v in self.optimizer_state.v.items()},
-            }
-        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelCheckpoint":
         version = doc.get("format_version")
         if version != FORMAT_VERSION:
             raise DataValidationError(f"unsupported checkpoint format_version: {version}")
-        weights = doc["weights"]
-        arrays = {name: np.asarray(weights[name], dtype=float) for name in PARAM_NAMES}
-        params = ModelParams(
-            input_dim=int(doc["input_dim"]), hidden_dim=int(doc["hidden_dim"]), **arrays
-        )
-        opt_state = None
-        if "optimizer_state" in doc:
-            raw = doc["optimizer_state"]
-            opt_state = OptimizerState(
-                kind=str(raw["kind"]),
-                step=int(raw["step"]),
-                m={k: np.asarray(v, dtype=float) for k, v in raw["m"].items()},
-                v={k: np.asarray(v, dtype=float) for k, v in raw["v"].items()},
-            )
+        params = ModelParams.from_named(int(doc["input_dim"]), int(doc["hidden_dim"]), doc["weights"])
         provenance = doc.get("provenance", {})
         return ModelCheckpoint(
             params=params,
@@ -88,7 +64,6 @@ class ModelCheckpoint:
             seed=int(doc["seed"]),
             source_dataset=str(provenance.get("source_dataset", "")),
             stage=str(provenance.get("stage", "")),
-            optimizer_state=opt_state,
         )
 
 

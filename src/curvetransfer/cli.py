@@ -10,24 +10,24 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .curves import Dataset, grid_curve, load_dataset, save_dataset
 from .errors import DataValidationError, TrainingDivergenceError
-from .metrics import summarize
+from .metrics import DEFAULT_MAPE_EPSILON
 from .seqnet import TrainConfig
 from .similarity import dtw_alignment, rank_sources
 from .synthgen import standard_suite
 from .transfer import (
     ExperimentPlan,
+    _aggregate,
+    _evaluate,
     concat_shuffle_sources,
     finetune,
-    predict_curve,
     pretrain,
     run_variant,
     select_extreme_training_samples,
@@ -83,13 +83,27 @@ def _train_config(args, seed: int) -> TrainConfig:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seq-len", type=int, default=5, help="window length n (default 5)")
-    parser.add_argument("--epochs", type=int, default=100, help="training epochs (default 100)")
-    parser.add_argument("--lr", type=float, default=1e-3, help="learning rate (default 1e-3)")
+    parser.add_argument("--seq-len", type=_positive_int, default=5, help="window length n (default 5)")
+    parser.add_argument("--epochs", type=_positive_int, default=100, help="training epochs (default 100)")
+    parser.add_argument("--lr", type=_positive_float, default=1e-3, help="learning rate (default 1e-3)")
     parser.add_argument("--optimizer", choices=["sgd", "adam"], default="adam")
     parser.add_argument(
-        "--pretrain-epochs", type=int, default=None,
+        "--pretrain-epochs", type=_positive_int, default=None,
         help="epoch cap for the pre-training stage (default: same as --epochs)",
     )
 
@@ -140,8 +154,7 @@ def cmd_rank(args) -> int:
     train_curves = [target.curve_by_id(sid) for sid in train_ids]
     ranking = rank_sources(sources, train_curves, args.grid_n)
     doc = {
-        "entries": [{"source": name, "avg_dtw": float(d)} for name, d in ranking.entries],
-        "selected": ranking.selected,
+        **ranking.to_dict(),
         "target": target.name,
         "train_ids": train_ids,
         "grid_n": args.grid_n,
@@ -192,27 +205,13 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     target = load_dataset(args.target)
-    if args.test_ids:
-        test_ids = _parse_ids(args.test_ids)
-    else:
-        test_ids = target.sample_ids()
-    per_sample = []
-    for sid in test_ids:
-        curve = target.curve_by_id(sid)
-        predicted = predict_curve(checkpoint, curve)
-        actual = curve.stress[checkpoint.sequence_length:]
-        m = summarize(actual, predicted)
-        per_sample.append(
-            {"sample_id": sid, "mape": m.mape, "rmse": m.rmse, "r2": m.r2,
-             "n_points": m.n_points, "n_excluded": m.n_excluded}
-        )
-    agg = {
-        "mape": float(np.mean([s["mape"] for s in per_sample])),
-        "rmse": float(np.mean([s["rmse"] for s in per_sample])),
-        "r2": float(np.mean([s["r2"] for s in per_sample])),
-    }
+    test_ids = _parse_ids(args.test_ids) if args.test_ids else target.sample_ids()
+    test_curves = [target.curve_by_id(sid) for sid in test_ids]
+    per_sample = _evaluate(checkpoint, test_curves, DEFAULT_MAPE_EPSILON)
+    agg = _aggregate(per_sample)
     if args.out:
-        _write_json({"dataset": target.name, "per_sample": per_sample, "aggregate": agg}, Path(args.out))
+        doc = {"dataset": target.name, "per_sample": [s.to_dict() for s in per_sample], "aggregate": agg}
+        _write_json(doc, Path(args.out))
     print(f"MAPE: {agg['mape']:.2f}%  RMSE: {agg['rmse']:.2f}  R2: {agg['r2']:.4f}")
     return EXIT_OK
 
@@ -242,15 +241,7 @@ def cmd_pipeline(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(report.to_dict(), out_dir / "report.json")
     if report.dtw_ranking is not None:
-        _write_json(
-            {
-                "entries": [
-                    {"source": name, "avg_dtw": float(d)} for name, d in report.dtw_ranking.entries
-                ],
-                "selected": report.dtw_ranking.selected,
-            },
-            out_dir / "ranking.json",
-        )
+        _write_json(report.dtw_ranking.to_dict(), out_dir / "ranking.json")
     pred_dir = out_dir / "predictions"
     pred_dir.mkdir(parents=True, exist_ok=True)
     n = config.sequence_length
@@ -262,11 +253,11 @@ def cmd_pipeline(args) -> int:
             for eps, actual, predicted in zip(curve.strain[n:], curve.stress[n:], sample.predicted):
                 writer.writerow([repr(float(eps)), repr(float(actual)), repr(float(predicted))])
 
-    agg = report.to_dict()["aggregate"]
     print(f"variant: {report.variant}")
     if report.selected_source:
         print(f"selected source: {report.selected_source}")
-    print(f"MAPE: {agg['mape']:.2f}%  RMSE: {agg['rmse']:.2f}  R2: {agg['r2']:.4f}")
+    print(f"MAPE: {report.aggregate_mape:.2f}%  RMSE: {report.aggregate_rmse:.2f}  "
+          f"R2: {report.aggregate_r2:.4f}")
     return EXIT_OK
 
 

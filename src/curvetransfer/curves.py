@@ -89,7 +89,7 @@ class Dataset:
         for curve in self.curves:
             if curve.sample_id == sample_id:
                 return curve
-        raise KeyError(f"dataset {self.name!r} has no sample {sample_id!r}")
+        raise DataValidationError(f"dataset {self.name!r} has no sample {sample_id!r}")
 
 
 @dataclass(frozen=True)
@@ -221,13 +221,25 @@ def _read_curve_csv(path: Path, sample_id: str) -> tuple[np.ndarray, np.ndarray]
     return np.array(strain), np.array(stress)
 
 
+def _param_value(raw, where: str) -> float:
+    if isinstance(raw, bool):  # float() would turn JSON true/false into 1.0/0.0
+        raise DataValidationError(f"{where}: not a number: {raw!r}")
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise DataValidationError(f"{where}: not a number: {raw!r}") from None
+    if not np.isfinite(value):
+        raise DataValidationError(f"{where}: non-finite value {raw!r}")
+    return value
+
+
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load and validate a dataset from a JSON manifest.
 
     The manifest is an object ``{name, role, param_schema: [{name, unit}],
     samples: [{id, file, params: {name: value}}]}`` with curve-file paths
-    relative to the manifest. Every referenced CSV is parsed and cleaned via
-    :func:`validate_curve`.
+    relative to the manifest. Every parameter value must be a finite number.
+    Every referenced CSV is parsed and cleaned via :func:`validate_curve`.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -264,7 +276,10 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             raise DataValidationError(
                 f"{manifest_path}: sample {sample_id!r} missing parameters {sorted(missing)}"
             )
-        params = {name: float(declared[name]) for name in schema_names}
+        params = {
+            name: _param_value(declared[name], f"{manifest_path}: sample {sample_id!r} parameter {name!r}")
+            for name in schema_names
+        }
         strain, stress = _read_curve_csv(base / sample["file"], sample_id)
         curves.append(validate_curve(RawCurve(sample_id, strain, stress, params)))
 

@@ -100,7 +100,6 @@ def fit_scalers(
     train_curves: list[RawCurve],
     arity: int | None = None,
     pad: bool = False,
-    param_names: list[str] | None = None,
 ) -> CurveScalers:
     """Per-feature min-max over the training curves only.
 
@@ -118,13 +117,10 @@ def fit_scalers(
     stress_min = min(float(np.min(c.stress)) for c in train_curves)
     stress_max = max(float(np.max(c.stress)) for c in train_curves)
 
-    if param_names is None:
-        param_names = [f"param_{i}" for i in range(arity)]
-        for curve in train_curves:
-            for i, name in enumerate(curve.params):
-                if i < arity:
-                    param_names[i] = name
-            break
+    param_names = [f"param_{i}" for i in range(arity)]
+    for i, name in enumerate(train_curves[0].params):
+        if i < arity:
+            param_names[i] = name
     columns = np.array([padded_param_values(c, arity, pad) for c in train_curves])
     param_scalers = tuple(
         FeatureScaler(param_names[i], float(np.min(columns[:, i])), float(np.max(columns[:, i])))

@@ -8,16 +8,16 @@ against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TrainingDivergenceError
 
-GATES = ("f", "i", "c", "o")
+# Row order of the gate-stacked blocks in ModelParams.flat.
+STACK_ORDER = ("f", "i", "o", "c")
 
-# Fixed parameter order: drives initialization draws, optimizer state layout,
-# serialization, and gradient-check iteration.
+# Fixed name order: drives initialization draws and serialization.
 PARAM_NAMES = (
     "W_fh", "W_fx", "b_f",
     "W_ih", "W_ix", "b_i",
@@ -43,61 +43,56 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
 class ModelParams:
-    """All learnable parameters of the LSTM regressor.
+    """All learnable parameters of the LSTM regressor, held in one float64 vector.
 
-    Hidden-to-gate matrices are (hidden_dim, hidden_dim), input-to-gate
-    matrices (hidden_dim, input_dim), biases (hidden_dim,). The output layer
-    is W_out (1, hidden_dim) and b_out (1,).
+    ``flat`` holds, in order, the gate-stacked blocks W_h (4h, h), W_x (4h, d)
+    and b (4h,), then the output layer W_out (1, h) and b_out (1,). Gate rows
+    are stacked (f, i, o, c) so the three sigmoid gates are contiguous. The
+    five blocks and the 12 per-gate arrays of PARAM_NAMES (hidden-to-gate
+    (h, h), input-to-gate (h, d), bias (h,)) are views into ``flat``, so
+    writing through any of them writes the vector. Gradients use the same
+    type and layout.
     """
 
-    input_dim: int
-    hidden_dim: int
-    W_fh: np.ndarray
-    W_fx: np.ndarray
-    b_f: np.ndarray
-    W_ih: np.ndarray
-    W_ix: np.ndarray
-    b_i: np.ndarray
-    W_ch: np.ndarray
-    W_cx: np.ndarray
-    b_c: np.ndarray
-    W_oh: np.ndarray
-    W_ox: np.ndarray
-    b_o: np.ndarray
-    W_out: np.ndarray
-    b_out: np.ndarray
+    def __init__(self, input_dim: int, hidden_dim: int, flat: np.ndarray | None = None):
+        h, d = hidden_dim, input_dim
+        o_x, o_b, o_out = 4 * h * h, 4 * h * (h + d), 4 * h * (h + d + 1)
+        size = o_out + h + 1
+        if flat is None:
+            flat = np.zeros(size)
+        if flat.shape != (size,) or flat.dtype != np.float64:
+            raise ValueError(f"flat: expected float64 shape ({size},), got {flat.dtype} {flat.shape}")
+        self.input_dim = input_dim
+        self.hidden_dim = hidden_dim
+        self.flat = flat
+        self.W_h = flat[:o_x].reshape(4 * h, h)
+        self.W_x = flat[o_x:o_b].reshape(4 * h, d)
+        self.b = flat[o_b:o_out]
+        self.W_out = flat[o_out : o_out + h].reshape(1, h)
+        self.b_out = flat[o_out + h :]
+        for k, g in enumerate(STACK_ORDER):
+            rows = slice(k * h, (k + 1) * h)
+            setattr(self, f"W_{g}h", self.W_h[rows])
+            setattr(self, f"W_{g}x", self.W_x[rows])
+            setattr(self, f"b_{g}", self.b[rows])
 
-    def __post_init__(self):
-        h, d = self.hidden_dim, self.input_dim
-        expected = self._expected_shapes(d, h)
+    @classmethod
+    def from_named(cls, input_dim: int, hidden_dim: int, arrays: dict) -> "ModelParams":
+        """Parameters from one array per name in PARAM_NAMES; rejects bad shapes and non-finite values."""
+        params = cls(input_dim, hidden_dim)
         for name in PARAM_NAMES:
-            arr = getattr(self, name)
-            if arr.shape != expected[name]:
-                raise ValueError(f"{name}: expected shape {expected[name]}, got {arr.shape}")
+            view = getattr(params, name)
+            arr = np.asarray(arrays[name], dtype=float)
+            if arr.shape != view.shape:
+                raise ValueError(f"{name}: expected shape {view.shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name}: non-finite values")
-
-    @staticmethod
-    def _expected_shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
-        h, d = hidden_dim, input_dim
-        shapes: dict[str, tuple[int, ...]] = {}
-        for g in GATES:
-            shapes[f"W_{g}h"] = (h, h)
-            shapes[f"W_{g}x"] = (h, d)
-            shapes[f"b_{g}"] = (h,)
-        shapes["W_out"] = (1, h)
-        shapes["b_out"] = (1,)
-        return shapes
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        """Name -> live array view, in the fixed parameter order."""
-        return {name: getattr(self, name) for name in PARAM_NAMES}
+            view[...] = arr
+        return params
 
     def copy(self) -> "ModelParams":
-        arrays = {name: getattr(self, name).copy() for name in PARAM_NAMES}
-        return ModelParams(input_dim=self.input_dim, hidden_dim=self.hidden_dim, **arrays)
+        return ModelParams(self.input_dim, self.hidden_dim, self.flat.copy())
 
 
 @dataclass
@@ -157,15 +152,14 @@ def init_params(seed: int, input_dim: int, hidden_dim: int = 32) -> ModelParams:
     if input_dim < 1 or hidden_dim < 1:
         raise ValueError("dimensions must be >= 1")
     rng = np.random.default_rng(seed)
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in ModelParams._expected_shapes(input_dim, hidden_dim).items():
-        if name.startswith("b"):
-            arrays[name] = np.zeros(shape)
-        else:
-            fan_out, fan_in = shape
+    params = ModelParams(input_dim, hidden_dim)
+    for name in PARAM_NAMES:
+        if name.startswith("W"):
+            view = getattr(params, name)
+            fan_out, fan_in = view.shape
             s = np.sqrt(6.0 / (fan_in + fan_out))
-            arrays[name] = rng.uniform(-s, s, size=shape)
-    return ModelParams(input_dim=input_dim, hidden_dim=hidden_dim, **arrays)
+            view[...] = rng.uniform(-s, s, size=view.shape)
+    return params
 
 
 def lstm_cell_forward(
@@ -187,14 +181,6 @@ def lstm_cell_forward(
     return CellState(h=h, c=c), cache
 
 
-def _stacked_weights(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Gate order (f, i, o, c) so the three sigmoid gates are contiguous.
-    W_h = np.concatenate((params.W_fh, params.W_ih, params.W_oh, params.W_ch), axis=0)
-    W_x = np.concatenate((params.W_fx, params.W_ix, params.W_ox, params.W_cx), axis=0)
-    b = np.concatenate((params.b_f, params.b_i, params.b_o, params.b_c))
-    return W_h, W_x, b
-
-
 def forward_sequence(
     params: ModelParams, window: np.ndarray
 ) -> tuple[float, list[CellCache]]:
@@ -203,7 +189,7 @@ def forward_sequence(
     Returns the scalar prediction W_out . h_n + b_out (normalized-stress
     units) and the per-step caches needed by :func:`backward`. Equivalent to
     iterating :func:`lstm_cell_forward`, with the four gate products fused
-    into one stacked matrix multiply per step.
+    into one multiply by the gate-stacked W_h per step.
     """
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[0] == 0:
@@ -211,8 +197,8 @@ def forward_sequence(
     if window.shape[1] != params.input_dim:
         raise ValueError(f"window columns {window.shape[1]} != input_dim {params.input_dim}")
     hd = params.hidden_dim
-    W_h, W_x, b = _stacked_weights(params)
-    xz = W_x @ window.T + b[:, None]  # input contributions for every step at once
+    W_h = params.W_h
+    xz = params.W_x @ window.T + params.b[:, None]  # input contributions for every step at once
     h = np.zeros(hd)
     c = np.zeros(hd)
     caches = []
@@ -248,18 +234,18 @@ def backward(
     caches: list[CellCache],
     window: np.ndarray,
     target: float,
-) -> dict[str, np.ndarray]:
+) -> ModelParams:
     """Exact gradients of the squared error (pred - target)^2 for one window.
 
-    Backpropagates through the output layer and all time steps; the returned
-    dict mirrors the ModelParams arrays.
+    Backpropagates through the output layer and all time steps; the gradient
+    has the layout of ``params``.
     """
     window = np.asarray(window, dtype=float)
     n = window.shape[0]
     if len(caches) != n:
         raise ValueError(f"cache/window mismatch: {len(caches)} caches for {n} rows")
     hd = params.hidden_dim
-    W_h, _, _ = _stacked_weights(params)
+    W_h = params.W_h
 
     h_last = caches[-1].o * caches[-1].tanh_c
     prediction = float(params.W_out[0] @ h_last + params.b_out[0])
@@ -281,16 +267,12 @@ def backward(
         dh = W_h.T @ dz[t]
         dc = dc * cache.f
 
-    g_h = dz.T @ h_prevs  # (4 hd, hd): summed outer products over all steps
-    g_x = dz.T @ window
-    g_b = dz.sum(axis=0)
-    grads = {
-        "W_fh": g_h[:hd], "W_ih": g_h[hd : 2 * hd], "W_oh": g_h[2 * hd : 3 * hd], "W_ch": g_h[3 * hd :],
-        "W_fx": g_x[:hd], "W_ix": g_x[hd : 2 * hd], "W_ox": g_x[2 * hd : 3 * hd], "W_cx": g_x[3 * hd :],
-        "b_f": g_b[:hd], "b_i": g_b[hd : 2 * hd], "b_o": g_b[2 * hd : 3 * hd], "b_c": g_b[3 * hd :],
-        "W_out": (dpred * h_last)[None, :],
-        "b_out": np.array([dpred]),
-    }
+    grads = ModelParams(params.input_dim, hd, np.empty_like(params.flat))
+    np.matmul(dz.T, h_prevs, out=grads.W_h)  # summed outer products over all steps
+    np.matmul(dz.T, window, out=grads.W_x)
+    np.sum(dz, axis=0, out=grads.b)
+    grads.W_out[0] = dpred * h_last
+    grads.b_out[0] = dpred
     return grads
 
 
@@ -299,7 +281,7 @@ def gradient_check(
     window: np.ndarray,
     target: float,
     delta: float = 1e-5,
-    grads: dict[str, np.ndarray] | None = None,
+    grads: ModelParams | None = None,
 ) -> float:
     """Worst relative error between BPTT gradients and central finite differences.
 
@@ -316,49 +298,42 @@ def gradient_check(
         prediction, _ = forward_sequence(params, window)
         return (prediction - target) ** 2
 
+    flat = params.flat
     worst = 0.0
-    for name in PARAM_NAMES:
-        arr = getattr(params, name)
-        grad = grads[name]
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for idx in range(flat.size):
-            original = flat[idx]
-            flat[idx] = original + delta
-            loss_plus = loss_at()
-            flat[idx] = original - delta
-            loss_minus = loss_at()
-            flat[idx] = original
-            g_fd = (loss_plus - loss_minus) / (2.0 * delta)
-            g = gflat[idx]
-            rel = abs(g - g_fd) / max(abs(g), abs(g_fd), 1e-8)
-            if rel > worst:
-                worst = rel
+    for idx in range(flat.size):
+        original = flat[idx]
+        flat[idx] = original + delta
+        loss_plus = loss_at()
+        flat[idx] = original - delta
+        loss_minus = loss_at()
+        flat[idx] = original
+        g_fd = (loss_plus - loss_minus) / (2.0 * delta)
+        g = grads.flat[idx]
+        rel = abs(g - g_fd) / max(abs(g), abs(g_fd), 1e-8)
+        if rel > worst:
+            worst = rel
     return worst
 
 
 @dataclass
 class OptimizerState:
-    """Adam moment estimates and step counter (empty for sgd)."""
+    """Adam moment estimates over ``ModelParams.flat`` and step counter (None for sgd)."""
 
     kind: str
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def init_optimizer_state(params: ModelParams, config: TrainConfig) -> OptimizerState:
-    state = OptimizerState(kind=config.optimizer)
     if config.optimizer == "adam":
-        for name in PARAM_NAMES:
-            state.m[name] = np.zeros_like(getattr(params, name))
-            state.v[name] = np.zeros_like(getattr(params, name))
-    return state
+        return OptimizerState(kind="adam", m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+    return OptimizerState(kind=config.optimizer)
 
 
 def optimizer_step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    grads: ModelParams,
     config: TrainConfig,
     state: OptimizerState,
 ) -> ModelParams:
@@ -367,32 +342,25 @@ def optimizer_step(
     sgd is the plain update theta <- theta - lr * grad; adam keeps
     bias-corrected first/second moment estimates.
     """
+    dims, grad_dims = (params.input_dim, params.hidden_dim), (grads.input_dim, grads.hidden_dim)
+    if grad_dims != dims:
+        raise ValueError(f"gradient (input_dim, hidden_dim) {grad_dims} != parameters' {dims}")
+    theta, g = params.flat, grads.flat
     lr = config.learning_rate
     if state.kind == "sgd":
-        for name in PARAM_NAMES:
-            arr = getattr(params, name)
-            g = grads[name]
-            if arr.shape != g.shape:
-                raise ValueError(f"{name}: gradient shape {g.shape} != parameter shape {arr.shape}")
-            arr -= lr * g
+        theta -= lr * g
         return params
 
     state.step += 1
     t = state.step
     bias1 = 1.0 - ADAM_BETA1 ** t
     bias2 = 1.0 - ADAM_BETA2 ** t
-    for name in PARAM_NAMES:
-        arr = getattr(params, name)
-        g = grads[name]
-        if arr.shape != g.shape:
-            raise ValueError(f"{name}: gradient shape {g.shape} != parameter shape {arr.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        arr -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     return params
 
 

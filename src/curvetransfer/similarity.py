@@ -50,6 +50,12 @@ class SourceRanking:
     entries: list[tuple[str, float]]
     selected: str
 
+    def to_dict(self) -> dict:
+        return {
+            "entries": [{"source": name, "avg_dtw": float(d)} for name, d in self.entries],
+            "selected": self.selected,
+        }
+
 
 def _check_same_length(a: GridCurve, b: GridCurve) -> None:
     if len(a.stress_norm) != len(b.stress_norm):

@@ -101,6 +101,17 @@ class SampleEval:
     metrics: MetricSummary
     predicted: np.ndarray
 
+    def to_dict(self) -> dict:
+        """The metrics as JSON values; the predicted tail is left out."""
+        return {
+            "sample_id": self.sample_id,
+            "mape": float(self.metrics.mape),
+            "rmse": float(self.metrics.rmse),
+            "r2": float(self.metrics.r2),
+            "n_points": self.metrics.n_points,
+            "n_excluded": self.metrics.n_excluded,
+        }
+
 
 @dataclass
 class EvalReport:
@@ -114,7 +125,6 @@ class EvalReport:
     aggregate_r2: float
     selected_source: str | None = None
     dtw_ranking: SourceRanking | None = None
-    pearson_dtw_mape: float | None = None
 
     def to_dict(self) -> dict:
         doc = {
@@ -122,16 +132,7 @@ class EvalReport:
             "plan": self.plan.to_dict(),
             "seed": self.plan.config.seed,
             "per_sample": [
-                {
-                    "sample_id": s.sample_id,
-                    "mape": float(s.metrics.mape),
-                    "rmse": float(s.metrics.rmse),
-                    "r2": float(s.metrics.r2),
-                    "n_points": s.metrics.n_points,
-                    "n_excluded": s.metrics.n_excluded,
-                    "predicted": [float(v) for v in s.predicted],
-                }
-                for s in self.per_sample
+                {**s.to_dict(), "predicted": [float(v) for v in s.predicted]} for s in self.per_sample
             ],
             "aggregate": {
                 "mape": float(self.aggregate_mape),
@@ -142,14 +143,7 @@ class EvalReport:
         if self.selected_source is not None:
             doc["selected_source"] = self.selected_source
         if self.dtw_ranking is not None:
-            doc["dtw_ranking"] = {
-                "entries": [
-                    {"source": name, "avg_dtw": float(d)} for name, d in self.dtw_ranking.entries
-                ],
-                "selected": self.dtw_ranking.selected,
-            }
-        if self.pearson_dtw_mape is not None:
-            doc["pearson_dtw_mape"] = float(self.pearson_dtw_mape)
+            doc["dtw_ranking"] = self.dtw_ranking.to_dict()
         return doc
 
 
@@ -392,13 +386,18 @@ def _evaluate(
     return evals
 
 
-def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
-    """Execute one experiment variant end to end and evaluate on the target test split.
+def _aggregate(per_sample: list[SampleEval]) -> dict[str, float]:
+    """Mean MAPE, RMSE and R2 over the evaluated samples."""
+    return {
+        key: float(np.mean([getattr(s.metrics, key) for s in per_sample]))
+        for key in ("mape", "rmse", "r2")
+    }
 
-    vanilla trains from scratch on the target training split; tl_all pre-trains
-    on all sources concatenated and shuffled; dtw_tl ranks sources by average
-    DTW distance to the target TRAINING curves, pre-trains on the selected
-    source only, then fine-tunes. Deterministic for fixed seeds and inputs.
+
+def _prepare(plan: ExperimentPlan, datasets):
+    """Resolve the plan's datasets, split the target, and fix the arity and pre-training config.
+
+    Returns (target, sources, train_curves, test_curves, arity, pre_config).
     """
     name_map = _dataset_map(datasets)
     if plan.target_dataset not in name_map:
@@ -409,14 +408,24 @@ def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
         if name not in name_map:
             raise DataValidationError(f"unknown source dataset {name!r}")
         sources.append(name_map[name])
-
     train_curves, test_curves = _split_target(plan, target)
     arity = _resolve_arity(plan, target, sources if plan.variant != "vanilla" else [])
-    config = plan.config
-    pre_config = config
+    pre_config = plan.config
     if plan.pretrain_epochs is not None:
-        pre_config = replace(config, epochs=plan.pretrain_epochs)
+        pre_config = replace(plan.config, epochs=plan.pretrain_epochs)
+    return target, sources, train_curves, test_curves, arity, pre_config
 
+
+def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
+    """Execute one experiment variant end to end and evaluate on the target test split.
+
+    vanilla trains from scratch on the target training split; tl_all pre-trains
+    on all sources concatenated and shuffled; dtw_tl ranks sources by average
+    DTW distance to the target TRAINING curves, pre-trains on the selected
+    source only, then fine-tunes. Deterministic for fixed seeds and inputs.
+    """
+    target, sources, train_curves, test_curves, arity, pre_config = _prepare(plan, datasets)
+    config = plan.config
     selected_source: str | None = None
     ranking: SourceRanking | None = None
 
@@ -430,7 +439,7 @@ def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
     else:  # dtw_tl
         ranking = rank_sources(sources, train_curves, plan.grid_n)
         selected_source = ranking.selected
-        selected = name_map[selected_source]
+        selected = next(ds for ds in sources if ds.name == selected_source)
         source_ckpt = pretrain(
             selected.curves, pre_config, selected.name, param_arity=arity, pad=plan.pad_params
         )
@@ -441,13 +450,14 @@ def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
     )
 
     per_sample = _evaluate(checkpoint, test_curves, plan.mape_epsilon)
+    aggregate = _aggregate(per_sample)
     return EvalReport(
         variant=plan.variant,
         plan=plan,
         per_sample=per_sample,
-        aggregate_mape=float(np.mean([s.metrics.mape for s in per_sample])),
-        aggregate_rmse=float(np.mean([s.metrics.rmse for s in per_sample])),
-        aggregate_r2=float(np.mean([s.metrics.r2 for s in per_sample])),
+        aggregate_mape=aggregate["mape"],
+        aggregate_rmse=aggregate["rmse"],
+        aggregate_r2=aggregate["r2"],
         selected_source=selected_source,
         dtw_ranking=ranking,
     )
@@ -460,16 +470,7 @@ def run_source_sweep(plan: ExperimentPlan, datasets) -> tuple[list[tuple[str, fl
     the plan; this is the per-target experiment behind the distance-vs-error
     tables.
     """
-    name_map = _dataset_map(datasets)
-    target = name_map[plan.target_dataset]
-    sources = [name_map[name] for name in plan.source_datasets]
-    train_curves, test_curves = _split_target(plan, target)
-    arity = _resolve_arity(plan, target, sources)
-    config = plan.config
-    pre_config = config
-    if plan.pretrain_epochs is not None:
-        pre_config = replace(config, epochs=plan.pretrain_epochs)
-
+    target, sources, train_curves, test_curves, arity, pre_config = _prepare(plan, datasets)
     ranking = rank_sources(sources, train_curves, plan.grid_n)
     avg_dtw = dict(ranking.entries)
 
@@ -478,9 +479,9 @@ def run_source_sweep(plan: ExperimentPlan, datasets) -> tuple[list[tuple[str, fl
         source_ckpt = pretrain(ds.curves, pre_config, ds.name, param_arity=arity, pad=plan.pad_params)
         params0 = transfer_init(source_ckpt, expected_input_dim=1 + arity)
         checkpoint = finetune(
-            params0, train_curves, config, target.name, param_arity=arity, pad=plan.pad_params
+            params0, train_curves, plan.config, target.name, param_arity=arity, pad=plan.pad_params
         )
         per_sample = _evaluate(checkpoint, test_curves, plan.mape_epsilon)
-        entries.append((ds.name, avg_dtw[ds.name], float(np.mean([s.metrics.mape for s in per_sample]))))
+        entries.append((ds.name, avg_dtw[ds.name], _aggregate(per_sample)["mape"]))
     correlation = pearson([e[1] for e in entries], [e[2] for e in entries])
     return entries, correlation

@@ -119,7 +119,7 @@ def test_criterion_3_gradient_correctness():
     window = rng.normal(size=(5, 3))
     _, caches = forward_sequence(params, window)
     grads = backward(params, caches, window, 0.3)
-    grads["W_ix"][:] = 0.0
+    grads.W_ix[:] = 0.0
     fault_error = gradient_check(params, window, 0.3, grads=grads)
     elapsed = time.perf_counter() - start
     report(3, worst < 1e-4 and fault_error >= 1e-4 and elapsed < 30.0,

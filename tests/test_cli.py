@@ -127,6 +127,18 @@ class TestUsageErrors:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["pretrain", "pipeline"])
+    @pytest.mark.parametrize(
+        "flag", ["--epochs=0", "--pretrain-epochs=0", "--seq-len=0", "--lr=0", "--lr=-1e-3", "--lr=nan"]
+    )
+    def test_non_positive_train_flag_exits_1(self, command, flag, capsys):
+        required = {
+            "pretrain": ["--sources", "s.json", "--out", "c.json"],
+            "pipeline": ["--variant", "vanilla", "--target", "t.json", "--out", "run"],
+        }
+        assert main([command, *required[command], flag]) == 1
+        assert flag.split("=")[0] in capsys.readouterr().err
+
 
 FAST_TRAIN = ["--epochs", "3", "--seq-len", "5", "--lr", "1e-3"]
 
@@ -241,6 +253,24 @@ class TestCheckpointCommands:
         doc = json.loads(report.read_text())
         assert [s["sample_id"] for s in doc["per_sample"]] == ["3", "5"]
 
+    @pytest.mark.parametrize("command", ["rank", "finetune", "evaluate"])
+    def test_unknown_sample_id_exits_2(self, suite_dir, tmp_path, capsys, command):
+        ckpt = tmp_path / "pre.json"
+        assert main(
+            ["pretrain", "--sources", manifest_of(suite_dir, "poly_plateau"),
+             "--out", str(ckpt), "--seed", "0", "--epochs", "1"]
+        ) == 0
+        target = ["--target", manifest_of(suite_dir, "metal_plateau")]
+        argv = {
+            "rank": ["rank", "--sources", manifest_of(suite_dir, "poly_plateau"), *target,
+                     "--train-ids", "nope,1"],
+            "finetune": ["finetune", "--checkpoint", str(ckpt), *target, "--train-ids", "nope,1",
+                         "--out", str(tmp_path / "fine.json"), "--epochs", "1"],
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), *target, "--test-ids", "nope"],
+        }[command]
+        assert main(argv) == 2
+        assert "nope" in capsys.readouterr().err
+
     def test_env_seed_fallback(self, suite_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CURVETRANSFER_SEED", "42")
         out = tmp_path / "ranking.json"
@@ -261,3 +291,10 @@ class TestManifestValidationThroughCli:
         )
         assert main(["ingest", "--manifest", str(path)]) == 2
         assert "laser_power" in capsys.readouterr().err
+
+    def test_nan_parameter_exits_2(self, tmp_path, capsys):
+        path = write_manifest(
+            tmp_path, samples={"1": ([0.0, 0.01], [0.0, 1.0], {"speed": "NaN"})}
+        )
+        assert main(["ingest", "--manifest", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err

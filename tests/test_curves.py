@@ -184,6 +184,12 @@ class TestLoadDataset:
         with pytest.raises(DataValidationError, match="missing parameters"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", ["NaN", float("nan"), float("inf"), float("-inf"), "abc", None, True])
+    def test_bad_parameter_value(self, tmp_path, value):
+        path = write_manifest(tmp_path, samples={"1": ([0.0, 0.01], [0.0, 1.0], {"speed": value})})
+        with pytest.raises(DataValidationError, match="speed"):
+            load_dataset(path)
+
     def test_missing_curve_file(self, tmp_path):
         path = write_manifest(tmp_path)
         (tmp_path / "1.csv").unlink()

@@ -9,6 +9,7 @@ from curvetransfer.errors import TrainingDivergenceError
 from curvetransfer.seqnet import (
     PARAM_NAMES,
     CellState,
+    ModelParams,
     TrainConfig,
     backward,
     evaluate_loss,
@@ -189,7 +190,7 @@ class TestBackward:
         pred, caches = forward_sequence(params, window)
         grads = backward(params, caches, window, target=pred)
         for name in PARAM_NAMES:
-            np.testing.assert_array_equal(grads[name], 0.0)
+            np.testing.assert_array_equal(getattr(grads, name), 0.0)
 
     def test_output_bias_gradient(self):
         params = init_params(5, 2, 4)
@@ -197,7 +198,7 @@ class TestBackward:
         pred, caches = forward_sequence(params, window)
         target = pred - 1.5
         grads = backward(params, caches, window, target)
-        assert abs(grads["b_out"][0] - 2.0 * (pred - target)) < 1e-12
+        assert abs(grads.b_out[0] - 2.0 * (pred - target)) < 1e-12
 
     def test_cache_window_mismatch(self):
         params = init_params(5, 2, 4)
@@ -222,7 +223,7 @@ class TestGradientCheck:
         target = 0.7
         _, caches = forward_sequence(params, window)
         grads = backward(params, caches, window, target)
-        grads["W_cx"][:] = 0.0
+        grads.W_cx[:] = 0.0
         assert gradient_check(params, window, target, grads=grads) > 0.5
 
     def test_zero_params_matching_target(self):
@@ -236,8 +237,8 @@ class TestOptimizerStep:
         config = TrainConfig(epochs=1, learning_rate=0.1, optimizer="sgd")
         params = zero_params()
         params.b_out[0] = 0.5
-        grads = {name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES}
-        grads["b_out"][0] = 1.0
+        grads = ModelParams(params.input_dim, params.hidden_dim)
+        grads.b_out[0] = 1.0
         state = init_optimizer_state(params, config)
         optimizer_step(params, grads, config, state)
         assert abs(params.b_out[0] - 0.4) < 1e-15
@@ -247,7 +248,7 @@ class TestOptimizerStep:
             config = TrainConfig(epochs=1, learning_rate=0.1, optimizer=optimizer)
             params = init_params(3, 2, 3)
             before = {name: getattr(params, name).copy() for name in PARAM_NAMES}
-            grads = {name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES}
+            grads = ModelParams(params.input_dim, params.hidden_dim)
             state = init_optimizer_state(params, config)
             optimizer_step(params, grads, config, state)
             for name in PARAM_NAMES:
@@ -256,8 +257,8 @@ class TestOptimizerStep:
     def test_two_sgd_steps_accumulate(self):
         config = TrainConfig(epochs=1, learning_rate=0.2, optimizer="sgd")
         params = zero_params()
-        grads = {name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES}
-        grads["b_c"][:] = 3.0
+        grads = ModelParams(params.input_dim, params.hidden_dim)
+        grads.b_c[:] = 3.0
         state = init_optimizer_state(params, config)
         optimizer_step(params, grads, config, state)
         optimizer_step(params, grads, config, state)

@@ -17,6 +17,7 @@ from curvetransfer.transfer import (
     finetune,
     predict_curve,
     pretrain,
+    run_source_sweep,
     run_variant,
     select_extreme_training_samples,
     transfer_init,
@@ -375,6 +376,15 @@ class TestRunVariant:
         with pytest.raises(DataValidationError, match="unknown target"):
             run_variant(plan, sources)
 
+    @pytest.mark.parametrize("missing", ["target", "source"])
+    def test_sweep_unknown_dataset_rejected(self, suite, missing):
+        sources, targets, _ = suite
+        plan = suite_plan("dtw_tl", sources, targets[0])
+        datasets = [ds for ds in sources + [targets[0]]
+                    if ds is not (targets[0] if missing == "target" else sources[0])]
+        with pytest.raises(DataValidationError, match=f"unknown {missing}"):
+            run_source_sweep(plan, datasets)
+
     def test_split_must_cover_dataset(self, suite):
         sources, targets, _ = suite
         target = targets[0]
@@ -426,6 +436,19 @@ class TestCheckpointErrors:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataValidationError, match="malformed"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "weight, match", [([[0.0, 0.0]], "expected shape"), ([float("nan")], "non-finite")]
+    )
+    def test_bad_weight_values(self, tmp_path, weight, match):
+        ds = small_source()
+        ckpt = pretrain(ds.curves, small_config(), ds.name)
+        doc = ckpt.to_dict()
+        doc["weights"]["b_out"] = weight
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataValidationError, match=match):
             load_checkpoint(path)
 
 
