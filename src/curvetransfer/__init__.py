@@ -30,13 +30,12 @@ from .seqnet import (
     train,
 )
 from .similarity import (
-    CostMatrices,
-    DtwResult,
     SourceRanking,
     average_dtw,
     brute_force_dtw,
     cumulative_cost,
     dtw_distance,
+    dtw_path,
     euclidean_distance,
     local_distance_matrix,
     pearson_similarity,

@@ -20,7 +20,7 @@ from .curves import Dataset, grid_curve, load_dataset, save_dataset
 from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import DEFAULT_MAPE_EPSILON
 from .seqnet import TrainConfig
-from .similarity import dtw_alignment, rank_sources
+from .similarity import cumulative_cost, dtw_path, local_distance_matrix, rank_sources
 from .synthgen import standard_suite
 from .transfer import (
     ExperimentPlan,
@@ -64,6 +64,8 @@ def _parse_ids(raw: str) -> list[str]:
     ids = [part.strip() for part in raw.split(",") if part.strip()]
     if not ids:
         raise DataValidationError(f"no sample ids in {raw!r}")
+    if len(set(ids)) != len(ids):
+        raise DataValidationError(f"repeated sample id in {raw!r}")
     return ids
 
 
@@ -130,11 +132,10 @@ def cmd_ingest(args) -> int:
 
 
 def _dump_dtw_pair(source: Dataset, target_curve, n: int, out_dir: Path) -> None:
-    a = grid_curve(source.curves[0], n)
-    b = grid_curve(target_curve, n)
-    result, mats = dtw_alignment(a, b)
+    local = local_distance_matrix(grid_curve(source.curves[0], n), grid_curve(target_curve, n))
+    cumulative = cumulative_cost(local)
     header = [""] + [str(i) for i in range(n)]
-    for label, matrix in (("local", mats.local), ("cumulative", mats.cumulative)):
+    for label, matrix in (("local", local), ("cumulative", cumulative)):
         with open(out_dir / f"{source.name}_{label}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -143,7 +144,7 @@ def _dump_dtw_pair(source: Dataset, target_curve, n: int, out_dir: Path) -> None
     with open(out_dir / f"{source.name}_path.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "l"])
-        writer.writerows(result.path)
+        writer.writerows(dtw_path(cumulative))
 
 
 def cmd_rank(args) -> int:
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=int, default=120)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--pad-params", action="store_true")
-    p.add_argument("--mape-epsilon", type=float, default=1e-6,
+    p.add_argument("--mape-epsilon", type=_positive_float, default=1e-6,
                    help="|stress| below this (MPa) is excluded from MAPE (default 1e-6)")
     p.add_argument("--out", required=True, help="output directory")
     _add_train_flags(p)

@@ -201,23 +201,22 @@ def grid_curve(curve: RawCurve, n: int = DEFAULT_GRID_N) -> GridCurve:
 def _read_curve_csv(path: Path, sample_id: str) -> tuple[np.ndarray, np.ndarray]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != CSV_HEADER:
-                raise DataValidationError(
-                    f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header}"
-                )
-            strain, stress = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 2:
-                    raise DataValidationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-                try:
-                    strain.append(float(row[0]))
-                    stress.append(float(row[1]))
-                except ValueError as exc:
-                    raise DataValidationError(f"{path}:{lineno}: malformed number: {exc}") from exc
-    except OSError as exc:
+            rows = list(csv.reader(fh))
+    # ValueError: a NUL or lone surrogate in the file name, or bytes that are not UTF-8.
+    except (OSError, ValueError, csv.Error) as exc:
         raise DataValidationError(f"sample {sample_id!r}: cannot read curve file {path}: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != CSV_HEADER:
+        raise DataValidationError(f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header}")
+    strain, stress = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise DataValidationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+        try:
+            strain.append(float(row[0]))
+            stress.append(float(row[1]))
+        except ValueError as exc:
+            raise DataValidationError(f"{path}:{lineno}: malformed number: {exc}") from exc
     return np.array(strain), np.array(stress)
 
 
@@ -226,7 +225,7 @@ def _param_value(raw, where: str) -> float:
         raise DataValidationError(f"{where}: not a number: {raw!r}")
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON integer beyond float range
         raise DataValidationError(f"{where}: not a number: {raw!r}") from None
     if not np.isfinite(value):
         raise DataValidationError(f"{where}: non-finite value {raw!r}")
@@ -238,8 +237,10 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
 
     The manifest is an object ``{name, role, param_schema: [{name, unit}],
     samples: [{id, file, params: {name: value}}]}`` with curve-file paths
-    relative to the manifest. Every parameter value must be a finite number.
-    Every referenced CSV is parsed and cleaned via :func:`validate_curve`.
+    relative to the manifest. ``samples`` must not be empty, and every
+    parameter value must be a finite number. Every referenced CSV is parsed
+    and cleaned via :func:`validate_curve`. Any malformed input raises
+    :class:`DataValidationError`.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -247,24 +248,37 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             manifest = json.load(fh)
     except OSError as exc:
         raise DataValidationError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or bytes that are not UTF-8
         raise DataValidationError(f"{manifest_path}: invalid JSON: {exc}") from exc
 
+    if not isinstance(manifest, dict):
+        raise DataValidationError(f"{manifest_path}: manifest must be a JSON object")
     for key in ("name", "role", "param_schema", "samples"):
         if key not in manifest:
             raise DataValidationError(f"{manifest_path}: manifest missing key {key!r}")
+    entries, samples = manifest["param_schema"], manifest["samples"]
+    if not (isinstance(entries, list) and all(isinstance(p, dict) and "name" in p for p in entries)):
+        raise DataValidationError(f"{manifest_path}: param_schema must be a list of objects with a name")
+    if not (isinstance(samples, list) and samples):
+        raise DataValidationError(f"{manifest_path}: samples must be a non-empty list")
 
-    schema = [ParamField(str(p["name"]), str(p.get("unit", "-"))) for p in manifest["param_schema"]]
+    schema = [ParamField(str(p["name"]), str(p.get("unit", "-"))) for p in entries]
     schema_names = [p.name for p in schema]
 
     curves = []
     base = manifest_path.parent
-    for sample in manifest["samples"]:
+    for sample in samples:
+        if not isinstance(sample, dict):
+            raise DataValidationError(f"{manifest_path}: sample entry must be an object, got {sample!r}")
         for key in ("id", "file", "params"):
             if key not in sample:
                 raise DataValidationError(f"{manifest_path}: sample entry missing key {key!r}")
         sample_id = str(sample["id"])
         declared = sample["params"]
+        if not (isinstance(declared, dict) and isinstance(sample["file"], str)):
+            raise DataValidationError(
+                f"{manifest_path}: sample {sample_id!r} needs a params object and a file name string"
+            )
         extra = set(declared) - set(schema_names)
         missing = set(schema_names) - set(declared)
         if extra:

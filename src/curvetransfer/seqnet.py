@@ -28,19 +28,18 @@ PARAM_NAMES = (
 
 OPTIMIZERS = ("sgd", "adam")
 
+# Hidden units of every LSTM the pipeline builds.
+HIDDEN_DIM = 32
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; it is exp(-z) for z >= 0 and exp(z) below.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class ModelParams:
@@ -111,14 +110,12 @@ class CellState:
 class CellCache:
     """Per-step activations retained for backpropagation through time."""
 
-    x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
     f: np.ndarray
     i: np.ndarray
     g: np.ndarray  # candidate cell state, tanh-activated
     o: np.ndarray
-    c: np.ndarray
     tanh_c: np.ndarray
 
 
@@ -143,7 +140,7 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
 
-def init_params(seed: int, input_dim: int, hidden_dim: int = 32) -> ModelParams:
+def init_params(seed: int, input_dim: int, hidden_dim: int = HIDDEN_DIM) -> ModelParams:
     """Seed-determined initial parameters.
 
     Each weight matrix is drawn uniformly from [-s, s] with
@@ -177,7 +174,7 @@ def lstm_cell_forward(
     o = _sigmoid(params.W_oh @ h_prev + params.W_ox @ x_t + params.b_o)
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    cache = CellCache(x=x_t, h_prev=h_prev, c_prev=c_prev, f=f, i=i, g=g, o=o, c=c, tanh_c=tanh_c)
+    cache = CellCache(h_prev=h_prev, c_prev=c_prev, f=f, i=i, g=g, o=o, tanh_c=tanh_c)
     return CellState(h=h, c=c), cache
 
 
@@ -209,9 +206,7 @@ def forward_sequence(
         g = np.tanh(z[3 * hd :])
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)
-        caches.append(
-            CellCache(x=window[t], h_prev=h, c_prev=c, f=f, i=i, g=g, o=o, c=c_new, tanh_c=tanh_c)
-        )
+        caches.append(CellCache(h_prev=h, c_prev=c, f=f, i=i, g=g, o=o, tanh_c=tanh_c))
         h = o * tanh_c
         c = c_new
     prediction = float(params.W_out[0] @ h + params.b_out[0])

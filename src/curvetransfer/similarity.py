@@ -20,26 +20,6 @@ BRUTE_FORCE_MAX_LEN = 10
 
 
 @dataclass(frozen=True)
-class CostMatrices:
-    """Local squared-difference matrix and its cumulative-cost counterpart."""
-
-    local: np.ndarray
-    cumulative: np.ndarray
-
-
-@dataclass(frozen=True)
-class DtwResult:
-    """DTW distance plus the warping path that realizes it.
-
-    The path uses 0-based (row, col) indices, runs from (0, 0) to
-    (N-1, N-1), and steps by (1, 0), (0, 1), or (1, 1).
-    """
-
-    distance: float
-    path: list[tuple[int, int]]
-
-
-@dataclass(frozen=True)
 class SourceRanking:
     """Average-DTW ranking of candidate source datasets, ascending.
 
@@ -70,13 +50,7 @@ def local_distance_matrix(a: GridCurve, b: GridCurve) -> np.ndarray:
     return (a.stress_norm[:, None] - b.stress_norm[None, :]) ** 2
 
 
-def cumulative_cost(local: np.ndarray) -> np.ndarray:
-    """Cumulative-cost matrix of the DTW recurrence.
-
-    The first cell copies the local cost, the first row and column are running
-    sums, and each interior cell adds its local cost to the cheapest of the
-    three admissible predecessors.
-    """
+def _cost_rows(local: np.ndarray) -> list[list[float]]:
     local = np.asarray(local, dtype=float)
     n, m = local.shape
     # Row-local Python lists beat numpy scalar indexing for this sequential DP.
@@ -95,11 +69,26 @@ def cumulative_cost(local: np.ndarray) -> np.ndarray:
             if cur[l - 1] < best:
                 best = cur[l - 1]
             cur[l] = lk[l] + best
-    return np.array(rows)
+    return rows
 
 
-def _backtrack(local: np.ndarray, cumulative: np.ndarray) -> list[tuple[int, int]]:
-    # Tie-break at equal cost: diagonal > up > left.
+def cumulative_cost(local: np.ndarray) -> np.ndarray:
+    """Cumulative-cost matrix of the DTW recurrence.
+
+    The first cell copies the local cost, the first row and column are running
+    sums, and each interior cell adds its local cost to the cheapest of the
+    three admissible predecessors.
+    """
+    return np.array(_cost_rows(local))
+
+
+def dtw_path(cumulative: np.ndarray) -> list[tuple[int, int]]:
+    """Optimal warping path read back from a cumulative-cost matrix.
+
+    The path uses 0-based (row, col) indices, runs from (0, 0) to
+    (N-1, N-1), and steps by (1, 0), (0, 1), or (1, 1). At equal cost the
+    diagonal step wins over up, and up over left.
+    """
     k, l = cumulative.shape[0] - 1, cumulative.shape[1] - 1
     path = [(k, l)]
     while k > 0 or l > 0:
@@ -120,18 +109,9 @@ def _backtrack(local: np.ndarray, cumulative: np.ndarray) -> list[tuple[int, int
     return path
 
 
-def dtw_alignment(a: GridCurve, b: GridCurve) -> tuple[DtwResult, CostMatrices]:
-    """DTW distance, warping path, and both cost matrices for one curve pair."""
-    local = local_distance_matrix(a, b)
-    cumulative = cumulative_cost(local)
-    path = _backtrack(local, cumulative)
-    return DtwResult(float(cumulative[-1, -1]), path), CostMatrices(local, cumulative)
-
-
-def dtw_distance(a: GridCurve, b: GridCurve) -> DtwResult:
-    """DTW distance between two gridded curves, with the optimal path."""
-    result, _ = dtw_alignment(a, b)
-    return result
+def dtw_distance(a: GridCurve, b: GridCurve) -> float:
+    """DTW distance between two gridded curves (the last cumulative cost)."""
+    return _cost_rows(local_distance_matrix(a, b))[-1][-1]
 
 
 def brute_force_dtw(a, b) -> float:
@@ -176,7 +156,7 @@ def average_dtw(source: list[GridCurve], target: list[GridCurve]) -> float:
     total = 0.0
     for p in source:
         for m in target:
-            total += dtw_distance(p, m).distance
+            total += dtw_distance(p, m)
     return total / (len(source) * len(target))
 
 

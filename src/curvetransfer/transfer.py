@@ -27,19 +27,14 @@ VARIANTS = ("vanilla", "tl_all", "dtw_tl")
 
 @dataclass
 class SupervisedSet:
-    """Windows, targets, and provenance for one training split."""
+    """Windows, targets, and the sample id each window came from, for one training split."""
 
     windows: list[np.ndarray]
     targets: np.ndarray
-    scalers: CurveScalers
-    dataset_name: str
     window_sample_ids: list[str]
 
     def __len__(self) -> int:
         return len(self.windows)
-
-    def sample_ids(self) -> set[str]:
-        return set(self.window_sample_ids)
 
 
 @dataclass
@@ -62,6 +57,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise DataValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for label, ids in (("train", self.target_train_ids), ("test", self.target_test_ids)):
+            if len(set(ids)) != len(ids):
+                raise DataValidationError(f"{label} ids contain duplicates: {ids}")
         overlap = set(self.target_train_ids) & set(self.target_test_ids)
         if overlap:
             raise DataValidationError(f"train/test ids overlap: {sorted(overlap)}")
@@ -71,6 +69,10 @@ class ExperimentPlan:
             raise DataValidationError("target_test_ids must not be empty")
         if self.variant != "vanilla" and not self.source_datasets:
             raise DataValidationError(f"variant {self.variant!r} requires source datasets")
+        if not (self.mape_epsilon > 0 and np.isfinite(self.mape_epsilon)):
+            raise DataValidationError(
+                f"mape_epsilon must be a positive finite number, got {self.mape_epsilon!r}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -164,7 +166,6 @@ def window_dataset(
     curves: list[RawCurve],
     scalers: CurveScalers,
     n: int,
-    dataset_name: str = "",
     pad: bool = False,
 ) -> SupervisedSet:
     """Slide length-n windows over every curve; each window predicts the next stress.
@@ -192,13 +193,7 @@ def window_dataset(
             window_ids.append(curve.sample_id)
     if not windows:
         raise DataValidationError(f"no usable windows: every curve has <= {n} points")
-    return SupervisedSet(
-        windows=windows,
-        targets=np.array(targets),
-        scalers=scalers,
-        dataset_name=dataset_name,
-        window_sample_ids=window_ids,
-    )
+    return SupervisedSet(windows=windows, targets=np.array(targets), window_sample_ids=window_ids)
 
 
 def select_extreme_training_samples(dataset: Dataset) -> tuple[str, str]:
@@ -240,7 +235,6 @@ def pretrain(
     source_curves: list[RawCurve],
     config: TrainConfig,
     dataset_name: str = "source",
-    hidden_dim: int = 32,
     param_arity: int | None = None,
     pad: bool = False,
 ) -> ModelCheckpoint:
@@ -248,8 +242,8 @@ def pretrain(
     if not source_curves:
         raise DataValidationError("pretrain requires a non-empty source curve list")
     scalers = fit_scalers(source_curves, arity=param_arity, pad=pad)
-    supervised = window_dataset(source_curves, scalers, config.sequence_length, dataset_name, pad)
-    params = init_params(config.seed, scalers.input_dim, hidden_dim)
+    supervised = window_dataset(source_curves, scalers, config.sequence_length, pad=pad)
+    params = init_params(config.seed, scalers.input_dim)
     params, _ = train(params, supervised.windows, supervised.targets, config)
     return ModelCheckpoint(
         params=params,
@@ -297,7 +291,7 @@ def finetune(
             f"target input_dim {scalers.input_dim} does not match model input_dim "
             f"{params_init.input_dim}"
         )
-    supervised = window_dataset(target_train_curves, scalers, config.sequence_length, dataset_name, pad)
+    supervised = window_dataset(target_train_curves, scalers, config.sequence_length, pad=pad)
     params = params_init.copy()
     params, _ = train(params, supervised.windows, supervised.targets, config)
     return ModelCheckpoint(
@@ -381,8 +375,11 @@ def _evaluate(
     evals = []
     for curve in test_curves:
         predicted = predict_curve(checkpoint, curve)
-        actual = curve.stress[n:]
-        evals.append(SampleEval(curve.sample_id, summarize(actual, predicted, epsilon), predicted))
+        try:
+            summary = summarize(curve.stress[n:], predicted, epsilon)
+        except ValueError as exc:  # every |stress| below epsilon leaves MAPE undefined
+            raise DataValidationError(f"sample {curve.sample_id!r}: {exc}") from exc
+        evals.append(SampleEval(curve.sample_id, summary, predicted))
     return evals
 
 
@@ -430,7 +427,7 @@ def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
     ranking: SourceRanking | None = None
 
     if plan.variant == "vanilla":
-        params0 = init_params(config.seed, 1 + arity, hidden_dim=32)
+        params0 = init_params(config.seed, 1 + arity)
     elif plan.variant == "tl_all":
         pool = concat_shuffle_sources(sources, config.seed)
         combined_name = "+".join(ds.name for ds in sources)

@@ -195,6 +195,26 @@ class TestPipeline:
         report = json.loads((out / "report.json").read_text())
         assert report["plan"]["train_ids"] == ["1", "9"]
 
+    @pytest.mark.parametrize("epsilon", ["nan", "0", "-1"])
+    def test_bad_mape_epsilon_exits_1(self, suite_dir, tmp_path, capsys, epsilon):
+        rc = main(
+            ["pipeline", "--variant", "vanilla",
+             "--target", manifest_of(suite_dir, "metal_plateau"),
+             "--auto-extreme", "--out", str(tmp_path / "run"), f"--mape-epsilon={epsilon}"]
+        )
+        assert rc == 1
+        assert "--mape-epsilon" in capsys.readouterr().err
+
+    def test_mape_epsilon_above_every_stress_exits_2(self, suite_dir, tmp_path, capsys):
+        rc = main(
+            ["pipeline", "--variant", "vanilla",
+             "--target", manifest_of(suite_dir, "metal_plateau"),
+             "--auto-extreme", "--out", str(tmp_path / "run"), "--mape-epsilon", "1e9",
+             "--epochs", "1"]
+        )
+        assert rc == 2
+        assert "sample '2'" in capsys.readouterr().err
+
     def test_divergence_exits_3(self, suite_dir, tmp_path, capsys):
         rc = main(
             ["pipeline", "--variant", "vanilla",
@@ -271,6 +291,26 @@ class TestCheckpointCommands:
         assert main(argv) == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rank", "finetune", "evaluate", "pipeline"])
+    def test_repeated_sample_id_exits_2(self, suite_dir, tmp_path, capsys, command):
+        ckpt = tmp_path / "pre.json"
+        assert main(
+            ["pretrain", "--sources", manifest_of(suite_dir, "poly_plateau"),
+             "--out", str(ckpt), "--seed", "0", "--epochs", "1"]
+        ) == 0
+        target = ["--target", manifest_of(suite_dir, "metal_plateau")]
+        argv = {
+            "rank": ["rank", "--sources", manifest_of(suite_dir, "poly_plateau"), *target,
+                     "--train-ids", "1,1,9"],
+            "finetune": ["finetune", "--checkpoint", str(ckpt), *target, "--train-ids", "1,1,9",
+                         "--out", str(tmp_path / "fine.json"), "--epochs", "1"],
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), *target, "--test-ids", "3,5,3"],
+            "pipeline": ["pipeline", "--variant", "vanilla", *target, "--train-ids", "1,1,9",
+                         "--out", str(tmp_path / "run"), "--epochs", "1"],
+        }[command]
+        assert main(argv) == 2
+        assert "repeated" in capsys.readouterr().err
+
     def test_env_seed_fallback(self, suite_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CURVETRANSFER_SEED", "42")
         out = tmp_path / "ranking.json"
@@ -291,6 +331,17 @@ class TestManifestValidationThroughCli:
         )
         assert main(["ingest", "--manifest", str(path)]) == 2
         assert "laser_power" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "rank"])
+    def test_empty_manifest_exits_2(self, suite_dir, tmp_path, capsys, command):
+        path = write_manifest(tmp_path, samples={})
+        argv = {
+            "ingest": ["ingest", "--manifest", str(path)],
+            "rank": ["rank", "--sources", str(path),
+                     "--target", manifest_of(suite_dir, "metal_plateau"), "--auto-extreme"],
+        }[command]
+        assert main(argv) == 2
+        assert "non-empty" in capsys.readouterr().err
 
     def test_nan_parameter_exits_2(self, tmp_path, capsys):
         path = write_manifest(

@@ -184,7 +184,9 @@ class TestLoadDataset:
         with pytest.raises(DataValidationError, match="missing parameters"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("value", ["NaN", float("nan"), float("inf"), float("-inf"), "abc", None, True])
+    @pytest.mark.parametrize(
+        "value", ["NaN", float("nan"), float("inf"), float("-inf"), "abc", None, True, pytest.param(10**400, id="int-beyond-float")]
+    )
     def test_bad_parameter_value(self, tmp_path, value):
         path = write_manifest(tmp_path, samples={"1": ([0.0, 0.01], [0.0, 1.0], {"speed": value})})
         with pytest.raises(DataValidationError, match="speed"):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvetransfer.errors import TrainingDivergenceError
 from curvetransfer.seqnet import (
@@ -21,7 +22,34 @@ from curvetransfer.seqnet import (
     optimizer_step,
     init_optimizer_state,
     train,
+    _sigmoid,
 )
+
+
+def sign_split_sigmoid(z):
+    """Reference logistic: 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, through masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, 709.9, -709.9, 746.0, -746.0, 5e-324, -5e-324]
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS), min_size=1, max_size=40))
+    def test_matches_sign_split_reference_bitwise(self, values):
+        z = np.array(values)
+        assert _sigmoid(z).tobytes() == sign_split_sigmoid(z).tobytes()
+
+    def test_limits_and_nan(self):
+        out = _sigmoid(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert out[0] == out[1] == 0.5 and out[2] == 1.0 and out[3] == 0.0
+        assert np.isnan(out[4])
 
 
 def zero_params(input_dim=2, hidden_dim=3):

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvetransfer.curves import Dataset, ParamField, RawCurve, GridCurve
 from curvetransfer.similarity import (
     average_dtw,
     brute_force_dtw,
     cumulative_cost,
-    dtw_alignment,
     dtw_distance,
+    dtw_path,
     euclidean_distance,
     local_distance_matrix,
     pearson_similarity,
@@ -68,20 +69,19 @@ class TestCumulativeCost:
 class TestDtwDistance:
     def test_identical_curves(self):
         a = make_grid([0.0, 0.4, 0.9, 1.0, 0.8])
-        result = dtw_distance(a, a)
-        assert result.distance == 0.0
-        assert result.path == [(i, i) for i in range(5)]
+        assert dtw_distance(a, a) == 0.0
+        assert dtw_path(cumulative_cost(local_distance_matrix(a, a))) == [(i, i) for i in range(5)]
 
     def test_stretched_plateau_zero_distance(self):
         # Every point finds an equal-valued match across the stretched plateau.
         a = make_grid([0.0, 1.0, 1.0, 0.0])
         b = make_grid([0.0, 1.0, 0.0, 0.0])
-        assert dtw_distance(a, b).distance == 0.0
+        assert dtw_distance(a, b) == 0.0
         assert brute_force_dtw(a.stress_norm, b.stress_norm) == 0.0
 
     def test_opposite_two_point_curves(self):
         a, b = make_grid([0.0, 1.0]), make_grid([1.0, 0.0])
-        assert dtw_distance(a, b).distance == 2.0
+        assert dtw_distance(a, b) == 2.0
         assert brute_force_dtw([0.0, 1.0], [1.0, 0.0]) == 2.0
 
     def test_matches_brute_force_on_random_pairs(self):
@@ -98,28 +98,57 @@ class TestDtwDistance:
         rng = np.random.default_rng(5)
         for _ in range(20):
             a, b = make_grid(rng.random(30)), make_grid(rng.random(30))
-            assert abs(dtw_distance(a, b).distance - dtw_distance(b, a).distance) < 1e-12
+            assert abs(dtw_distance(a, b) - dtw_distance(b, a)) < 1e-12
 
     def test_never_exceeds_euclidean(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             a, b = make_grid(rng.random(40)), make_grid(rng.random(40))
-            assert dtw_distance(a, b).distance <= euclidean_distance(a, b) + 1e-12
+            assert dtw_distance(a, b) <= euclidean_distance(a, b) + 1e-12
 
     def test_path_validity_and_cost_consistency(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             a, b = make_grid(rng.random(25)), make_grid(rng.random(25))
-            result, mats = dtw_alignment(a, b)
-            assert result.path[0] == (0, 0)
-            assert result.path[-1] == (24, 24)
+            local = local_distance_matrix(a, b)
+            path = dtw_path(cumulative_cost(local))
+            assert path[0] == (0, 0)
+            assert path[-1] == (24, 24)
             steps = {
                 (k2 - k1, l2 - l1)
-                for (k1, l1), (k2, l2) in zip(result.path, result.path[1:])
+                for (k1, l1), (k2, l2) in zip(path, path[1:])
             }
             assert steps <= VALID_STEPS
-            path_cost = sum(mats.local[k, l] for k, l in result.path)
-            assert abs(path_cost - result.distance) < 1e-12
+            path_cost = sum(local[k, l] for k, l in path)
+            assert abs(path_cost - dtw_distance(a, b)) < 1e-12
+
+
+@st.composite
+def gridded_pairs(draw):
+    n = draw(st.integers(2, 30))
+    values = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    return make_grid(draw(values), "a"), make_grid(draw(values), "b")
+
+
+class TestDistanceOnlyFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(gridded_pairs())
+    def test_distance_is_cumulative_corner_bitwise(self, pair):
+        a, b = pair
+        distance = dtw_distance(a, b)
+        assert type(distance) is float
+        assert distance == float(cumulative_cost(local_distance_matrix(a, b))[-1, -1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(gridded_pairs())
+    def test_path_is_valid_and_realizes_distance(self, pair):
+        a, b = pair
+        n = len(a.stress_norm)
+        local = local_distance_matrix(a, b)
+        path = dtw_path(cumulative_cost(local))
+        assert path[0] == (0, 0) and path[-1] == (n - 1, n - 1)
+        assert {(k2 - k1, l2 - l1) for (k1, l1), (k2, l2) in zip(path, path[1:])} <= VALID_STEPS
+        assert abs(sum(local[k, l] for k, l in path) - dtw_distance(a, b)) <= 1e-12
 
 
 def local_distance_matrix_pairable(a, b):
@@ -145,8 +174,8 @@ class TestAverageDtw:
         s = make_grid([0.0, 0.0, 0.0, 0.0])
         t1 = make_grid([1.0, 1.0, 1.0, 1.0])
         t2 = make_grid([np.sqrt(0.5)] * 4)
-        assert abs(dtw_distance(s, t1).distance - 4.0) < 1e-12
-        assert abs(dtw_distance(s, t2).distance - 2.0) < 1e-12
+        assert abs(dtw_distance(s, t1) - 4.0) < 1e-12
+        assert abs(dtw_distance(s, t2) - 2.0) < 1e-12
         assert abs(average_dtw([s], [t1, t2]) - 3.0) < 1e-12
 
     def test_identical_lists_zero(self):
@@ -158,7 +187,7 @@ class TestAverageDtw:
         sources = [make_grid(rng.random(15)) for _ in range(2)]
         targets = [make_grid(rng.random(15)) for _ in range(2)]
         expected = np.mean(
-            [dtw_distance(s, t).distance for s in sources for t in targets]
+            [dtw_distance(s, t) for s in sources for t in targets]
         )
         assert abs(average_dtw(sources, targets) - expected) < 1e-12
 

@@ -122,7 +122,7 @@ class TestWindowDataset:
         scalers = fit_scalers(curves)
         with pytest.warns(UserWarning, match="short"):
             supervised = window_dataset(curves, scalers, 5)
-        assert supervised.sample_ids() == {"long"}
+        assert set(supervised.window_sample_ids) == {"long"}
 
     def test_all_short_rejected(self):
         curves = [linear_curve(n=3, params={"p": 1.0})]
@@ -403,8 +403,8 @@ class TestRunVariant:
         train_curves = [target.curve_by_id(sid) for sid in plan.target_train_ids]
         scalers = fit_scalers(train_curves)
         supervised = window_dataset(train_curves, scalers, plan.config.sequence_length)
-        assert supervised.sample_ids() == set(plan.target_train_ids)
-        assert supervised.sample_ids().isdisjoint(plan.target_test_ids)
+        assert set(supervised.window_sample_ids) == set(plan.target_train_ids)
+        assert set(supervised.window_sample_ids).isdisjoint(plan.target_test_ids)
 
 
 class TestCheckpointErrors:
@@ -465,6 +465,23 @@ class TestPlanValidation:
             ExperimentPlan(
                 variant="dtw_tl", source_datasets=[], target_dataset="t",
                 target_train_ids=["1"], target_test_ids=["2"], config=small_config(),
+            )
+
+    @pytest.mark.parametrize("train_ids, test_ids", [(["1", "1", "9"], ["2"]), (["1"], ["2", "3", "2"])])
+    def test_duplicate_ids_rejected(self, train_ids, test_ids):
+        with pytest.raises(DataValidationError, match="duplicates"):
+            ExperimentPlan(
+                variant="vanilla", source_datasets=[], target_dataset="t",
+                target_train_ids=train_ids, target_test_ids=test_ids, config=small_config(),
+            )
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_mape_epsilon_rejected(self, epsilon):
+        with pytest.raises(DataValidationError, match="mape_epsilon"):
+            ExperimentPlan(
+                variant="vanilla", source_datasets=[], target_dataset="t",
+                target_train_ids=["1"], target_test_ids=["2"], config=small_config(),
+                mape_epsilon=epsilon,
             )
 
     def test_plan_echo_includes_config(self):
