@@ -232,14 +232,24 @@ def _param_value(raw, where: str) -> float:
     return value
 
 
+def _text_field(raw, where: str, non_empty: bool = False) -> str:
+    if not isinstance(raw, str):  # str() would turn ["x"] or null into a name
+        raise DataValidationError(f"{where} must be a string, got {raw!r}")
+    if non_empty and not raw:
+        raise DataValidationError(f"{where} must not be empty")
+    return raw
+
+
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load and validate a dataset from a JSON manifest.
 
     The manifest is an object ``{name, role, param_schema: [{name, unit}],
     samples: [{id, file, params: {name: value}}]}`` with curve-file paths
     relative to the manifest. ``samples`` must not be empty, and every
-    parameter value must be a finite number. Every referenced CSV is parsed
-    and cleaned via :func:`validate_curve`. Any malformed input raises
+    parameter value must be a finite number. The dataset ``name`` and every
+    sample ``id`` are non-empty strings; ``role`` and each schema ``name`` and
+    ``unit`` are strings. Every referenced CSV is parsed and cleaned via
+    :func:`validate_curve`. Any malformed input raises
     :class:`DataValidationError`.
     """
     manifest_path = Path(manifest_path)
@@ -262,7 +272,15 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if not (isinstance(samples, list) and samples):
         raise DataValidationError(f"{manifest_path}: samples must be a non-empty list")
 
-    schema = [ParamField(str(p["name"]), str(p.get("unit", "-"))) for p in entries]
+    name = _text_field(manifest["name"], f"{manifest_path}: name", non_empty=True)
+    role = _text_field(manifest["role"], f"{manifest_path}: role")
+    schema = [
+        ParamField(
+            _text_field(p["name"], f"{manifest_path}: param_schema name"),
+            _text_field(p.get("unit", "-"), f"{manifest_path}: param_schema unit"),
+        )
+        for p in entries
+    ]
     schema_names = [p.name for p in schema]
 
     curves = []
@@ -273,7 +291,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         for key in ("id", "file", "params"):
             if key not in sample:
                 raise DataValidationError(f"{manifest_path}: sample entry missing key {key!r}")
-        sample_id = str(sample["id"])
+        sample_id = _text_field(sample["id"], f"{manifest_path}: sample id", non_empty=True)
         declared = sample["params"]
         if not (isinstance(declared, dict) and isinstance(sample["file"], str)):
             raise DataValidationError(
@@ -297,7 +315,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         strain, stress = _read_curve_csv(base / sample["file"], sample_id)
         curves.append(validate_curve(RawCurve(sample_id, strain, stress, params)))
 
-    return Dataset(str(manifest["name"]), str(manifest["role"]), schema, curves)
+    return Dataset(name, role, schema, curves)
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:

@@ -50,7 +50,14 @@ def local_distance_matrix(a: GridCurve, b: GridCurve) -> np.ndarray:
     return (a.stress_norm[:, None] - b.stress_norm[None, :]) ** 2
 
 
-def _cost_rows(local: np.ndarray) -> list[list[float]]:
+def cumulative_cost(local: np.ndarray) -> np.ndarray:
+    """Cumulative-cost matrix of the DTW recurrence.
+
+    The first cell copies the local cost, the first row and column are running
+    sums, and each interior cell adds its local cost to the cheapest of the
+    three admissible predecessors. This row-by-row list DP is the reference
+    for :func:`_dtw_many` and feeds :func:`dtw_path`.
+    """
     local = np.asarray(local, dtype=float)
     n, m = local.shape
     # Row-local Python lists beat numpy scalar indexing for this sequential DP.
@@ -69,17 +76,37 @@ def _cost_rows(local: np.ndarray) -> list[list[float]]:
             if cur[l - 1] < best:
                 best = cur[l - 1]
             cur[l] = lk[l] + best
-    return rows
+    return np.array(rows)
 
 
-def cumulative_cost(local: np.ndarray) -> np.ndarray:
-    """Cumulative-cost matrix of the DTW recurrence.
+def _dtw_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """DTW distance of each row pair ``(a[p], b[p])`` of two (P, N) stress arrays.
 
-    The first cell copies the local cost, the first row and column are running
-    sums, and each interior cell adds its local cost to the cheapest of the
-    three admissible predecessors.
+    All P cost matrices are swept together along their 2N-1 anti-diagonals.
+    Column k+1 of a diagonal's buffer holds the cost of cell (k, d-k); column 0
+    and every off-grid cell a later diagonal reads hold +inf. (Each of the
+    three rolling buffers is reused every third diagonal and, up to the middle
+    diagonal, is written only at columns 1..d+1, so the off-grid column d+2 it
+    is later read at has never been written.) Each cell adds its local cost to
+    the minimum of the same three predecessors as :func:`cumulative_cost`, so
+    every distance is bitwise equal to that DP's last cell. Memory is O(P*N).
     """
-    return np.array(_cost_rows(local))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    pairs, n = a.shape
+    b_rev = b[:, ::-1]
+    before, last, cur = (np.full((pairs, n + 1), np.inf) for _ in range(3))
+    last[:, 1] = (a[:, 0] - b[:, 0]) ** 2
+    for d in range(1, 2 * n - 1):
+        k0, k1 = max(0, d - n + 1), min(d, n - 1) + 1
+        j0 = n - 1 - d + k0
+        out = cur[:, k0 + 1 : k1 + 1]
+        # Predecessors of (k, d-k): (k-1, d-k-1) on diagonal d-2, (k-1, d-k) and (k, d-k-1) on d-1.
+        np.minimum(before[:, k0:k1], last[:, k0:k1], out=out)
+        np.minimum(out, last[:, k0 + 1 : k1 + 1], out=out)
+        out += (a[:, k0:k1] - b_rev[:, j0 : j0 + k1 - k0]) ** 2
+        before, last, cur = last, cur, before
+    return last[:, n].copy()
 
 
 def dtw_path(cumulative: np.ndarray) -> list[tuple[int, int]]:
@@ -111,7 +138,8 @@ def dtw_path(cumulative: np.ndarray) -> list[tuple[int, int]]:
 
 def dtw_distance(a: GridCurve, b: GridCurve) -> float:
     """DTW distance between two gridded curves (the last cumulative cost)."""
-    return _cost_rows(local_distance_matrix(a, b))[-1][-1]
+    _check_same_length(a, b)
+    return float(_dtw_many(a.stress_norm[None], b.stress_norm[None])[0])
 
 
 def brute_force_dtw(a, b) -> float:
@@ -150,13 +178,22 @@ def brute_force_dtw(a, b) -> float:
 
 
 def average_dtw(source: list[GridCurve], target: list[GridCurve]) -> float:
-    """Mean DTW distance over all source x target curve pairs."""
+    """Mean DTW distance over all source x target curve pairs.
+
+    All pairs go through one :func:`_dtw_many` sweep. The distances are summed
+    one by one in (source curve, target curve) order, as a per-pair loop would,
+    so the mean is bitwise the same.
+    """
     if not source or not target:
         raise ValueError("average_dtw requires non-empty curve lists")
-    total = 0.0
     for p in source:
         for m in target:
-            total += dtw_distance(p, m)
+            _check_same_length(p, m)
+    a = np.array([p.stress_norm for p in source for _ in target])
+    b = np.array([m.stress_norm for _ in source for m in target])
+    total = 0.0
+    for d in _dtw_many(a, b).tolist():
+        total += d
     return total / (len(source) * len(target))
 
 

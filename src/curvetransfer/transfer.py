@@ -16,8 +16,8 @@ import numpy as np
 
 from .checkpoint import ModelCheckpoint
 from .curves import Dataset, RawCurve
-from .errors import DataValidationError
-from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, pearson, summarize
+from .errors import DataValidationError, TrainingDivergenceError
+from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, mape_excluded_count, pearson, summarize
 from .scaling import CurveScalers, fit_scalers, padded_param_values
 from .seqnet import ModelParams, TrainConfig, init_params, train
 from .similarity import SourceRanking, rank_sources
@@ -231,6 +231,17 @@ def concat_shuffle_sources(datasets: list[Dataset], seed: int) -> list[RawCurve]
     return [curves[i] for i in order]
 
 
+def _train_stage(
+    stage: str, dataset_name: str, params: ModelParams, supervised: SupervisedSet, config: TrainConfig
+) -> ModelParams:
+    """Train on one stage's windows; a divergence names the stage and the dataset."""
+    try:
+        params, _ = train(params, supervised.windows, supervised.targets, config)
+    except TrainingDivergenceError as exc:
+        raise TrainingDivergenceError(f"{stage} on dataset {dataset_name!r}: {exc}") from exc
+    return params
+
+
 def pretrain(
     source_curves: list[RawCurve],
     config: TrainConfig,
@@ -244,7 +255,7 @@ def pretrain(
     scalers = fit_scalers(source_curves, arity=param_arity, pad=pad)
     supervised = window_dataset(source_curves, scalers, config.sequence_length, pad=pad)
     params = init_params(config.seed, scalers.input_dim)
-    params, _ = train(params, supervised.windows, supervised.targets, config)
+    params = _train_stage("pretrain", dataset_name, params, supervised, config)
     return ModelCheckpoint(
         params=params,
         scalers=scalers,
@@ -292,8 +303,7 @@ def finetune(
             f"{params_init.input_dim}"
         )
     supervised = window_dataset(target_train_curves, scalers, config.sequence_length, pad=pad)
-    params = params_init.copy()
-    params, _ = train(params, supervised.windows, supervised.targets, config)
+    params = _train_stage("finetune", dataset_name, params_init.copy(), supervised, config)
     return ModelCheckpoint(
         params=params,
         scalers=scalers,
@@ -406,6 +416,15 @@ def _prepare(plan: ExperimentPlan, datasets):
             raise DataValidationError(f"unknown source dataset {name!r}")
         sources.append(name_map[name])
     train_curves, test_curves = _split_target(plan, target)
+    # metrics.mape's exclusion rule, applied before any training is spent.
+    n = plan.config.sequence_length
+    for curve in test_curves:
+        tail = curve.stress[n:]
+        if tail.size and mape_excluded_count(tail, plan.mape_epsilon) == tail.size:
+            raise DataValidationError(
+                f"sample {curve.sample_id!r}: all {tail.size} points below "
+                f"epsilon={plan.mape_epsilon}, MAPE undefined"
+            )
     arity = _resolve_arity(plan, target, sources if plan.variant != "vanilla" else [])
     pre_config = plan.config
     if plan.pretrain_epochs is not None:

@@ -223,7 +223,9 @@ class TestPipeline:
              "--epochs", "60", "--lr", "1e12", "--optimizer", "sgd"]
         )
         assert rc == 3
-        assert "diverged" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "diverged" in err
+        assert "finetune" in err and "metal_plateau" in err
 
 
 class TestCheckpointCommands:

@@ -192,6 +192,26 @@ class TestLoadDataset:
         with pytest.raises(DataValidationError, match="speed"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [(where, value)
+         for where in ("name", "role", "sample id", "param_schema name", "param_schema unit")
+         for value in (["x"], None, 1, True)]
+        + [("name", ""), ("role", ""), ("sample id", "")],
+    )
+    def test_bad_text_field(self, tmp_path, where, value):
+        path = write_manifest(tmp_path)
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if where == "sample id":
+            manifest["samples"][0]["id"] = value
+        elif where.startswith("param_schema"):
+            manifest["param_schema"][0][where.split()[1]] = value
+        else:
+            manifest[where] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(DataValidationError, match=where):
+            load_dataset(path)
+
     def test_missing_curve_file(self, tmp_path):
         path = write_manifest(tmp_path)
         (tmp_path / "1.csv").unlink()

@@ -23,10 +23,11 @@ json_values = st.recursive(
     max_leaves=6,
 )
 non_finite = st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999", "-1e999"])
-# No CSV delimiters or quotes, so the text stays one cell.
-non_numeric = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=6).filter(
-    lambda s: not _is_number(s)
-)
+# No CSV delimiters or quotes, so the text stays one cell, and no lone surrogates,
+# which cannot be written to a UTF-8 file.
+non_numeric = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'), max_size=6
+).filter(lambda s: not _is_number(s))
 
 
 def _is_number(text: str) -> bool:
@@ -140,7 +141,9 @@ def test_any_value_anywhere_loads_or_raises_data_error(where, value):
     except DataValidationError:
         return
     assert isinstance(dataset, Dataset)
+    assert isinstance(dataset.name, str) and dataset.name
     for curve in dataset.curves:
+        assert isinstance(curve.sample_id, str) and curve.sample_id
         assert all(math.isfinite(v) for v in curve.params.values())
 
 

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curvetransfer.curves import Dataset, ParamField, RawCurve, GridCurve
 from curvetransfer.similarity import (
+    _dtw_many,
     average_dtw,
     brute_force_dtw,
     cumulative_cost,
@@ -149,6 +151,66 @@ class TestDistanceOnlyFastPath:
         assert path[0] == (0, 0) and path[-1] == (n - 1, n - 1)
         assert {(k2 - k1, l2 - l1) for (k1, l1), (k2, l2) in zip(path, path[1:])} <= VALID_STEPS
         assert abs(sum(local[k, l] for k, l in path) - dtw_distance(a, b)) <= 1e-12
+
+
+# Either any finite floats, or small integers, which make many equal costs (ties).
+stress_values = st.sampled_from([
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-3, 3).map(float),
+])
+
+
+@st.composite
+def stress_rows(draw):
+    """Two (P, N) stress arrays whose rows are paired for the all-pairs kernel."""
+    elements = draw(stress_values)
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 40)))
+    return draw(arrays(float, shape, elements=elements)), draw(arrays(float, shape, elements=elements))
+
+
+@st.composite
+def curve_lists(draw):
+    """A source and a target list of equal-length grid curves."""
+    elements = draw(stress_values)
+    n = draw(st.integers(1, 30))
+    curves = st.lists(arrays(float, n, elements=elements).map(make_grid), min_size=1, max_size=4)
+    return draw(curves), draw(curves)
+
+
+class TestAllPairsKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(stress_rows())
+    def test_each_pair_is_cumulative_corner_bitwise(self, rows):
+        a, b = rows
+        # Squaring the difference of two huge finite floats overflows to inf in both implementations.
+        with np.errstate(over="ignore"):
+            got = _dtw_many(a, b)
+            expected = np.array(
+                [cumulative_cost((a[p][:, None] - b[p][None, :]) ** 2)[-1, -1] for p in range(len(a))]
+            )
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(curve_lists())
+    def test_average_is_sequential_mean_bitwise(self, lists):
+        source, target = lists
+        with np.errstate(over="ignore"):
+            total = 0.0
+            for s in source:
+                for t in target:
+                    total += float(cumulative_cost(local_distance_matrix(s, t))[-1, -1])
+            got = average_dtw(source, target)
+        expected = total / (len(source) * len(target))
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 2))
+    def test_average_rejects_length_mismatch(self, n, m, position):
+        assume(n != m)
+        target = [make_grid(np.zeros(n)) for _ in range(3)]
+        target[position] = make_grid(np.zeros(m))
+        with pytest.raises(ValueError, match="mismatch"):
+            average_dtw([make_grid(np.zeros(n))], target)
 
 
 def local_distance_matrix_pairable(a, b):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from curvetransfer import transfer
 from curvetransfer.checkpoint import load_checkpoint, save_checkpoint
 from curvetransfer.curves import Dataset, ParamField, RawCurve
 from curvetransfer.errors import DataValidationError
@@ -384,6 +385,20 @@ class TestRunVariant:
                     if ds is not (targets[0] if missing == "target" else sources[0])]
         with pytest.raises(DataValidationError, match=f"unknown {missing}"):
             run_source_sweep(plan, datasets)
+
+    @pytest.mark.parametrize("variant", ["vanilla", "dtw_tl", "sweep"])
+    def test_mape_epsilon_checked_before_training(self, suite, monkeypatch, variant):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training ran before the epsilon check")
+
+        monkeypatch.setattr(transfer, "pretrain", no_training)
+        monkeypatch.setattr(transfer, "finetune", no_training)
+        sources, targets, _ = suite
+        plan = suite_plan("dtw_tl" if variant == "sweep" else variant, sources, targets[0],
+                          mape_epsilon=1e9)
+        run = run_source_sweep if variant == "sweep" else run_variant
+        with pytest.raises(DataValidationError, match=f"sample {plan.target_test_ids[0]!r}"):
+            run(plan, sources + [targets[0]])
 
     def test_split_must_cover_dataset(self, suite):
         sources, targets, _ = suite
