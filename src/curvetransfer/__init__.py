@@ -36,9 +36,7 @@ from .similarity import (
     cumulative_cost,
     dtw_distance,
     dtw_path,
-    euclidean_distance,
     local_distance_matrix,
-    pearson_similarity,
     rank_sources,
 )
 from .synthgen import FamilySpec, generate_dataset, standard_suite

@@ -1,7 +1,10 @@
 """Model checkpoint: weights, scalers, dimensions, and provenance, as JSON.
 
 Floats are emitted with Python's shortest-round-trip repr, so a load/save
-cycle preserves every weight bit-exactly.
+cycle preserves every weight bit-exactly. Loading is strict: the dimensions,
+sequence length and seed must be JSON integers, the sequence length at least
+1, every scaler bound a finite number, and input_dim one more than the number
+of parameter scalers.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ FORMAT_VERSION = 1
 
 STAGES = ("pretrained", "finetuned")
 
+INTEGER_FIELDS = ("input_dim", "hidden_dim", "sequence_length", "seed")
+
 
 @dataclass
 class ModelCheckpoint:
@@ -29,14 +34,6 @@ class ModelCheckpoint:
     seed: int
     source_dataset: str
     stage: str
-
-    @property
-    def input_dim(self) -> int:
-        return self.params.input_dim
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.params.hidden_dim
 
     def to_dict(self) -> dict:
         return {
@@ -53,15 +50,25 @@ class ModelCheckpoint:
     @staticmethod
     def from_dict(doc: dict) -> "ModelCheckpoint":
         version = doc.get("format_version")
-        if version != FORMAT_VERSION:
+        if isinstance(version, bool) or version != FORMAT_VERSION:
             raise DataValidationError(f"unsupported checkpoint format_version: {version}")
-        params = ModelParams.from_named(int(doc["input_dim"]), int(doc["hidden_dim"]), doc["weights"])
+        for key in INTEGER_FIELDS:
+            if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+        if doc["sequence_length"] < 1:
+            raise ValueError(f"sequence_length must be >= 1, got {doc['sequence_length']}")
+        scalers = CurveScalers.from_dict(doc["feature_scalers"])
+        if doc["input_dim"] != scalers.input_dim:
+            raise ValueError(
+                f"input_dim {doc['input_dim']} does not match 1 + {scalers.arity} parameter scalers"
+            )
+        params = ModelParams.from_named(doc["input_dim"], doc["hidden_dim"], doc["weights"])
         provenance = doc.get("provenance", {})
         return ModelCheckpoint(
             params=params,
-            scalers=CurveScalers.from_dict(doc["feature_scalers"]),
-            sequence_length=int(doc["sequence_length"]),
-            seed=int(doc["seed"]),
+            scalers=scalers,
+            sequence_length=doc["sequence_length"],
+            seed=doc["seed"],
             source_dataset=str(provenance.get("source_dataset", "")),
             stage=str(provenance.get("stage", "")),
         )
@@ -85,7 +92,7 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return ModelCheckpoint.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DataValidationError):
             raise
         raise DataValidationError(f"{path}: malformed checkpoint: {exc}") from exc

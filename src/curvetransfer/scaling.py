@@ -11,6 +11,7 @@ matches (or is padded to match).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,11 @@ class FeatureScaler:
 
     @staticmethod
     def from_dict(d: dict) -> "FeatureScaler":
+        """Rejects a min or max that is not a finite JSON number (ValueError)."""
+        for key in ("min", "max"):
+            value = d[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"scaler {d['name']!r}: {key} must be a finite number, got {value!r}")
         return FeatureScaler(name=str(d["name"]), vmin=float(d["min"]), vmax=float(d["max"]))
 
 

@@ -314,7 +314,6 @@ def gradient_check(
 class OptimizerState:
     """Adam moment estimates over ``ModelParams.flat`` and step counter (None for sgd)."""
 
-    kind: str
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -322,8 +321,8 @@ class OptimizerState:
 
 def init_optimizer_state(params: ModelParams, config: TrainConfig) -> OptimizerState:
     if config.optimizer == "adam":
-        return OptimizerState(kind="adam", m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
-    return OptimizerState(kind=config.optimizer)
+        return OptimizerState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+    return OptimizerState()
 
 
 def optimizer_step(
@@ -342,7 +341,7 @@ def optimizer_step(
         raise ValueError(f"gradient (input_dim, hidden_dim) {grad_dims} != parameters' {dims}")
     theta, g = params.flat, grads.flat
     lr = config.learning_rate
-    if state.kind == "sgd":
+    if config.optimizer == "sgd":
         theta -= lr * g
         return params
 
@@ -367,11 +366,13 @@ def train(
 ) -> tuple[ModelParams, list[float]]:
     """Per-window (batch size 1) training over seed-shuffled epochs.
 
-    Each epoch visits every window once in a freshly shuffled order and
-    records the mean squared error observed during the pass. Deterministic
-    for a fixed seed; aborts with a diagnostic if the loss goes non-finite.
+    ``windows`` is a (W, n, d) array (or anything ``np.asarray`` turns into
+    one) and ``targets`` holds the W values they predict. Each epoch visits
+    every window once in a freshly shuffled order and records the mean
+    squared error observed during the pass. Deterministic for a fixed seed;
+    aborts with a diagnostic if the loss goes non-finite.
     """
-    windows = [np.asarray(w, dtype=float) for w in windows]
+    windows = np.asarray(windows, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if len(windows) == 0 or len(windows) != len(targets):
         raise ValueError(f"need matching non-empty windows/targets, got {len(windows)}/{len(targets)}")
@@ -399,9 +400,3 @@ def train(
             )
         loss_history.append(epoch_loss)
     return params, loss_history
-
-
-def evaluate_loss(params: ModelParams, windows, targets) -> float:
-    """Forward-only mean squared error of the model on a supervised set."""
-    predictions = [forward_sequence(params, w)[0] for w in windows]
-    return loss_mse(predictions, targets)

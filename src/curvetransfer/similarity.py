@@ -1,4 +1,4 @@
-"""Curve-shape similarity: dynamic time warping, baselines, and source ranking.
+"""Curve-shape similarity: dynamic time warping and source ranking.
 
 The DTW distance here is the minimum cumulative sum of squared stress
 differences along a valid monotone alignment path between two curves that were
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import RawCurve, Dataset, GridCurve, grid_curve, DEFAULT_GRID_N
-from .metrics import pearson
 
 BRUTE_FORCE_MAX_LEN = 10
 
@@ -220,15 +219,3 @@ def rank_sources(
         entries.append((dataset.name, average_dtw(source_grids, target_grids)))
     entries.sort(key=lambda e: (e[1], e[0]))
     return SourceRanking(entries=entries, selected=entries[0][0])
-
-
-def euclidean_distance(a: GridCurve, b: GridCurve) -> float:
-    """Point-by-point sum of squared stress differences (no warping)."""
-    _check_same_length(a, b)
-    return float(np.sum((a.stress_norm - b.stress_norm) ** 2))
-
-
-def pearson_similarity(a: GridCurve, b: GridCurve) -> float:
-    """Sample Pearson correlation of the two gridded stress vectors."""
-    _check_same_length(a, b)
-    return pearson(a.stress_norm, b.stress_norm)

@@ -19,7 +19,7 @@ from .curves import Dataset, RawCurve
 from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, mape_excluded_count, pearson, summarize
 from .scaling import CurveScalers, fit_scalers, padded_param_values
-from .seqnet import ModelParams, TrainConfig, init_params, train
+from .seqnet import ModelParams, TrainConfig, forward_sequence, init_params, train
 from .similarity import SourceRanking, rank_sources
 
 VARIANTS = ("vanilla", "tl_all", "dtw_tl")
@@ -27,11 +27,10 @@ VARIANTS = ("vanilla", "tl_all", "dtw_tl")
 
 @dataclass
 class SupervisedSet:
-    """Windows, targets, and the sample id each window came from, for one training split."""
+    """One training split's (W, n, d) windows and the scaled stress each one predicts."""
 
-    windows: list[np.ndarray]
+    windows: np.ndarray
     targets: np.ndarray
-    window_sample_ids: list[str]
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -149,17 +148,30 @@ class EvalReport:
         return doc
 
 
-def _window_features(
-    curve: RawCurve, scalers: CurveScalers, pad: bool = False
+def _check_predictable(curve: RawCurve, n: int) -> None:
+    if curve.n_points() <= n:
+        raise DataValidationError(
+            f"sample {curve.sample_id!r} has {curve.n_points()} points, "
+            f"need more than sequence length {n}"
+        )
+
+
+def _curve_windows(
+    curve: RawCurve, scalers: CurveScalers, n: int, pad: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled per-point feature matrix [(strain, params...)] and scaled stress vector."""
+    """The curve's L - n windows as one (L - n, n, d) view, and the scaled stress each predicts.
+
+    Rows are [scaled strain, scaled params...]; window t is rows t..t+n-1 and
+    predicts the stress at point t + n. Needs L > n.
+    """
     strain = scalers.strain.scale(curve.strain)
     raw_params = padded_param_values(curve, scalers.arity, pad)
     scaled_params = np.array([s.scale(v) for s, v in zip(scalers.params, raw_params)])
     features = np.empty((len(strain), scalers.input_dim))
     features[:, 0] = strain
     features[:, 1:] = scaled_params
-    return features, scalers.stress.scale(curve.stress)
+    windows = np.lib.stride_tricks.sliding_window_view(features, n, axis=0)[:-1].transpose(0, 2, 1)
+    return windows, scalers.stress.scale(curve.stress)[n:]
 
 
 def window_dataset(
@@ -170,14 +182,14 @@ def window_dataset(
 ) -> SupervisedSet:
     """Slide length-n windows over every curve; each window predicts the next stress.
 
-    A curve of L points yields L - n windows. Curves with <= n points are
-    skipped with a warning; an error is raised if no windows remain.
+    A curve of L points yields L - n windows, stacked in curve order into one
+    (W, n, d) array. Curves with <= n points are skipped with a warning; an
+    error is raised if no windows remain.
     """
     if n < 1:
         raise DataValidationError(f"sequence length must be >= 1, got {n}")
     windows: list[np.ndarray] = []
-    targets: list[float] = []
-    window_ids: list[str] = []
+    targets: list[np.ndarray] = []
     for curve in curves:
         length = curve.n_points()
         if length <= n:
@@ -186,14 +198,12 @@ def window_dataset(
                 stacklevel=2,
             )
             continue
-        features, stress_scaled = _window_features(curve, scalers, pad)
-        for t in range(length - n):
-            windows.append(features[t : t + n])
-            targets.append(float(stress_scaled[t + n]))
-            window_ids.append(curve.sample_id)
+        curve_windows, curve_targets = _curve_windows(curve, scalers, n, pad)
+        windows.append(curve_windows)
+        targets.append(curve_targets)
     if not windows:
         raise DataValidationError(f"no usable windows: every curve has <= {n} points")
-    return SupervisedSet(windows=windows, targets=np.array(targets), window_sample_ids=window_ids)
+    return SupervisedSet(windows=np.concatenate(windows), targets=np.concatenate(targets))
 
 
 def select_extreme_training_samples(dataset: Dataset) -> tuple[str, str]:
@@ -232,14 +242,29 @@ def concat_shuffle_sources(datasets: list[Dataset], seed: int) -> list[RawCurve]
 
 
 def _train_stage(
-    stage: str, dataset_name: str, params: ModelParams, supervised: SupervisedSet, config: TrainConfig
-) -> ModelParams:
-    """Train on one stage's windows; a divergence names the stage and the dataset."""
+    stage: str,
+    checkpoint_stage: str,
+    dataset_name: str,
+    params: ModelParams,
+    curves: list[RawCurve],
+    scalers: CurveScalers,
+    config: TrainConfig,
+    pad: bool,
+) -> ModelCheckpoint:
+    """Train on the windows of one stage's curves; a divergence names the stage and the dataset."""
+    supervised = window_dataset(curves, scalers, config.sequence_length, pad=pad)
     try:
         params, _ = train(params, supervised.windows, supervised.targets, config)
     except TrainingDivergenceError as exc:
         raise TrainingDivergenceError(f"{stage} on dataset {dataset_name!r}: {exc}") from exc
-    return params
+    return ModelCheckpoint(
+        params=params,
+        scalers=scalers,
+        sequence_length=config.sequence_length,
+        seed=config.seed,
+        source_dataset=dataset_name,
+        stage=checkpoint_stage,
+    )
 
 
 def pretrain(
@@ -253,31 +278,17 @@ def pretrain(
     if not source_curves:
         raise DataValidationError("pretrain requires a non-empty source curve list")
     scalers = fit_scalers(source_curves, arity=param_arity, pad=pad)
-    supervised = window_dataset(source_curves, scalers, config.sequence_length, pad=pad)
     params = init_params(config.seed, scalers.input_dim)
-    params = _train_stage("pretrain", dataset_name, params, supervised, config)
-    return ModelCheckpoint(
-        params=params,
-        scalers=scalers,
-        sequence_length=config.sequence_length,
-        seed=config.seed,
-        source_dataset=dataset_name,
-        stage="pretrained",
+    return _train_stage(
+        "pretrain", "pretrained", dataset_name, params, source_curves, scalers, config, pad
     )
 
 
-def transfer_init(
-    checkpoint: ModelCheckpoint, expected_input_dim: int | None = None
-) -> ModelParams:
+def transfer_init(checkpoint: ModelCheckpoint) -> ModelParams:
     """Initialize target parameters as an elementwise copy of the source model's.
 
     Optimizer state is never carried over; fine-tuning starts a fresh one.
     """
-    if expected_input_dim is not None and checkpoint.params.input_dim != expected_input_dim:
-        raise DataValidationError(
-            f"checkpoint input_dim {checkpoint.params.input_dim} does not match "
-            f"target input_dim {expected_input_dim}"
-        )
     return checkpoint.params.copy()
 
 
@@ -302,15 +313,9 @@ def finetune(
             f"target input_dim {scalers.input_dim} does not match model input_dim "
             f"{params_init.input_dim}"
         )
-    supervised = window_dataset(target_train_curves, scalers, config.sequence_length, pad=pad)
-    params = _train_stage("finetune", dataset_name, params_init.copy(), supervised, config)
-    return ModelCheckpoint(
-        params=params,
-        scalers=scalers,
-        sequence_length=config.sequence_length,
-        seed=config.seed,
-        source_dataset=dataset_name,
-        stage="finetuned",
+    return _train_stage(
+        "finetune", "finetuned", dataset_name, params_init.copy(), target_train_curves, scalers,
+        config, pad,
     )
 
 
@@ -321,24 +326,14 @@ def predict_curve(checkpoint: ModelCheckpoint, curve: RawCurve) -> np.ndarray:
     Features are scaled with the checkpoint's scalers; values outside the
     training range simply scale outside [0, 1].
     """
-    from .seqnet import forward_sequence
-
     n = checkpoint.sequence_length
-    if curve.n_points() <= n:
-        raise DataValidationError(
-            f"sample {curve.sample_id!r} has {curve.n_points()} points, "
-            f"need more than sequence length {n}"
-        )
-    features, _ = _window_features(curve, checkpoint.scalers, pad=True)
-    predictions_scaled = np.array(
-        [forward_sequence(checkpoint.params, features[t : t + n])[0] for t in range(len(features) - n)]
-    )
+    _check_predictable(curve, n)
+    windows, _ = _curve_windows(curve, checkpoint.scalers, n, pad=True)
+    predictions_scaled = np.array([forward_sequence(checkpoint.params, w)[0] for w in windows])
     return checkpoint.scalers.stress.unscale(predictions_scaled)
 
 
-def _dataset_map(datasets) -> dict[str, Dataset]:
-    if isinstance(datasets, dict):
-        return dict(datasets)
+def _dataset_map(datasets: list[Dataset]) -> dict[str, Dataset]:
     mapping: dict[str, Dataset] = {}
     for ds in datasets:
         if ds.name in mapping:
@@ -416,11 +411,13 @@ def _prepare(plan: ExperimentPlan, datasets):
             raise DataValidationError(f"unknown source dataset {name!r}")
         sources.append(name_map[name])
     train_curves, test_curves = _split_target(plan, target)
-    # metrics.mape's exclusion rule, applied before any training is spent.
+    # predict_curve's length rule and metrics.mape's exclusion rule, applied
+    # before any training is spent.
     n = plan.config.sequence_length
     for curve in test_curves:
+        _check_predictable(curve, n)
         tail = curve.stress[n:]
-        if tail.size and mape_excluded_count(tail, plan.mape_epsilon) == tail.size:
+        if mape_excluded_count(tail, plan.mape_epsilon) == tail.size:
             raise DataValidationError(
                 f"sample {curve.sample_id!r}: all {tail.size} points below "
                 f"epsilon={plan.mape_epsilon}, MAPE undefined"
@@ -430,6 +427,20 @@ def _prepare(plan: ExperimentPlan, datasets):
     if plan.pretrain_epochs is not None:
         pre_config = replace(plan.config, epochs=plan.pretrain_epochs)
     return target, sources, train_curves, test_curves, arity, pre_config
+
+
+def _finetune_and_evaluate(
+    plan: ExperimentPlan,
+    params0: ModelParams,
+    target: Dataset,
+    train_curves: list[RawCurve],
+    test_curves: list[RawCurve],
+    arity: int,
+) -> list[SampleEval]:
+    checkpoint = finetune(
+        params0, train_curves, plan.config, target.name, param_arity=arity, pad=plan.pad_params
+    )
+    return _evaluate(checkpoint, test_curves, plan.mape_epsilon)
 
 
 def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
@@ -447,25 +458,19 @@ def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
 
     if plan.variant == "vanilla":
         params0 = init_params(config.seed, 1 + arity)
-    elif plan.variant == "tl_all":
-        pool = concat_shuffle_sources(sources, config.seed)
-        combined_name = "+".join(ds.name for ds in sources)
-        source_ckpt = pretrain(pool, pre_config, combined_name, param_arity=arity, pad=plan.pad_params)
-        params0 = transfer_init(source_ckpt, expected_input_dim=1 + arity)
-    else:  # dtw_tl
-        ranking = rank_sources(sources, train_curves, plan.grid_n)
-        selected_source = ranking.selected
-        selected = next(ds for ds in sources if ds.name == selected_source)
-        source_ckpt = pretrain(
-            selected.curves, pre_config, selected.name, param_arity=arity, pad=plan.pad_params
-        )
-        params0 = transfer_init(source_ckpt, expected_input_dim=1 + arity)
+    else:
+        if plan.variant == "tl_all":
+            pool = concat_shuffle_sources(sources, config.seed)
+            pool_name = "+".join(ds.name for ds in sources)
+        else:  # dtw_tl
+            ranking = rank_sources(sources, train_curves, plan.grid_n)
+            selected_source = ranking.selected
+            selected = next(ds for ds in sources if ds.name == selected_source)
+            pool, pool_name = selected.curves, selected.name
+        source_ckpt = pretrain(pool, pre_config, pool_name, param_arity=arity, pad=plan.pad_params)
+        params0 = transfer_init(source_ckpt)
 
-    checkpoint = finetune(
-        params0, train_curves, config, target.name, param_arity=arity, pad=plan.pad_params
-    )
-
-    per_sample = _evaluate(checkpoint, test_curves, plan.mape_epsilon)
+    per_sample = _finetune_and_evaluate(plan, params0, target, train_curves, test_curves, arity)
     aggregate = _aggregate(per_sample)
     return EvalReport(
         variant=plan.variant,
@@ -493,11 +498,8 @@ def run_source_sweep(plan: ExperimentPlan, datasets) -> tuple[list[tuple[str, fl
     entries = []
     for ds in sources:
         source_ckpt = pretrain(ds.curves, pre_config, ds.name, param_arity=arity, pad=plan.pad_params)
-        params0 = transfer_init(source_ckpt, expected_input_dim=1 + arity)
-        checkpoint = finetune(
-            params0, train_curves, plan.config, target.name, param_arity=arity, pad=plan.pad_params
-        )
-        per_sample = _evaluate(checkpoint, test_curves, plan.mape_epsilon)
+        params0 = transfer_init(source_ckpt)
+        per_sample = _finetune_and_evaluate(plan, params0, target, train_curves, test_curves, arity)
         entries.append((ds.name, avg_dtw[ds.name], _aggregate(per_sample)["mape"]))
     correlation = pearson([e[1] for e in entries], [e[2] for e in entries])
     return entries, correlation

@@ -1,4 +1,4 @@
-"""Shared fixtures: tiny manifest/CSV writers for ingestion tests."""
+"""Shared fixtures: tiny manifest/CSV writers for ingestion tests, and test-only oracles."""
 
 import json
 
@@ -43,3 +43,16 @@ def linear_curve(sample_id="s", n=30, slope=1000.0, max_strain=0.05, params=None
 
     strain = np.linspace(0.0, max_strain, n)
     return RawCurve(sample_id, strain, slope * strain, params or {})
+
+
+def euclidean_distance(a, b):
+    """Point-by-point sum of squared stress differences of two gridded curves (no warping)."""
+    return float(np.sum((a.stress_norm - b.stress_norm) ** 2))
+
+
+def evaluate_loss(params, windows, targets):
+    """Forward-only mean squared error of the model on a set of windows."""
+    from curvetransfer.seqnet import forward_sequence, loss_mse
+
+    predictions = [forward_sequence(params, w)[0] for w in windows]
+    return loss_mse(predictions, targets)

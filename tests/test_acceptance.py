@@ -24,7 +24,6 @@ from curvetransfer.seqnet import (
 from curvetransfer.similarity import (
     brute_force_dtw,
     dtw_distance,
-    euclidean_distance,
     rank_sources,
 )
 from curvetransfer.synthgen import FamilySpec, generate_dataset, standard_suite
@@ -36,6 +35,8 @@ from curvetransfer.transfer import (
     select_extreme_training_samples,
     transfer_init,
 )
+
+from conftest import euclidean_distance
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -313,6 +313,30 @@ class TestCheckpointCommands:
         assert main(argv) == 2
         assert "repeated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tamper", ["sequence_length=0", "sequence_length=2.7",
+                                        "scaler_min=NaN", "extra_scaler"])
+    def test_tampered_checkpoint_exits_2(self, suite_dir, tmp_path, capsys, tamper):
+        ckpt = tmp_path / "pre.json"
+        assert main(
+            ["pretrain", "--sources", manifest_of(suite_dir, "poly_plateau"),
+             "--out", str(ckpt), "--seed", "0", "--epochs", "1"]
+        ) == 0
+        doc = json.loads(ckpt.read_text())
+        param_scalers = doc["feature_scalers"]["params"]
+        if tamper == "sequence_length=0":
+            doc["sequence_length"] = 0
+        elif tamper == "sequence_length=2.7":
+            doc["sequence_length"] = 2.7
+        elif tamper == "scaler_min=NaN":
+            param_scalers[0]["min"] = "NaN"
+        else:
+            param_scalers.append(dict(param_scalers[0]))
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["evaluate", "--checkpoint", str(ckpt),
+                   "--target", manifest_of(suite_dir, "metal_plateau")])
+        assert rc == 2
+        assert "malformed checkpoint" in capsys.readouterr().err
+
     def test_env_seed_fallback(self, suite_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CURVETRANSFER_SEED", "42")
         out = tmp_path / "ranking.json"

@@ -13,7 +13,6 @@ from curvetransfer.seqnet import (
     ModelParams,
     TrainConfig,
     backward,
-    evaluate_loss,
     forward_sequence,
     gradient_check,
     init_params,
@@ -24,6 +23,8 @@ from curvetransfer.seqnet import (
     train,
     _sigmoid,
 )
+
+from conftest import evaluate_loss
 
 
 def sign_split_sigmoid(z):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from curvetransfer.curves import Dataset, ParamField, RawCurve, GridCurve
+from curvetransfer.metrics import pearson
 from curvetransfer.similarity import (
     _dtw_many,
     average_dtw,
@@ -13,13 +14,18 @@ from curvetransfer.similarity import (
     cumulative_cost,
     dtw_distance,
     dtw_path,
-    euclidean_distance,
     local_distance_matrix,
-    pearson_similarity,
     rank_sources,
 )
 
+from conftest import euclidean_distance
+
 VALID_STEPS = {(1, 0), (0, 1), (1, 1)}
+
+
+def pearson_similarity(a, b):
+    """Sample Pearson correlation of two gridded stress vectors."""
+    return pearson(a.stress_norm, b.stress_norm)
 
 
 def make_grid(stress, sample_id="g"):

@@ -4,13 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvetransfer import transfer
-from curvetransfer.checkpoint import load_checkpoint, save_checkpoint
+from curvetransfer.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from curvetransfer.curves import Dataset, ParamField, RawCurve
 from curvetransfer.errors import DataValidationError
-from curvetransfer.scaling import fit_scalers
-from curvetransfer.seqnet import PARAM_NAMES, TrainConfig, evaluate_loss, init_params
+from curvetransfer.scaling import fit_scalers, padded_param_values
+from curvetransfer.seqnet import PARAM_NAMES, TrainConfig, forward_sequence, init_params
 from curvetransfer.synthgen import FamilySpec, generate_dataset, standard_suite
 from curvetransfer.transfer import (
     ExperimentPlan,
@@ -25,7 +26,7 @@ from curvetransfer.transfer import (
     window_dataset,
 )
 
-from conftest import linear_curve
+from conftest import evaluate_loss, linear_curve
 
 
 # Laser power (W) x scanning speed (mm/s) for the 32-sample L-PBF aluminum
@@ -92,7 +93,9 @@ class TestWindowDataset:
         scalers = fit_scalers(curves)
         supervised = window_dataset(curves, scalers, 5)
         assert len(supervised) == 2
-        assert supervised.window_sample_ids == ["a", "b"]
+        param_column = supervised.windows[:, :, 1]
+        assert np.all(param_column == param_column[:, :1])  # no window mixes the two curves' rows
+        np.testing.assert_array_equal(param_column[:, 0], [0.0, 1.0])  # a's window, then b's
 
     def test_param_columns_constant_within_window(self):
         curves = [linear_curve(n=10, params={"p": 3.0, "q": 9.0})]
@@ -123,7 +126,8 @@ class TestWindowDataset:
         scalers = fit_scalers(curves)
         with pytest.warns(UserWarning, match="short"):
             supervised = window_dataset(curves, scalers, 5)
-        assert set(supervised.window_sample_ids) == {"long"}
+        assert len(supervised) == 10 - 5
+        assert np.all(supervised.windows[:, :, 1] == 1.0)  # long's scaled p; short's would be 0
 
     def test_all_short_rejected(self):
         curves = [linear_curve(n=3, params={"p": 1.0})]
@@ -131,6 +135,58 @@ class TestWindowDataset:
         with pytest.warns(UserWarning):
             with pytest.raises(DataValidationError, match="no usable windows"):
                 window_dataset(curves, scalers, 5)
+
+
+def random_curve(seed, length, n_params):
+    rng = np.random.default_rng(seed)
+    strain = np.cumsum(rng.random(length)) * 0.01
+    params = {f"p{k}": float(rng.uniform(1.0, 100.0)) for k in range(n_params)}
+    return RawCurve("r", strain, rng.random(length) * 300.0, params)
+
+
+def reference_features(curve, scalers, pad):
+    """Per-point [scaled strain, scaled params...] rows, built column by column."""
+    raw_params = padded_param_values(curve, scalers.arity, pad)
+    columns = [scalers.strain.scale(curve.strain)]
+    columns += [np.full(curve.n_points(), s.scale(v)) for s, v in zip(scalers.params, raw_params)]
+    return np.column_stack(columns)
+
+
+window_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    extra=st.integers(1, 32),
+    n_params=st.integers(0, 3),
+)
+
+
+class TestCurveWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(**window_cases)
+    def test_windows_and_targets_equal_slices(self, seed, n, extra, n_params):
+        curve = random_curve(seed, n + extra, n_params)  # L = n + extra <= 40
+        scalers = fit_scalers([curve])
+        features = reference_features(curve, scalers, pad=False)
+        stress_scaled = scalers.stress.scale(curve.stress)
+        windows, targets = transfer._curve_windows(curve, scalers, n, pad=False)
+        assert windows.shape == (extra, n, 1 + n_params)
+        assert targets.shape == (extra,)
+        for t in range(extra):
+            assert windows[t].flags.c_contiguous
+            assert np.array_equal(windows[t], features[t : t + n])
+            assert targets[t] == stress_scaled[t + n]
+
+    @settings(max_examples=30, deadline=None)
+    @given(**window_cases)
+    def test_predict_curve_equals_per_slice_loop(self, seed, n, extra, n_params):
+        curve = random_curve(seed, n + extra, n_params)
+        scalers = fit_scalers([curve])
+        ckpt = ModelCheckpoint(init_params(seed, 1 + n_params, 4), scalers, n, 0, "r", "pretrained")
+        features = reference_features(curve, scalers, pad=True)
+        reference = scalers.stress.unscale(
+            np.array([forward_sequence(ckpt.params, features[t : t + n])[0] for t in range(extra)])
+        )
+        assert np.array_equal(predict_curve(ckpt, curve), reference)
 
 
 class TestSelectExtremeTrainingSamples:
@@ -233,8 +289,10 @@ class TestPretrainTransferFinetune:
     def test_transfer_init_dimension_gate(self):
         ds = small_source()
         ckpt = pretrain(ds.curves, small_config(), ds.name)  # input_dim = 2
+        target = [linear_curve(sample_id=str(i), n=12, params={"a": i, "b": 1.0, "c": 2.0})
+                  for i in range(2)]  # input_dim = 4
         with pytest.raises(DataValidationError, match="input_dim"):
-            transfer_init(ckpt, expected_input_dim=4)
+            finetune(transfer_init(ckpt), target, small_config(), "tgt")
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         ds = small_source()
@@ -386,19 +444,30 @@ class TestRunVariant:
         with pytest.raises(DataValidationError, match=f"unknown {missing}"):
             run_source_sweep(plan, datasets)
 
-    @pytest.mark.parametrize("variant", ["vanilla", "dtw_tl", "sweep"])
-    def test_mape_epsilon_checked_before_training(self, suite, monkeypatch, variant):
+    @pytest.mark.parametrize(
+        "variant, fault",
+        [pytest.param(v, "epsilon", id=v) for v in ("vanilla", "dtw_tl", "sweep")]
+        + [pytest.param(v, "short", id=f"{v}-short_test_curve") for v in ("vanilla", "dtw_tl", "sweep")],
+    )
+    def test_mape_epsilon_checked_before_training(self, suite, monkeypatch, variant, fault):
         def no_training(*args, **kwargs):
-            raise AssertionError("training ran before the epsilon check")
+            raise AssertionError(f"training ran before the {fault} check")
 
         monkeypatch.setattr(transfer, "pretrain", no_training)
         monkeypatch.setattr(transfer, "finetune", no_training)
         sources, targets, _ = suite
-        plan = suite_plan("dtw_tl" if variant == "sweep" else variant, sources, targets[0],
-                          mape_epsilon=1e9)
+        target = targets[0]
+        if fault == "epsilon":
+            kw, detail = dict(mape_epsilon=1e9), ""
+        else:  # the first test curve has exactly sequence_length points
+            first_test = next(c for c in target.curves
+                              if c.sample_id not in select_extreme_training_samples(target))
+            kw = dict(config=small_config(sequence_length=first_test.n_points()))
+            detail = " has [0-9]+ points, need more than sequence length"
+        plan = suite_plan("dtw_tl" if variant == "sweep" else variant, sources, target, **kw)
         run = run_source_sweep if variant == "sweep" else run_variant
-        with pytest.raises(DataValidationError, match=f"sample {plan.target_test_ids[0]!r}"):
-            run(plan, sources + [targets[0]])
+        with pytest.raises(DataValidationError, match=f"sample {plan.target_test_ids[0]!r}{detail}"):
+            run(plan, sources + [target])
 
     def test_split_must_cover_dataset(self, suite):
         sources, targets, _ = suite
@@ -417,9 +486,17 @@ class TestRunVariant:
         plan = suite_plan("vanilla", sources, target)
         train_curves = [target.curve_by_id(sid) for sid in plan.target_train_ids]
         scalers = fit_scalers(train_curves)
-        supervised = window_dataset(train_curves, scalers, plan.config.sequence_length)
-        assert set(supervised.window_sample_ids) == set(plan.target_train_ids)
-        assert set(supervised.window_sample_ids).isdisjoint(plan.target_test_ids)
+        n = plan.config.sequence_length
+        supervised = window_dataset(train_curves, scalers, n)
+
+        def scaled_params(curve):
+            return tuple(float(s.scale(v)) for s, v in zip(scalers.params, curve.param_values()))
+
+        assert len(supervised) == sum(c.n_points() - n for c in train_curves)
+        window_params = {tuple(w[0, 1:]) for w in supervised.windows}
+        assert window_params == {scaled_params(c) for c in train_curves}
+        test_params = {scaled_params(target.curve_by_id(sid)) for sid in plan.target_test_ids}
+        assert window_params.isdisjoint(test_params)
 
 
 class TestCheckpointErrors:
@@ -451,6 +528,42 @@ class TestCheckpointErrors:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataValidationError, match="malformed"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("sequence_length", 0, ">= 1"),
+            ("sequence_length", -3, ">= 1"),
+            ("sequence_length", True, "integer"),
+            ("sequence_length", 2.7, "integer"),
+            ("sequence_length", "5", "integer"),
+            ("input_dim", 2.0, "integer"),
+            ("hidden_dim", "32", "integer"),
+            ("seed", None, "integer"),
+            ("scaler_min", "NaN", "finite number"),
+            ("scaler_min", float("inf"), "finite number"),
+            ("scaler_max", False, "finite number"),
+            ("scaler_arity", None, "parameter scalers"),
+            ("format_version", True, "format_version"),
+            ("provenance", "junk", "malformed"),
+        ],
+    )
+    def test_tampered_fields(self, tmp_path, field, value, match):
+        ds = small_source()
+        doc = pretrain(ds.curves, small_config(), ds.name).to_dict()
+        param_scalers = doc["feature_scalers"]["params"]
+        if field == "scaler_min":
+            param_scalers[0]["min"] = value
+        elif field == "scaler_max":
+            param_scalers[0]["max"] = value
+        elif field == "scaler_arity":  # one scaler more than input_dim - 1
+            param_scalers.append(dict(param_scalers[0]))
+        else:
+            doc[field] = value
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataValidationError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
