@@ -19,8 +19,6 @@ from .seqnet import PARAM_NAMES, ModelParams
 
 FORMAT_VERSION = 1
 
-STAGES = ("pretrained", "finetuned")
-
 INTEGER_FIELDS = ("input_dim", "hidden_dim", "sequence_length", "seed")
 
 

@@ -47,12 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get("CURVETRANSFER_SEED", "0"))
-
-
 def _write_json(doc: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -75,14 +69,20 @@ def _train_ids(args, target: Dataset) -> list[str]:
     return list(select_extreme_training_samples(target))
 
 
-def _train_config(args, seed: int) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
         sequence_length=args.seq_len,
         optimizer=args.optimizer,
-        seed=seed,
+        seed=args.seed,
     )
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _positive_int(text: str) -> int:
@@ -148,7 +148,6 @@ def _dump_dtw_pair(source: Dataset, target_curve, n: int, out_dir: Path) -> None
 
 
 def cmd_rank(args) -> int:
-    seed = _resolve_seed(args.seed)
     sources = [load_dataset(path) for path in args.sources]
     target = load_dataset(args.target)
     train_ids = _train_ids(args, target)
@@ -159,7 +158,7 @@ def cmd_rank(args) -> int:
         "target": target.name,
         "train_ids": train_ids,
         "grid_n": args.grid_n,
-        "seed": seed,
+        "seed": args.seed,
     }
     if args.out:
         _write_json(doc, Path(args.out))
@@ -175,10 +174,9 @@ def cmd_rank(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    seed = _resolve_seed(args.seed)
     sources = [load_dataset(path) for path in args.sources]
-    config = _train_config(args, seed)
-    pool = concat_shuffle_sources(sources, seed)
+    config = _train_config(args)
+    pool = concat_shuffle_sources(sources, args.seed)
     name = "+".join(ds.name for ds in sources)
     checkpoint = pretrain(pool, config, name, pad=args.pad_params)
     save_checkpoint(checkpoint, args.out)
@@ -187,12 +185,11 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    seed = _resolve_seed(args.seed)
     source_ckpt = load_checkpoint(args.checkpoint)
     target = load_dataset(args.target)
     train_ids = _train_ids(args, target)
     train_curves = [target.curve_by_id(sid) for sid in train_ids]
-    config = _train_config(args, seed)
+    config = _train_config(args)
     params0 = transfer_init(source_ckpt)
     checkpoint = finetune(
         params0, train_curves, config, target.name,
@@ -218,12 +215,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    seed = _resolve_seed(args.seed)
     sources = [load_dataset(path) for path in args.sources or []]
     target = load_dataset(args.target)
     train_ids = _train_ids(args, target)
     test_ids = [sid for sid in target.sample_ids() if sid not in set(train_ids)]
-    config = _train_config(args, seed)
+    config = _train_config(args)
     plan = ExperimentPlan(
         variant=args.variant,
         source_datasets=[ds.name for ds in sources],
@@ -263,12 +259,11 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = _resolve_seed(args.seed)
     out_dir = Path(args.out)
-    sources, targets, ground_truth = standard_suite(seed)
+    sources, targets, ground_truth = standard_suite(args.seed)
     for dataset in sources + targets:
         save_dataset(dataset, out_dir / dataset.name)
-    _write_json({"seed": seed, "ground_truth": ground_truth}, out_dir / "ground_truth.json")
+    _write_json({"seed": args.seed, "ground_truth": ground_truth}, out_dir / "ground_truth.json")
     print(f"wrote {len(sources)} source and {len(targets)} target datasets to {out_dir}")
     return EXIT_OK
 
@@ -286,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="target manifest")
     _add_split_flags(p)
     p.add_argument("--grid-n", type=int, default=120)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", help="write ranking JSON here")
     p.add_argument("--dump-dtw", help="dump local/cumulative matrices and path CSVs to this dir")
     p.set_defaults(func=cmd_rank)
@@ -294,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="pre-train a model on one or more source datasets")
     p.add_argument("--sources", action="append", required=True)
     p.add_argument("--out", required=True, help="checkpoint JSON path")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--pad-params", action="store_true")
     _add_train_flags(p)
     p.set_defaults(func=cmd_pretrain)
@@ -304,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     _add_split_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--pad-params", action="store_true")
     _add_train_flags(p)
     p.set_defaults(func=cmd_finetune)
@@ -322,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     _add_split_flags(p)
     p.add_argument("--grid-n", type=int, default=120)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--pad-params", action="store_true")
     p.add_argument("--mape-epsilon", type=_positive_float, default=1e-6,
                    help="|stress| below this (MPa) is excluded from MAPE (default 1e-6)")
@@ -331,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("synth", help="generate the synthetic source/target suite")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -344,6 +339,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help itself
         return int(exc.code or 0)
+    if "seed" in args and args.seed is None:
+        env = os.environ.get("CURVETRANSFER_SEED", "0")
+        try:
+            args.seed = _seed(env)
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: CURVETRANSFER_SEED {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except DataValidationError as exc:

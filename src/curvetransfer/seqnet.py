@@ -106,19 +106,6 @@ class CellState:
         return CellState(np.zeros(hidden_dim), np.zeros(hidden_dim))
 
 
-@dataclass
-class CellCache:
-    """Per-step activations retained for backpropagation through time."""
-
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    g: np.ndarray  # candidate cell state, tanh-activated
-    o: np.ndarray
-    tanh_c: np.ndarray
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters; loss is fixed to mean squared error."""
@@ -161,8 +148,12 @@ def init_params(seed: int, input_dim: int, hidden_dim: int = HIDDEN_DIM) -> Mode
 
 def lstm_cell_forward(
     params: ModelParams, x_t: np.ndarray, prev: CellState
-) -> tuple[CellState, CellCache]:
-    """One LSTM cell step in the standard forget-gate form."""
+) -> tuple[CellState, np.ndarray]:
+    """One LSTM cell step in the standard forget-gate form.
+
+    Returns the new state and the step's (4h,) gate row: the f, i, o sigmoid
+    gates, then the tanh candidate g, in STACK_ORDER.
+    """
     x_t = np.asarray(x_t, dtype=float)
     if x_t.shape != (params.input_dim,):
         raise ValueError(f"x_t: expected shape ({params.input_dim},), got {x_t.shape}")
@@ -172,45 +163,46 @@ def lstm_cell_forward(
     g = np.tanh(params.W_ch @ h_prev + params.W_cx @ x_t + params.b_c)
     c = f * c_prev + i * g
     o = _sigmoid(params.W_oh @ h_prev + params.W_ox @ x_t + params.b_o)
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    cache = CellCache(h_prev=h_prev, c_prev=c_prev, f=f, i=i, g=g, o=o, tanh_c=tanh_c)
-    return CellState(h=h, c=c), cache
+    h = o * np.tanh(c)
+    return CellState(h=h, c=c), np.concatenate((f, i, o, g))
 
 
 def forward_sequence(
     params: ModelParams, window: np.ndarray
-) -> tuple[float, list[CellCache]]:
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run the cell over all rows of a window from a zero initial state.
 
     Returns the scalar prediction W_out . h_n + b_out (normalized-stress
-    units) and the per-step caches needed by :func:`backward`. Equivalent to
-    iterating :func:`lstm_cell_forward`, with the four gate products fused
-    into one multiply by the gate-stacked W_h per step.
+    units) and the window's activations ``(gates, cs, hs)`` that
+    :func:`backward` reads. Row t of the (n, 4h) ``gates`` is step t's gate
+    row as :func:`lstm_cell_forward` returns it; ``cs`` and ``hs`` are the
+    (n + 1, h) cell and hidden states, row 0 the zero initial state and row
+    t + 1 the state after step t. Equivalent to iterating
+    :func:`lstm_cell_forward`, with the four gate products fused into one
+    multiply by the gate-stacked W_h per step.
     """
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[0] == 0:
         raise ValueError(f"window must be a non-empty 2-D matrix, got shape {window.shape}")
     if window.shape[1] != params.input_dim:
         raise ValueError(f"window columns {window.shape[1]} != input_dim {params.input_dim}")
-    hd = params.hidden_dim
+    n, hd = window.shape[0], params.hidden_dim
     W_h = params.W_h
     xz = params.W_x @ window.T + params.b[:, None]  # input contributions for every step at once
-    h = np.zeros(hd)
-    c = np.zeros(hd)
-    caches = []
-    for t in range(window.shape[0]):
+    gates = np.empty((n, 4 * hd))
+    cs = np.zeros((n + 1, hd))
+    hs = np.zeros((n + 1, hd))
+    h, c = hs[0], cs[0]
+    for t in range(n):
         z = W_h @ h + xz[:, t]
-        gates = _sigmoid(z[: 3 * hd])
-        f, i, o = gates[:hd], gates[hd : 2 * hd], gates[2 * hd :]
-        g = np.tanh(z[3 * hd :])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        caches.append(CellCache(h_prev=h, c_prev=c, f=f, i=i, g=g, o=o, tanh_c=tanh_c))
-        h = o * tanh_c
-        c = c_new
+        row = gates[t]
+        row[: 3 * hd] = _sigmoid(z[: 3 * hd])
+        f, i, o, g = row[:hd], row[hd : 2 * hd], row[2 * hd : 3 * hd], row[3 * hd :]
+        np.tanh(z[3 * hd :], out=g)
+        c = np.add(f * c, i * g, out=cs[t + 1])
+        h = np.multiply(o, np.tanh(c), out=hs[t + 1])
     prediction = float(params.W_out[0] @ h + params.b_out[0])
-    return prediction, caches
+    return prediction, (gates, cs, hs)
 
 
 def loss_mse(predictions, targets) -> float:
@@ -226,47 +218,50 @@ def loss_mse(predictions, targets) -> float:
 
 def backward(
     params: ModelParams,
-    caches: list[CellCache],
+    activations: tuple[np.ndarray, np.ndarray, np.ndarray],
     window: np.ndarray,
     target: float,
 ) -> ModelParams:
     """Exact gradients of the squared error (pred - target)^2 for one window.
 
-    Backpropagates through the output layer and all time steps; the gradient
-    has the layout of ``params``.
+    ``activations`` is the ``(gates, cs, hs)`` triple :func:`forward_sequence`
+    returned for this window. Backpropagates through the output layer and all
+    time steps; the gradient has the layout of ``params``.
     """
+    gates, cs, hs = activations
     window = np.asarray(window, dtype=float)
     n = window.shape[0]
-    if len(caches) != n:
-        raise ValueError(f"cache/window mismatch: {len(caches)} caches for {n} rows")
+    if len(gates) != n:
+        raise ValueError(f"activation/window mismatch: {len(gates)} steps for {n} rows")
     hd = params.hidden_dim
     W_h = params.W_h
 
-    h_last = caches[-1].o * caches[-1].tanh_c
-    prediction = float(params.W_out[0] @ h_last + params.b_out[0])
+    prediction = float(params.W_out[0] @ hs[n] + params.b_out[0])
     dpred = 2.0 * (prediction - target)
 
+    tanh_cs = np.tanh(cs[1:])
     dh = dpred * params.W_out[0, :]
     dc = np.zeros(hd)
     dz = np.empty((n, 4 * hd))  # per-step pre-activation gradients, gate order (f, i, o, c)
-    h_prevs = np.empty((n, hd))
     for t in range(n - 1, -1, -1):
-        cache = caches[t]
-        h_prevs[t] = cache.h_prev
-        do = dh * cache.tanh_c
-        dc = dc + dh * cache.o * (1.0 - cache.tanh_c ** 2)
-        dz[t, :hd] = dc * cache.c_prev * cache.f * (1.0 - cache.f)
-        dz[t, hd : 2 * hd] = dc * cache.g * cache.i * (1.0 - cache.i)
-        dz[t, 2 * hd : 3 * hd] = do * cache.o * (1.0 - cache.o)
-        dz[t, 3 * hd :] = dc * cache.i * (1.0 - cache.g ** 2)
-        dh = W_h.T @ dz[t]
-        dc = dc * cache.f
+        row = gates[t]
+        f, i, o, g = row[:hd], row[hd : 2 * hd], row[2 * hd : 3 * hd], row[3 * hd :]
+        tanh_c = tanh_cs[t]
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c ** 2)
+        dz_t = dz[t]
+        dz_t[:hd] = dc * cs[t] * f * (1.0 - f)
+        dz_t[hd : 2 * hd] = dc * g * i * (1.0 - i)
+        dz_t[2 * hd : 3 * hd] = do * o * (1.0 - o)
+        dz_t[3 * hd :] = dc * i * (1.0 - g ** 2)
+        dh = W_h.T @ dz_t
+        dc = dc * f
 
     grads = ModelParams(params.input_dim, hd, np.empty_like(params.flat))
-    np.matmul(dz.T, h_prevs, out=grads.W_h)  # summed outer products over all steps
+    np.matmul(dz.T, hs[:n], out=grads.W_h)  # summed outer products over all steps
     np.matmul(dz.T, window, out=grads.W_x)
     np.sum(dz, axis=0, out=grads.b)
-    grads.W_out[0] = dpred * h_last
+    grads.W_out[0] = dpred * hs[n]
     grads.b_out[0] = dpred
     return grads
 
@@ -286,8 +281,8 @@ def gradient_check(
     """
     window = np.asarray(window, dtype=float)
     if grads is None:
-        _, caches = forward_sequence(params, window)
-        grads = backward(params, caches, window, target)
+        _, activations = forward_sequence(params, window)
+        grads = backward(params, activations, window, target)
 
     def loss_at() -> float:
         prediction, _ = forward_sequence(params, window)
@@ -388,10 +383,10 @@ def train(
             for idx in order:
                 window = windows[idx]
                 target = float(targets[idx])
-                prediction, caches = forward_sequence(params, window)
+                prediction, activations = forward_sequence(params, window)
                 residual = np.float64(prediction) - np.float64(target)
                 total += residual * residual
-                grads = backward(params, caches, window, target)
+                grads = backward(params, activations, window, target)
                 optimizer_step(params, grads, config, state)
         epoch_loss = float(total / len(windows))
         if not np.isfinite(epoch_loss):

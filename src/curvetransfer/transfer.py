@@ -10,14 +10,14 @@ source model's weights copied verbatim.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .checkpoint import ModelCheckpoint
 from .curves import Dataset, RawCurve
 from .errors import DataValidationError, TrainingDivergenceError
-from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, mape_excluded_count, pearson, summarize
+from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, pearson, summarize
 from .scaling import CurveScalers, fit_scalers, padded_param_values
 from .seqnet import ModelParams, TrainConfig, forward_sequence, init_params, train
 from .similarity import SourceRanking, rank_sources
@@ -84,13 +84,7 @@ class ExperimentPlan:
             "pad_params": self.pad_params,
             "mape_epsilon": self.mape_epsilon,
             "pretrain_epochs": self.pretrain_epochs,
-            "train_config": {
-                "epochs": self.config.epochs,
-                "learning_rate": self.config.learning_rate,
-                "sequence_length": self.config.sequence_length,
-                "optimizer": self.config.optimizer,
-                "seed": self.config.seed,
-            },
+            "train_config": asdict(self.config),
         }
 
 
@@ -104,14 +98,7 @@ class SampleEval:
 
     def to_dict(self) -> dict:
         """The metrics as JSON values; the predicted tail is left out."""
-        return {
-            "sample_id": self.sample_id,
-            "mape": float(self.metrics.mape),
-            "rmse": float(self.metrics.rmse),
-            "r2": float(self.metrics.r2),
-            "n_points": self.metrics.n_points,
-            "n_excluded": self.metrics.n_excluded,
-        }
+        return {"sample_id": self.sample_id, **asdict(self.metrics)}
 
 
 @dataclass
@@ -373,6 +360,16 @@ def _resolve_arity(plan: ExperimentPlan, target: Dataset, sources: list[Dataset]
     return max(distinct)
 
 
+def _summarize_sample(
+    curve: RawCurve, n: int, predicted: np.ndarray, epsilon: float
+) -> MetricSummary:
+    """``summarize`` of the curve's stress tail; an undefined metric names the sample."""
+    try:
+        return summarize(curve.stress[n:], predicted, epsilon)
+    except ValueError as exc:
+        raise DataValidationError(f"sample {curve.sample_id!r}: {exc}") from exc
+
+
 def _evaluate(
     checkpoint: ModelCheckpoint, test_curves: list[RawCurve], epsilon: float
 ) -> list[SampleEval]:
@@ -380,10 +377,7 @@ def _evaluate(
     evals = []
     for curve in test_curves:
         predicted = predict_curve(checkpoint, curve)
-        try:
-            summary = summarize(curve.stress[n:], predicted, epsilon)
-        except ValueError as exc:  # every |stress| below epsilon leaves MAPE undefined
-            raise DataValidationError(f"sample {curve.sample_id!r}: {exc}") from exc
+        summary = _summarize_sample(curve, n, predicted, epsilon)
         evals.append(SampleEval(curve.sample_id, summary, predicted))
     return evals
 
@@ -411,17 +405,12 @@ def _prepare(plan: ExperimentPlan, datasets):
             raise DataValidationError(f"unknown source dataset {name!r}")
         sources.append(name_map[name])
     train_curves, test_curves = _split_target(plan, target)
-    # predict_curve's length rule and metrics.mape's exclusion rule, applied
-    # before any training is spent.
+    # predict_curve's length rule and every metric's preconditions (scoring
+    # the tail against itself), applied before any training is spent.
     n = plan.config.sequence_length
     for curve in test_curves:
         _check_predictable(curve, n)
-        tail = curve.stress[n:]
-        if mape_excluded_count(tail, plan.mape_epsilon) == tail.size:
-            raise DataValidationError(
-                f"sample {curve.sample_id!r}: all {tail.size} points below "
-                f"epsilon={plan.mape_epsilon}, MAPE undefined"
-            )
+        _summarize_sample(curve, n, curve.stress[n:], plan.mape_epsilon)
     arity = _resolve_arity(plan, target, sources if plan.variant != "vanilla" else [])
     pre_config = plan.config
     if plan.pretrain_epochs is not None:

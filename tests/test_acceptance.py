@@ -118,8 +118,8 @@ def test_criterion_3_gradient_correctness():
     # injected fault: zeroing one gate's input weights must be detected
     params = init_params(1, 3, 4)
     window = rng.normal(size=(5, 3))
-    _, caches = forward_sequence(params, window)
-    grads = backward(params, caches, window, 0.3)
+    _, activations = forward_sequence(params, window)
+    grads = backward(params, activations, window, 0.3)
     grads.W_ix[:] = 0.0
     fault_error = gradient_check(params, window, 0.3, grads=grads)
     elapsed = time.perf_counter() - start

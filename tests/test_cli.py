@@ -113,6 +113,17 @@ class TestRank:
         assert path_rows[-1] == "39,39"
 
 
+# Every command that takes --seed, with its other required flags. The files
+# are never read: the usage errors tested with these are caught first.
+REQUIRED_FLAGS = {
+    "rank": ["--sources", "s.json", "--target", "t.json"],
+    "pretrain": ["--sources", "s.json", "--out", "c.json"],
+    "finetune": ["--checkpoint", "c.json", "--target", "t.json", "--out", "f.json"],
+    "pipeline": ["--variant", "vanilla", "--target", "t.json", "--out", "run"],
+    "synth": ["--out", "suite"],
+}
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["rank"]) == 1
@@ -132,12 +143,27 @@ class TestUsageErrors:
         "flag", ["--epochs=0", "--pretrain-epochs=0", "--seq-len=0", "--lr=0", "--lr=-1e-3", "--lr=nan"]
     )
     def test_non_positive_train_flag_exits_1(self, command, flag, capsys):
-        required = {
-            "pretrain": ["--sources", "s.json", "--out", "c.json"],
-            "pipeline": ["--variant", "vanilla", "--target", "t.json", "--out", "run"],
-        }
-        assert main([command, *required[command], flag]) == 1
+        assert main([command, *REQUIRED_FLAGS[command], flag]) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5", "", "1e3"])
+    def test_bad_seed_flag_exits_1(self, command, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CURVETRANSFER_SEED", raising=False)
+        assert main([command, *REQUIRED_FLAGS[command], f"--seed={value}"]) == 1
+        last_line = capsys.readouterr().err.splitlines()[-1]
+        assert "--seed" in last_line and "non-negative integer" in last_line
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5", "", "1e3"])
+    def test_bad_env_seed_exits_1(self, command, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CURVETRANSFER_SEED", value)
+        assert main([command, *REQUIRED_FLAGS[command]]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "CURVETRANSFER_SEED" in lines[0]
+        assert list(tmp_path.iterdir()) == []
 
 
 FAST_TRAIN = ["--epochs", "3", "--seq-len", "5", "--lr", "1e-3"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curvetransfer.errors import TrainingDivergenceError
 from curvetransfer.seqnet import (
@@ -90,11 +91,12 @@ class TestInitParams:
 class TestCellForward:
     def test_all_zero_params(self):
         params = zero_params()
-        state, cache = lstm_cell_forward(params, np.zeros(2), CellState.zeros(3))
-        np.testing.assert_allclose(cache.f, 0.5)
-        np.testing.assert_allclose(cache.i, 0.5)
-        np.testing.assert_allclose(cache.o, 0.5)
-        np.testing.assert_allclose(cache.g, 0.0)
+        state, gates = lstm_cell_forward(params, np.zeros(2), CellState.zeros(3))
+        f, i, o, g = gates.reshape(4, 3)
+        np.testing.assert_allclose(f, 0.5)
+        np.testing.assert_allclose(i, 0.5)
+        np.testing.assert_allclose(o, 0.5)
+        np.testing.assert_allclose(g, 0.0)
         np.testing.assert_allclose(state.c, 0.0)
         np.testing.assert_allclose(state.h, 0.0)
 
@@ -110,8 +112,8 @@ class TestCellForward:
         params = init_params(3, 4, 8)
         state = CellState.zeros(8)
         for _ in range(50):
-            state, cache = lstm_cell_forward(params, rng.normal(size=4), state)
-            for gate in (cache.f, cache.i, cache.o):
+            state, gates = lstm_cell_forward(params, rng.normal(size=4), state)
+            for gate in gates.reshape(4, 8)[:3]:  # f, i, o
                 assert np.all((gate > 0) & (gate < 1))
             assert np.all(np.abs(state.h) < 1)
             assert np.all(np.isfinite(state.c))
@@ -145,9 +147,9 @@ def scalar_lstm_reference(params, window):
 class TestForwardSequence:
     def test_all_zero_params_predict_zero(self):
         params = zero_params()
-        pred, caches = forward_sequence(params, np.ones((4, 2)))
+        pred, (gates, _, _) = forward_sequence(params, np.ones((4, 2)))
         assert pred == 0.0
-        assert len(caches) == 4
+        assert len(gates) == 4
 
     def test_single_step_equals_cell_plus_output(self):
         params = init_params(9, 2, 3)
@@ -166,9 +168,27 @@ class TestForwardSequence:
             for x_t in window:
                 state, _ = lstm_cell_forward(params, x_t, state)
             expected = float(params.W_out[0] @ state.h + params.b_out[0])
-            pred, caches = forward_sequence(params, window)
+            pred, (gates, _, _) = forward_sequence(params, window)
             assert abs(pred - expected) < 1e-12
-            assert len(caches) == 6
+            assert len(gates) == 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 8), st.integers(1, 4), st.integers(1, 8))
+    def test_activations_match_cell_iteration(self, data, hidden_dim, input_dim, n):
+        values = st.floats(-3.0, 3.0)
+        params = init_params(data.draw(st.integers(0, 2**16)), input_dim, hidden_dim)
+        params.b[:] = data.draw(arrays(float, params.b.shape, elements=values))
+        window = data.draw(arrays(float, (n, input_dim), elements=values))
+        _, (gates, cs, hs) = forward_sequence(params, window)
+        assert gates.shape == (n, 4 * hidden_dim)
+        assert cs.shape == hs.shape == (n + 1, hidden_dim)
+        assert np.all(cs[0] == 0.0) and np.all(hs[0] == 0.0)
+        state = CellState.zeros(hidden_dim)
+        for t, x_t in enumerate(window):
+            state, gate_row = lstm_cell_forward(params, x_t, state)
+            np.testing.assert_allclose(gates[t], gate_row, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cs[t + 1], state.c, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(hs[t + 1], state.h, rtol=0, atol=1e-12)
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(17)
@@ -216,25 +236,25 @@ class TestBackward:
     def test_zero_residual_zero_gradients(self):
         params = zero_params()
         window = np.ones((3, 2))
-        pred, caches = forward_sequence(params, window)
-        grads = backward(params, caches, window, target=pred)
+        pred, activations = forward_sequence(params, window)
+        grads = backward(params, activations, window, target=pred)
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(grads, name), 0.0)
 
     def test_output_bias_gradient(self):
         params = init_params(5, 2, 4)
         window = np.random.default_rng(0).normal(size=(3, 2))
-        pred, caches = forward_sequence(params, window)
+        pred, activations = forward_sequence(params, window)
         target = pred - 1.5
-        grads = backward(params, caches, window, target)
+        grads = backward(params, activations, window, target)
         assert abs(grads.b_out[0] - 2.0 * (pred - target)) < 1e-12
 
     def test_cache_window_mismatch(self):
         params = init_params(5, 2, 4)
         window = np.zeros((3, 2))
-        _, caches = forward_sequence(params, window)
+        _, activations = forward_sequence(params, window)
         with pytest.raises(ValueError, match="mismatch"):
-            backward(params, caches, np.zeros((4, 2)), 0.0)
+            backward(params, activations, np.zeros((4, 2)), 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -250,8 +270,8 @@ class TestGradientCheck:
         params = init_params(2, 3, 4)
         window = np.random.default_rng(2).normal(size=(5, 3))
         target = 0.7
-        _, caches = forward_sequence(params, window)
-        grads = backward(params, caches, window, target)
+        _, activations = forward_sequence(params, window)
+        grads = backward(params, activations, window, target)
         grads.W_cx[:] = 0.0
         assert gradient_check(params, window, target, grads=grads) > 0.5
 

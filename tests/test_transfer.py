@@ -1,5 +1,6 @@
 """Scaling, windowing, training-set selection, transfer, and the experiment runner."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -447,7 +448,9 @@ class TestRunVariant:
     @pytest.mark.parametrize(
         "variant, fault",
         [pytest.param(v, "epsilon", id=v) for v in ("vanilla", "dtw_tl", "sweep")]
-        + [pytest.param(v, "short", id=f"{v}-short_test_curve") for v in ("vanilla", "dtw_tl", "sweep")],
+        + [pytest.param(v, f, id=f"{v}-{f}")
+           for f in ("short_test_curve", "one_point_tail", "constant_tail")
+           for v in ("vanilla", "dtw_tl", "sweep")],
     )
     def test_mape_epsilon_checked_before_training(self, suite, monkeypatch, variant, fault):
         def no_training(*args, **kwargs):
@@ -457,13 +460,24 @@ class TestRunVariant:
         monkeypatch.setattr(transfer, "finetune", no_training)
         sources, targets, _ = suite
         target = targets[0]
+        first_test = next(c for c in target.curves
+                          if c.sample_id not in select_extreme_training_samples(target))
+        kw, detail = {}, ""
         if fault == "epsilon":
-            kw, detail = dict(mape_epsilon=1e9), ""
-        else:  # the first test curve has exactly sequence_length points
-            first_test = next(c for c in target.curves
-                              if c.sample_id not in select_extreme_training_samples(target))
+            kw = dict(mape_epsilon=1e9)
+        elif fault == "short_test_curve":  # the first test curve has exactly sequence_length points
             kw = dict(config=small_config(sequence_length=first_test.n_points()))
             detail = " has [0-9]+ points, need more than sequence length"
+        elif fault == "one_point_tail":  # ... and here sequence_length + 1 points
+            kw = dict(config=small_config(sequence_length=first_test.n_points() - 1))
+            detail = ": r2 requires at least 2 points"
+        else:  # the first test curve's stress is constant after the first window
+            stress = first_test.stress.copy()
+            stress[small_config().sequence_length :] = stress[-1]
+            target = dataclasses.replace(target, curves=[
+                dataclasses.replace(c, stress=stress) if c is first_test else c for c in target.curves
+            ])
+            detail = ": r2 undefined for constant actual values"
         plan = suite_plan("dtw_tl" if variant == "sweep" else variant, sources, target, **kw)
         run = run_source_sweep if variant == "sweep" else run_variant
         with pytest.raises(DataValidationError, match=f"sample {plan.target_test_ids[0]!r}{detail}"):
