@@ -27,6 +27,7 @@ from .seqnet import (
     lstm_cell_forward,
     loss_mse,
     optimizer_step,
+    predict_windows,
     train,
 )
 from .similarity import (

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .curves import Dataset, grid_curve, load_dataset, save_dataset
+from .curves import DEFAULT_GRID_N, Dataset, grid_curve, load_dataset, save_dataset
 from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import DEFAULT_MAPE_EPSILON
 from .seqnet import TrainConfig
@@ -89,6 +89,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _grid_size(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
     return value
 
 
@@ -280,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", action="append", required=True, help="source manifest (repeatable)")
     p.add_argument("--target", required=True, help="target manifest")
     _add_split_flags(p)
-    p.add_argument("--grid-n", type=int, default=120)
+    p.add_argument("--grid-n", type=_grid_size, default=DEFAULT_GRID_N)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", help="write ranking JSON here")
     p.add_argument("--dump-dtw", help="dump local/cumulative matrices and path CSVs to this dir")
@@ -316,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", action="append", help="source manifest (repeatable)")
     p.add_argument("--target", required=True)
     _add_split_flags(p)
-    p.add_argument("--grid-n", type=int, default=120)
+    p.add_argument("--grid-n", type=_grid_size, default=DEFAULT_GRID_N)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--pad-params", action="store_true")
     p.add_argument("--mape-epsilon", type=_positive_float, default=1e-6,

@@ -205,6 +205,46 @@ def forward_sequence(
     return prediction, (gates, cs, hs)
 
 
+def predict_windows(params: ModelParams, windows: np.ndarray) -> np.ndarray:
+    """Predictions for a (B, n, d) stack of independent windows, all B stepped together.
+
+    Returns the (B,) predictions, bitwise equal to
+    ``[forward_sequence(params, w)[0] for w in windows]``. Each step keeps
+    :func:`forward_sequence`'s BLAS calls: the hidden projection is one GEMV
+    per window (a stacked matmul), not a ``(B, h) @ W_h.T`` GEMM, and the
+    output is a dot per window. A GEMM sums in another order, so it would
+    move predictions in the last bit.
+    """
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 3 or windows.shape[1] == 0:
+        raise ValueError(f"windows must be a non-empty 3-D (B, n, d) stack, got shape {windows.shape}")
+    if windows.shape[2] != params.input_dim:
+        raise ValueError(f"window columns {windows.shape[2]} != input_dim {params.input_dim}")
+    if len(windows) == 1:
+        # numpy runs a one-row product as a GEMV; forward_sequence is the exact path.
+        return np.array([forward_sequence(params, windows[0])[0]])
+    (B, n, _), hd = windows.shape, params.hidden_dim
+    W_h, W_x, b = params.W_h, params.W_x, params.b
+    h, c = np.zeros((B, hd)), np.zeros((B, hd))
+    xz, z = np.empty((B, 4 * hd)), np.empty((B, 4 * hd))
+    for t in range(n):
+        x_t = windows[:, t]
+        # forward_sequence projects a window's n input rows with one GEMM, or a
+        # GEMV when n == 1; each step here makes the same call for all B rows.
+        if n == 1:
+            np.matmul(W_x, x_t[:, :, None], out=xz[:, :, None])
+        else:
+            np.matmul(x_t, W_x.T, out=xz)
+        xz += b
+        np.matmul(W_h, h[:, :, None], out=z[:, :, None])
+        z += xz
+        sig = _sigmoid(z[:, : 3 * hd])
+        f, i, o = sig[:, :hd], sig[:, hd : 2 * hd], sig[:, 2 * hd :]
+        c = f * c + i * np.tanh(z[:, 3 * hd :])
+        h = o * np.tanh(c)
+    return np.vecdot(h, params.W_out[0]) + params.b_out[0]
+
+
 def loss_mse(predictions, targets) -> float:
     """Mean squared error."""
     predictions = np.asarray(predictions, dtype=float)

@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .checkpoint import ModelCheckpoint
-from .curves import Dataset, RawCurve
+from .curves import DEFAULT_GRID_N, Dataset, RawCurve
 from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, pearson, summarize
 from .scaling import CurveScalers, fit_scalers, padded_param_values
-from .seqnet import ModelParams, TrainConfig, forward_sequence, init_params, train
+from .seqnet import ModelParams, TrainConfig, init_params, predict_windows, train
 from .similarity import SourceRanking, rank_sources
 
 VARIANTS = ("vanilla", "tl_all", "dtw_tl")
@@ -46,7 +46,7 @@ class ExperimentPlan:
     target_train_ids: list[str]
     target_test_ids: list[str]
     config: TrainConfig
-    grid_n: int = 120
+    grid_n: int = DEFAULT_GRID_N
     pad_params: bool = False
     mape_epsilon: float = DEFAULT_MAPE_EPSILON
     # Pre-training sees far more windows per epoch than fine-tuning; this
@@ -66,6 +66,8 @@ class ExperimentPlan:
             raise DataValidationError("target_train_ids must not be empty")
         if not self.target_test_ids:
             raise DataValidationError("target_test_ids must not be empty")
+        if self.grid_n < 2:
+            raise DataValidationError(f"grid_n must be >= 2, got {self.grid_n}")
         if self.variant != "vanilla" and not self.source_datasets:
             raise DataValidationError(f"variant {self.variant!r} requires source datasets")
         if not (self.mape_epsilon > 0 and np.isfinite(self.mape_epsilon)):
@@ -309,15 +311,15 @@ def finetune(
 def predict_curve(checkpoint: ModelCheckpoint, curve: RawCurve) -> np.ndarray:
     """Predicted stress (MPa) at positions n..len-1 of the curve.
 
-    The first n points seed the first window and receive no prediction.
-    Features are scaled with the checkpoint's scalers; values outside the
-    training range simply scale outside [0, 1].
+    The first n points seed the first window and receive no prediction. The
+    curve's L - n windows run through the LSTM in one batched pass. Features
+    are scaled with the checkpoint's scalers; values outside the training
+    range simply scale outside [0, 1].
     """
     n = checkpoint.sequence_length
     _check_predictable(curve, n)
     windows, _ = _curve_windows(curve, checkpoint.scalers, n, pad=True)
-    predictions_scaled = np.array([forward_sequence(checkpoint.params, w)[0] for w in windows])
-    return checkpoint.scalers.stress.unscale(predictions_scaled)
+    return checkpoint.scalers.stress.unscale(predict_windows(checkpoint.params, windows))
 
 
 def _dataset_map(datasets: list[Dataset]) -> dict[str, Dataset]:

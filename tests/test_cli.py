@@ -146,6 +146,14 @@ class TestUsageErrors:
         assert main([command, *REQUIRED_FLAGS[command], flag]) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rank", "pipeline"])
+    @pytest.mark.parametrize("value", ["0", "1", "-1", "abc"])
+    def test_bad_grid_n_exits_1(self, command, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *REQUIRED_FLAGS[command], f"--grid-n={value}"]) == 1
+        assert "--grid-n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
     @pytest.mark.parametrize("value", ["-1", "abc", "1.5", "", "1e3"])
     def test_bad_seed_flag_exits_1(self, command, value, tmp_path, monkeypatch, capsys):

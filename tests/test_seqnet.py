@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from curvetransfer import transfer
 from curvetransfer.errors import TrainingDivergenceError
 from curvetransfer.seqnet import (
     PARAM_NAMES,
@@ -21,9 +22,11 @@ from curvetransfer.seqnet import (
     lstm_cell_forward,
     optimizer_step,
     init_optimizer_state,
+    predict_windows,
     train,
     _sigmoid,
 )
+from curvetransfer.synthgen import standard_suite
 
 from conftest import evaluate_loss
 
@@ -215,6 +218,58 @@ class TestForwardSequence:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             forward_sequence(zero_params(), np.zeros((0, 2)))
+
+
+def per_window_predictions(params, windows):
+    return np.array([forward_sequence(params, w)[0] for w in windows])
+
+
+class TestPredictWindows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 5, 8, 16, 32, 33]),
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.integers(1, 130),
+        st.sampled_from([1.0, 4.0, 40.0]),
+    )
+    def test_bitwise_equal_to_forward_sequence(self, seed, hidden_dim, input_dim, n, batch, scale):
+        # scale 40 drives most gate pre-activations deep into saturation.
+        rng = np.random.default_rng(seed)
+        params = init_params(seed, input_dim, hidden_dim)
+        params.flat *= scale
+        params.b[:] = rng.normal(scale=scale, size=params.b.shape)
+        params.b_out[:] = rng.normal()
+        windows = rng.normal(size=(batch, n, input_dim))
+        predictions = predict_windows(params, windows)
+        assert predictions.shape == (batch,) and predictions.dtype == np.float64
+        assert predictions.tobytes() == per_window_predictions(params, windows).tobytes()
+
+    def test_whole_suite_bitwise_equal(self):
+        sources, targets, _ = standard_suite(0)
+        plateau = next(ds for ds in sources if ds.name == "poly_plateau")
+        ckpt = transfer.pretrain(plateau.curves, TrainConfig(epochs=1), plateau.name)
+        n = ckpt.sequence_length
+        curves = [curve for ds in sources + targets for curve in ds.curves]
+        assert len(curves) == 127
+        for curve in curves:
+            windows, _ = transfer._curve_windows(curve, ckpt.scalers, n, pad=True)
+            expected = per_window_predictions(ckpt.params, windows)
+            assert predict_windows(ckpt.params, windows).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 3, 4, 2), (2,)])
+    def test_not_3d_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-empty 3-D"):
+            predict_windows(zero_params(), np.zeros(shape))
+
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ValueError, match="non-empty 3-D"):
+            predict_windows(zero_params(), np.zeros((3, 0, 2)))
+
+    def test_wrong_column_count_rejected(self):
+        with pytest.raises(ValueError, match="window columns 3 != input_dim 2"):
+            predict_windows(zero_params(), np.zeros((3, 4, 3)))
 
 
 class TestLossMse:

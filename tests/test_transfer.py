@@ -626,6 +626,15 @@ class TestPlanValidation:
                 mape_epsilon=epsilon,
             )
 
+    @pytest.mark.parametrize("grid_n", [1, 0, -1])
+    def test_bad_grid_n_rejected(self, grid_n):
+        with pytest.raises(DataValidationError, match="grid_n must be >= 2"):
+            ExperimentPlan(
+                variant="vanilla", source_datasets=[], target_dataset="t",
+                target_train_ids=["1"], target_test_ids=["2"], config=small_config(),
+                grid_n=grid_n,
+            )
+
     def test_plan_echo_includes_config(self):
         plan = ExperimentPlan(
             variant="vanilla", source_datasets=[], target_dataset="t",
