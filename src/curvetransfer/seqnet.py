@@ -8,6 +8,7 @@ against central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,15 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows; it is exp(-z) for z >= 0 and exp(z) below.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so no exp
+    # overflows: the denominator is 1 + exp(-|z|) and the numerator
+    # exp(min(z, 0)), which is exactly 1 for z >= 0.
+    den = np.exp(-np.abs(z))
+    den += 1.0
+    out = np.minimum(z, 0.0, out=out)
+    np.exp(out, out=out)
+    return np.divide(out, den, out=out)
 
 
 class ModelParams:
@@ -117,8 +123,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("epochs", "sequence_length", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.sequence_length < 1:
@@ -167,6 +177,39 @@ def lstm_cell_forward(
     return CellState(h=h, c=c), np.concatenate((f, i, o, g))
 
 
+def _forward_into(
+    params: ModelParams,
+    window: np.ndarray,
+    gates: np.ndarray,
+    cs: np.ndarray,
+    hs: np.ndarray,
+    xz: np.ndarray,
+    z: np.ndarray,
+) -> float:
+    """The forward pass of one (n, d) window, written into caller-owned buffers.
+
+    Fills ``gates`` (n, 4h) and rows 1..n of ``cs`` and ``hs`` (n + 1, h),
+    whose row 0 must hold the zero initial state; ``xz`` (4h, n) and ``z``
+    (4h,) are scratch. Returns the prediction. This is the only copy of the
+    forward arithmetic: :func:`forward_sequence` and :func:`train` both run it.
+    """
+    hd = params.hidden_dim
+    np.matmul(params.W_x, window.T, out=xz)  # input contributions for every step at once
+    xz += params.b[:, None]
+    W_h = params.W_h
+    h, c = hs[0], cs[0]
+    for t in range(len(window)):
+        np.matmul(W_h, h, out=z)
+        z += xz[:, t]
+        row = gates[t]
+        f, i, o, g = row[:hd], row[hd : 2 * hd], row[2 * hd : 3 * hd], row[3 * hd :]
+        _sigmoid(z[: 3 * hd], out=row[: 3 * hd])
+        np.tanh(z[3 * hd :], out=g)
+        c = np.add(f * c, i * g, out=cs[t + 1])
+        h = np.multiply(o, np.tanh(c), out=hs[t + 1])
+    return float(params.W_out[0] @ h + params.b_out[0])
+
+
 def forward_sequence(
     params: ModelParams, window: np.ndarray
 ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -187,21 +230,10 @@ def forward_sequence(
     if window.shape[1] != params.input_dim:
         raise ValueError(f"window columns {window.shape[1]} != input_dim {params.input_dim}")
     n, hd = window.shape[0], params.hidden_dim
-    W_h = params.W_h
-    xz = params.W_x @ window.T + params.b[:, None]  # input contributions for every step at once
     gates = np.empty((n, 4 * hd))
     cs = np.zeros((n + 1, hd))
     hs = np.zeros((n + 1, hd))
-    h, c = hs[0], cs[0]
-    for t in range(n):
-        z = W_h @ h + xz[:, t]
-        row = gates[t]
-        row[: 3 * hd] = _sigmoid(z[: 3 * hd])
-        f, i, o, g = row[:hd], row[hd : 2 * hd], row[2 * hd : 3 * hd], row[3 * hd :]
-        np.tanh(z[3 * hd :], out=g)
-        c = np.add(f * c, i * g, out=cs[t + 1])
-        h = np.multiply(o, np.tanh(c), out=hs[t + 1])
-    prediction = float(params.W_out[0] @ h + params.b_out[0])
+    prediction = _forward_into(params, window, gates, cs, hs, np.empty((4 * hd, n)), np.empty(4 * hd))
     return prediction, (gates, cs, hs)
 
 
@@ -256,6 +288,61 @@ def loss_mse(predictions, targets) -> float:
     return float(np.mean((predictions - targets) ** 2))
 
 
+def _backward_into(
+    params: ModelParams,
+    gates: np.ndarray,
+    cs: np.ndarray,
+    hs: np.ndarray,
+    window: np.ndarray,
+    dpred: float,
+    dz: np.ndarray,
+    grads: ModelParams,
+) -> None:
+    """BPTT for one window from its forward activations, written into ``grads``.
+
+    ``dpred`` is the derivative of the loss by the prediction and ``dz``
+    (n, 4h) is scratch for the per-step pre-activation gradients. Factors that
+    depend on one operand are taken over all steps at once; each product keeps
+    the left-to-right order of the per-step formulas (for the forget gate,
+    dc * c_prev * f * (1 - f)), because forming f * (1 - f) first would move
+    the gradients in the last bits.
+    """
+    n, hd = len(gates), params.hidden_dim
+    h3 = 3 * hd
+    W_h_T = params.W_h.T
+    tanh_cs = np.tanh(cs[1:])
+    dtanh_cs = 1.0 - tanh_cs ** 2
+    one_minus_sig = 1.0 - gates[:, :h3]  # 1 - f, 1 - i, 1 - o
+    dtanh_g = 1.0 - gates[:, h3:] ** 2
+    dh = dpred * params.W_out[0]
+    dc = np.zeros(hd)
+    tmp = np.empty(hd)
+    for t in range(n - 1, -1, -1):
+        row, dz_t = gates[t], dz[t]
+        f, i, o, g = row[:hd], row[hd : 2 * hd], row[2 * hd : h3], row[h3:]
+        # dc = dc + dh * o * (1 - tanh(c)^2)
+        np.multiply(dh, o, out=tmp)
+        tmp *= dtanh_cs[t]
+        dc += tmp
+        # Gate order (f, i, o, c): dc * c_prev, dc * g, dh * tanh(c), then
+        # times each sigmoid gate and its complement.
+        np.multiply(dc, cs[t], out=dz_t[:hd])
+        np.multiply(dc, g, out=dz_t[hd : 2 * hd])
+        np.multiply(dh, tanh_cs[t], out=dz_t[2 * hd : h3])
+        dz_t[:h3] *= row[:h3]
+        dz_t[:h3] *= one_minus_sig[t]
+        np.multiply(dc, i, out=dz_t[h3:])
+        dz_t[h3:] *= dtanh_g[t]
+        np.matmul(W_h_T, dz_t, out=dh)
+        dc *= f
+
+    np.matmul(dz.T, hs[:n], out=grads.W_h)  # summed outer products over all steps
+    np.matmul(dz.T, window, out=grads.W_x)
+    np.sum(dz, axis=0, out=grads.b)
+    np.multiply(dpred, hs[n], out=grads.W_out[0])
+    grads.b_out[0] = dpred
+
+
 def backward(
     params: ModelParams,
     activations: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -273,36 +360,10 @@ def backward(
     n = window.shape[0]
     if len(gates) != n:
         raise ValueError(f"activation/window mismatch: {len(gates)} steps for {n} rows")
-    hd = params.hidden_dim
-    W_h = params.W_h
-
     prediction = float(params.W_out[0] @ hs[n] + params.b_out[0])
-    dpred = 2.0 * (prediction - target)
-
-    tanh_cs = np.tanh(cs[1:])
-    dh = dpred * params.W_out[0, :]
-    dc = np.zeros(hd)
-    dz = np.empty((n, 4 * hd))  # per-step pre-activation gradients, gate order (f, i, o, c)
-    for t in range(n - 1, -1, -1):
-        row = gates[t]
-        f, i, o, g = row[:hd], row[hd : 2 * hd], row[2 * hd : 3 * hd], row[3 * hd :]
-        tanh_c = tanh_cs[t]
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c ** 2)
-        dz_t = dz[t]
-        dz_t[:hd] = dc * cs[t] * f * (1.0 - f)
-        dz_t[hd : 2 * hd] = dc * g * i * (1.0 - i)
-        dz_t[2 * hd : 3 * hd] = do * o * (1.0 - o)
-        dz_t[3 * hd :] = dc * i * (1.0 - g ** 2)
-        dh = W_h.T @ dz_t
-        dc = dc * f
-
-    grads = ModelParams(params.input_dim, hd, np.empty_like(params.flat))
-    np.matmul(dz.T, hs[:n], out=grads.W_h)  # summed outer products over all steps
-    np.matmul(dz.T, window, out=grads.W_x)
-    np.sum(dz, axis=0, out=grads.b)
-    grads.W_out[0] = dpred * hs[n]
-    grads.b_out[0] = dpred
+    grads = ModelParams(params.input_dim, params.hidden_dim)
+    dz = np.empty((n, 4 * params.hidden_dim))
+    _backward_into(params, gates, cs, hs, window, 2.0 * (prediction - target), dz, grads)
     return grads
 
 
@@ -347,17 +408,23 @@ def gradient_check(
 
 @dataclass
 class OptimizerState:
-    """Adam moment estimates over ``ModelParams.flat`` and step counter (None for sgd)."""
+    """Adam moment estimates over ``ModelParams.flat`` and step counter (None for sgd).
+
+    ``scratch`` holds two vectors of ``flat``'s size that each update writes
+    its intermediate terms into, so a step allocates nothing.
+    """
 
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def init_optimizer_state(params: ModelParams, config: TrainConfig) -> OptimizerState:
+    scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
     if config.optimizer == "adam":
-        return OptimizerState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
-    return OptimizerState()
+        return OptimizerState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), scratch=scratch)
+    return OptimizerState(scratch=scratch)
 
 
 def optimizer_step(
@@ -369,15 +436,17 @@ def optimizer_step(
     """Apply one parameter update in place; returns the same ModelParams.
 
     sgd is the plain update theta <- theta - lr * grad; adam keeps
-    bias-corrected first/second moment estimates.
+    bias-corrected first/second moment estimates. Each expression is
+    evaluated in its written order, through ``state.scratch``.
     """
     dims, grad_dims = (params.input_dim, params.hidden_dim), (grads.input_dim, grads.hidden_dim)
     if grad_dims != dims:
         raise ValueError(f"gradient (input_dim, hidden_dim) {grad_dims} != parameters' {dims}")
     theta, g = params.flat, grads.flat
     lr = config.learning_rate
+    s1, s2 = state.scratch
     if config.optimizer == "sgd":
-        theta -= lr * g
+        theta -= np.multiply(lr, g, out=s1)
         return params
 
     state.step += 1
@@ -385,11 +454,22 @@ def optimizer_step(
     bias1 = 1.0 - ADAM_BETA1 ** t
     bias2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
+    # m <- beta1 * m + (1 - beta1) * g
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
+    # v <- beta2 * v + (1 - beta2) * g * g
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    np.multiply(1.0 - ADAM_BETA2, g, out=s1)
+    s1 *= g
+    v += s1
+    # theta <- theta - lr * (m / bias1) / (sqrt(v / bias2) + eps)
+    np.divide(m, bias1, out=s1)
+    np.multiply(lr, s1, out=s1)
+    np.divide(v, bias2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += ADAM_EPS
+    s1 /= s2
+    theta -= s1
     return params
 
 
@@ -402,15 +482,34 @@ def train(
     """Per-window (batch size 1) training over seed-shuffled epochs.
 
     ``windows`` is a (W, n, d) array (or anything ``np.asarray`` turns into
-    one) and ``targets`` holds the W values they predict. Each epoch visits
+    one) and ``targets`` the (W,) values they predict. Each epoch visits
     every window once in a freshly shuffled order and records the mean
-    squared error observed during the pass. Deterministic for a fixed seed;
-    aborts with a diagnostic if the loss goes non-finite.
+    squared error observed during the pass. Deterministic for a fixed seed.
+    Raises ValueError for malformed or non-finite data, naming the first
+    window that holds a non-finite value, and TrainingDivergenceError if the
+    loss goes non-finite. The step's activation and gradient buffers are
+    allocated once per call.
     """
     windows = np.asarray(windows, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if len(windows) == 0 or len(windows) != len(targets):
-        raise ValueError(f"need matching non-empty windows/targets, got {len(windows)}/{len(targets)}")
+    if windows.ndim != 3 or windows.shape[0] == 0 or windows.shape[1] == 0:
+        raise ValueError(f"windows must be a non-empty 3-D (W, n, d) stack, got shape {windows.shape}")
+    if windows.shape[2] != params.input_dim:
+        raise ValueError(f"window columns {windows.shape[2]} != input_dim {params.input_dim}")
+    if targets.shape != (len(windows),):
+        raise ValueError(f"targets: expected shape ({len(windows)},), got {targets.shape}")
+    finite = np.isfinite(windows).all(axis=(1, 2)) & np.isfinite(targets)
+    if not finite.all():
+        raise ValueError(f"window {int(np.argmin(finite))} or its target holds a non-finite value")
+
+    n, hd = windows.shape[1], params.hidden_dim
+    gates = np.empty((n, 4 * hd))
+    cs = np.zeros((n + 1, hd))
+    hs = np.zeros((n + 1, hd))
+    xz = np.empty((4 * hd, n))
+    z = np.empty(4 * hd)
+    dz = np.empty((n, 4 * hd))
+    grads = ModelParams(params.input_dim, hd)
     rng = np.random.default_rng(config.seed)
     state = init_optimizer_state(params, config)
     loss_history = []
@@ -423,10 +522,10 @@ def train(
             for idx in order:
                 window = windows[idx]
                 target = float(targets[idx])
-                prediction, activations = forward_sequence(params, window)
+                prediction = _forward_into(params, window, gates, cs, hs, xz, z)
                 residual = np.float64(prediction) - np.float64(target)
                 total += residual * residual
-                grads = backward(params, activations, window, target)
+                _backward_into(params, gates, cs, hs, window, 2.0 * (prediction - target), dz, grads)
                 optimizer_step(params, grads, config, state)
         epoch_loss = float(total / len(windows))
         if not np.isfinite(epoch_loss):

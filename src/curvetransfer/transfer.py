@@ -240,12 +240,18 @@ def _train_stage(
     config: TrainConfig,
     pad: bool,
 ) -> ModelCheckpoint:
-    """Train on the windows of one stage's curves; a divergence names the stage and the dataset."""
+    """Train on the windows of one stage's curves.
+
+    Non-finite training data and a divergence both name the stage and the
+    dataset; the first is a data error, the second a training failure.
+    """
     supervised = window_dataset(curves, scalers, config.sequence_length, pad=pad)
     try:
         params, _ = train(params, supervised.windows, supervised.targets, config)
     except TrainingDivergenceError as exc:
         raise TrainingDivergenceError(f"{stage} on dataset {dataset_name!r}: {exc}") from exc
+    except ValueError as exc:
+        raise DataValidationError(f"{stage} on dataset {dataset_name!r}: {exc}") from exc
     return ModelCheckpoint(
         params=params,
         scalers=scalers,

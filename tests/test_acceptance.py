@@ -8,6 +8,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from curvetransfer.checkpoint import load_checkpoint, save_checkpoint
 from curvetransfer.cli import main
@@ -166,6 +167,7 @@ def test_criterion_5_metric_closed_forms():
     report(5, all(checks), f"closed forms exact; published 4-point row pearson {table_row:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_6_source_selection_recovery(tmp_path):
     start = time.perf_counter()
     hits = 0
@@ -191,6 +193,7 @@ def test_criterion_6_source_selection_recovery(tmp_path):
            f"cmd_rank ground-truth recovery {hits}/{total} over 20 seeds, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_variant_ordering():
     start = time.perf_counter()
     beats_vanilla = 0
@@ -215,6 +218,7 @@ def test_criterion_7_variant_ordering():
            f"dtw_tl <= vanilla in {beats_vanilla}/{n}, <= tl_all in {beats_tl_all}/{n}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_distance_error_correlation():
     positive = 0
     seeds = range(10)

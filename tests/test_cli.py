@@ -262,6 +262,22 @@ class TestPipeline:
         assert "finetune" in err and "metal_plateau" in err
 
 
+    def test_non_finite_training_data_exits_2(self, tmp_path, capsys):
+        # Speeds of +-1.7e308 span an infinite range, so one sample's scaled speed is
+        # inf / inf = nan; that is bad data (exit 2), not a divergence (exit 3).
+        strain, stress = [0.01 * k for k in range(8)], [10.0 * k for k in range(8)]
+        path = write_manifest(tmp_path, name="huge", role="source", samples={
+            "1": (strain, stress, {"speed": -1.7e308}),
+            "2": (strain, stress, {"speed": 1.7e308}),
+        })
+        rc = main(["pretrain", "--sources", str(path), "--out", str(tmp_path / "ckpt.json"),
+                   "--seed", "0", "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "pretrain on dataset 'huge'" in err and "non-finite" in err
+        assert "diverged" not in err
+
+
 class TestCheckpointCommands:
     def test_pretrain_finetune_evaluate_chain(self, suite_dir, tmp_path, capsys):
         ckpt = tmp_path / "pre.json"

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from curvetransfer import transfer
 from curvetransfer.errors import TrainingDivergenceError
+from curvetransfer.scaling import fit_scalers
 from curvetransfer.seqnet import (
     PARAM_NAMES,
     CellState,
@@ -29,6 +30,7 @@ from curvetransfer.seqnet import (
 from curvetransfer.synthgen import standard_suite
 
 from conftest import evaluate_loss
+from step_oracle import oracle_backward, oracle_forward_sequence, oracle_train
 
 
 def sign_split_sigmoid(z):
@@ -220,6 +222,17 @@ class TestForwardSequence:
             forward_sequence(zero_params(), np.zeros((0, 2)))
 
 
+def random_lstm_case(seed, hidden_dim, input_dim, n, batch, scale):
+    """Seeded parameters with weights times ``scale`` and random biases, B (n, d) windows, B targets."""
+    # scale 40 drives most gate pre-activations deep into saturation.
+    rng = np.random.default_rng(seed)
+    params = init_params(seed, input_dim, hidden_dim)
+    params.flat *= scale
+    params.b[:] = rng.normal(scale=scale, size=params.b.shape)
+    params.b_out[:] = rng.normal()
+    return params, rng.normal(size=(batch, n, input_dim)), rng.normal(size=batch)
+
+
 def per_window_predictions(params, windows):
     return np.array([forward_sequence(params, w)[0] for w in windows])
 
@@ -235,13 +248,7 @@ class TestPredictWindows:
         st.sampled_from([1.0, 4.0, 40.0]),
     )
     def test_bitwise_equal_to_forward_sequence(self, seed, hidden_dim, input_dim, n, batch, scale):
-        # scale 40 drives most gate pre-activations deep into saturation.
-        rng = np.random.default_rng(seed)
-        params = init_params(seed, input_dim, hidden_dim)
-        params.flat *= scale
-        params.b[:] = rng.normal(scale=scale, size=params.b.shape)
-        params.b_out[:] = rng.normal()
-        windows = rng.normal(size=(batch, n, input_dim))
+        params, windows, _ = random_lstm_case(seed, hidden_dim, input_dim, n, batch, scale)
         predictions = predict_windows(params, windows)
         assert predictions.shape == (batch,) and predictions.dtype == np.float64
         assert predictions.tobytes() == per_window_predictions(params, windows).tobytes()
@@ -382,6 +389,21 @@ class TestTrain:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("epochs", True),
+        ("epochs", 2.0),
+        ("sequence_length", True),
+        ("sequence_length", 5.0),
+        ("seed", False),
+        ("seed", 1.5),
+        ("seed", "0"),
+    ])
+    def test_bad_config_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{"epochs": 1, field: value})
+
     def test_single_epoch_single_pass(self):
         windows, targets = line_task(10)
         params = init_params(0, 1, 4)
@@ -411,3 +433,91 @@ class TestTrain:
         config = TrainConfig(epochs=50, learning_rate=1e12, optimizer="sgd", seed=0)
         with pytest.raises(TrainingDivergenceError, match="epoch"):
             train(params, windows, targets, config)
+
+    def test_column_targets_rejected(self):
+        windows, targets = line_task(10)
+        with pytest.raises(ValueError, match=r"targets: expected shape \(10,\), got \(10, 1\)"):
+            train(init_params(0, 1, 4), windows, targets[:, None], TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("shape", [(4, 1), (0, 4, 1), (3, 0, 1), (2, 3, 4, 1)])
+    def test_windows_not_a_non_empty_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-empty 3-D"):
+            train(init_params(0, 1, 4), np.zeros(shape), np.zeros(shape[0]), TrainConfig(epochs=1))
+
+    def test_wrong_column_count_rejected(self):
+        with pytest.raises(ValueError, match="window columns 3 != input_dim 2"):
+            train(init_params(0, 2, 4), np.zeros((5, 4, 3)), np.zeros(5), TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("in_target", [False, True])
+    def test_non_finite_data_names_first_bad_window(self, bad, in_target):
+        windows, targets = line_task(10)
+        windows = np.array(windows)
+        for idx in (6, 3):
+            if in_target:
+                targets[idx] = bad
+            else:
+                windows[idx, 2, 0] = bad
+        params = init_params(0, 1, 4)
+        before = params.flat.copy()
+        with pytest.raises(ValueError, match="window 3 or its target holds a non-finite value"):
+            train(params, windows, targets, TrainConfig(epochs=1))
+        assert np.array_equal(params.flat, before)
+
+
+def assert_train_matches_oracle(params, windows, targets, config):
+    got, got_history = train(params.copy(), windows, targets, config)
+    want, want_history = oracle_train(params.copy(), windows, targets, config)
+    assert np.array_equal(got.flat, want.flat)
+    assert got_history == want_history
+
+
+class TestTrainOracle:
+    """``train`` against the fresh-array step in ``step_oracle``, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 5, 8, 16, 32, 33]),
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.integers(1, 40),
+        st.integers(1, 3),
+        st.sampled_from(["adam", "sgd"]),
+        st.sampled_from([1e-3, 3e-2]),
+        st.sampled_from([1.0, 4.0, 40.0]),
+    )
+    def test_bitwise_equal_to_oracle(
+        self, seed, hidden_dim, input_dim, n, n_windows, epochs, optimizer, lr, scale
+    ):
+        params, windows, targets = random_lstm_case(seed, hidden_dim, input_dim, n, n_windows, scale)
+        config = TrainConfig(epochs=epochs, learning_rate=lr, optimizer=optimizer, seed=seed)
+        assert_train_matches_oracle(params, windows, targets, config)
+
+        # The public wrappers return what the oracle's step returns, byte for byte.
+        prediction, activations = forward_sequence(params, windows[0])
+        want_prediction, want_activations = oracle_forward_sequence(params, windows[0])
+        assert prediction == want_prediction
+        for got, want in zip(activations, want_activations):
+            assert got.tobytes() == want.tobytes()
+        grads = backward(params, activations, windows[0], targets[0])
+        want_grads = oracle_backward(params, want_activations, windows[0], targets[0])
+        assert grads.flat.tobytes() == want_grads.flat.tobytes()
+
+    def test_divergence_at_the_oracle_epoch(self):
+        windows, targets = line_task(10)
+        config = TrainConfig(epochs=50, learning_rate=1e12, optimizer="sgd", seed=0)
+        with pytest.raises(TrainingDivergenceError) as want:
+            oracle_train(init_params(0, 1, 4), windows, targets, config)
+        with pytest.raises(TrainingDivergenceError) as got:
+            train(init_params(0, 1, 4), windows, targets, config)
+        assert str(got.value) == str(want.value)
+
+    def test_poly_plateau_pretrain(self):
+        sources, _, _ = standard_suite(0)
+        plateau = next(ds for ds in sources if ds.name == "poly_plateau")
+        config = TrainConfig(epochs=2)
+        scalers = fit_scalers(plateau.curves)
+        supervised = transfer.window_dataset(plateau.curves, scalers, config.sequence_length)
+        params = init_params(config.seed, scalers.input_dim)
+        assert_train_matches_oracle(params, supervised.windows, supervised.targets, config)

@@ -328,6 +328,18 @@ class TestPretrainTransferFinetune:
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(params0, name), before[name])
 
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+    def test_non_finite_training_data_is_a_data_error(self, stage):
+        # Parameters of +-1.7e308 span an infinite range: the top one scales to inf / inf = nan,
+        # so every window of the second curve (windows 7-13) holds a nan.
+        curves = [linear_curve(sample_id=str(i), n=12, params={"p": p})
+                  for i, p in enumerate((-1.7e308, 1.7e308))]
+        with pytest.raises(DataValidationError, match=f"{stage} on dataset 'huge': window 7 or its target"):
+            if stage == "pretrain":
+                pretrain(curves, small_config(), "huge")
+            else:
+                finetune(init_params(0, 2, 8), curves, small_config(), "huge")
+
     def test_finetune_deterministic(self, tmp_path):
         target = small_source(seed=4, name="tgt")
         for run in (1, 2):
