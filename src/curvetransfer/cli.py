@@ -48,10 +48,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(doc: dict, path: Path) -> None:
+    # Strict JSON: a NaN or infinity raises ValueError before the file is opened.
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _parse_ids(raw: str) -> list[str]:

@@ -87,8 +87,14 @@ def pearson(xs, ys) -> float:
 
 
 def summarize(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> MetricSummary:
-    """All three error metrics plus point counts for one prediction run."""
+    """All three error metrics plus point counts for one prediction run.
+
+    Raises ValueError if a prediction is not finite, so no metric reads
+    NaN or infinity.
+    """
     actual, predicted = _as_pair(actual, predicted)
+    if not np.all(np.isfinite(predicted)):
+        raise ValueError(f"{int(np.sum(~np.isfinite(predicted)))} of {predicted.size} predictions are not finite")
     return MetricSummary(
         mape=mape(actual, predicted, epsilon),
         rmse=rmse(actual, predicted),

@@ -49,12 +49,18 @@ class FeatureScaler:
 
     @staticmethod
     def from_dict(d: dict) -> "FeatureScaler":
-        """Rejects a min or max that is not a finite JSON number (ValueError)."""
+        """Rejects a min or max that is not a finite JSON number, or a span max - min
+        that overflows float64 (ValueError)."""
         for key in ("min", "max"):
             value = d[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"scaler {d['name']!r}: {key} must be a finite number, got {value!r}")
-        return FeatureScaler(name=str(d["name"]), vmin=float(d["min"]), vmax=float(d["max"]))
+        scaler = FeatureScaler(name=str(d["name"]), vmin=float(d["min"]), vmax=float(d["max"]))
+        if not math.isfinite(scaler.vmax - scaler.vmin):
+            raise ValueError(
+                f"scaler {d['name']!r}: span max - min of [{scaler.vmin!r}, {scaler.vmax!r}] is not finite"
+            )
+        return scaler
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(
+    z: np.ndarray, out: np.ndarray | None = None, den: np.ndarray | None = None
+) -> np.ndarray:
     # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so no exp
     # overflows: the denominator is 1 + exp(-|z|) and the numerator
-    # exp(min(z, 0)), which is exactly 1 for z >= 0.
-    den = np.exp(-np.abs(z))
+    # exp(min(z, 0)), which is exactly 1 for z >= 0. ``den`` is optional
+    # scratch of z's shape for the denominator.
+    den = np.abs(z, out=den)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
     den += 1.0
     out = np.minimum(z, 0.0, out=out)
     np.exp(out, out=out)
@@ -177,37 +182,94 @@ def lstm_cell_forward(
     return CellState(h=h, c=c), np.concatenate((f, i, o, g))
 
 
-def _forward_into(
-    params: ModelParams,
-    window: np.ndarray,
-    gates: np.ndarray,
-    cs: np.ndarray,
-    hs: np.ndarray,
-    xz: np.ndarray,
-    z: np.ndarray,
-) -> float:
-    """The forward pass of one (n, d) window, written into caller-owned buffers.
+class _StepWorkspace:
+    """Every buffer and view one batch-1 step on an (n, d) window touches, bound once.
 
-    Fills ``gates`` (n, 4h) and rows 1..n of ``cs`` and ``hs`` (n + 1, h),
-    whose row 0 must hold the zero initial state; ``xz`` (4h, n) and ``z``
-    (4h,) are scratch. Returns the prediction. This is the only copy of the
-    forward arithmetic: :func:`forward_sequence` and :func:`train` both run it.
+    Holds the window's activations ``(gates, cs, hs)`` (fresh arrays, or the
+    caller's when given), the forward and backward scratch and the gradient
+    ``grads``. ``forward_steps`` lists each time step's views in the order
+    t = 0..n-1 and ``backward_steps`` in the order t = n-1..0, and the
+    parameter block views are bound to ``params.flat``, which the optimizer
+    updates in place. So :func:`_forward_into` and :func:`_backward_into`
+    neither slice nor allocate. Each call of :func:`train`, and of the public
+    wrappers, builds its own workspace; none is shared between calls.
     """
-    hd = params.hidden_dim
-    np.matmul(params.W_x, window.T, out=xz)  # input contributions for every step at once
-    xz += params.b[:, None]
-    W_h = params.W_h
-    h, c = hs[0], cs[0]
-    for t in range(len(window)):
-        np.matmul(W_h, h, out=z)
-        z += xz[:, t]
-        row = gates[t]
-        f, i, o, g = row[:hd], row[hd : 2 * hd], row[2 * hd : 3 * hd], row[3 * hd :]
-        _sigmoid(z[: 3 * hd], out=row[: 3 * hd])
-        np.tanh(z[3 * hd :], out=g)
-        c = np.add(f * c, i * g, out=cs[t + 1])
-        h = np.multiply(o, np.tanh(c), out=hs[t + 1])
-    return float(params.W_out[0] @ h + params.b_out[0])
+
+    def __init__(
+        self,
+        params: ModelParams,
+        n: int,
+        activations: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ):
+        hd = params.hidden_dim
+        h3 = 3 * hd
+        if activations is None:
+            # Row 0 of cs and hs is the zero initial state; the kernels never write it.
+            activations = (np.empty((n, 4 * hd)), np.zeros((n + 1, hd)), np.zeros((n + 1, hd)))
+        gates, cs, hs = self.activations = activations
+        self.W_h, self.W_h_T, self.W_x = params.W_h, params.W_h.T, params.W_x
+        self.b_col, self.w_out, self.b_out = params.b[:, None], params.W_out[0], params.b_out
+
+        self.xz = np.empty((4 * hd, n))
+        self.z = np.empty(4 * hd)
+        self.z_sig, self.z_g = self.z[:h3], self.z[h3:]
+        self.den = np.empty(h3)
+        self.tmp = np.empty(hd)
+        self.h_n = hs[n]
+
+        self.cs_steps = cs[1:]
+        self.gates_sig, self.gates_g = gates[:, :h3], gates[:, h3:]
+        self.tanh_cs, self.dtanh_cs = np.empty((n, hd)), np.empty((n, hd))
+        self.one_minus_sig, self.dtanh_g = np.empty((n, h3)), np.empty((n, hd))
+        self.dh, self.dc = np.empty(hd), np.empty(hd)
+        self.dz = dz = np.empty((n, 4 * hd))
+        self.dz_T, self.hs_prev = dz.T, hs[:n]
+        self.grads = ModelParams(params.input_dim, hd)
+        self.grad_w_out = self.grads.W_out[0]
+
+        # Per step: the three sigmoid gates as one block, then f, i, o, g.
+        gate_views = [(row[:h3], row[:hd], row[hd : 2 * hd], row[2 * hd : h3], row[h3:]) for row in gates]
+        self.forward_steps = tuple(
+            (self.xz[:, t], sig, f, i, o, g, cs[t], cs[t + 1], hs[t], hs[t + 1])
+            for t, (sig, f, i, o, g) in enumerate(gate_views)
+        )
+        self.backward_steps = tuple(
+            (
+                f, i, o, g, sig, cs[t],
+                self.tanh_cs[t], self.dtanh_cs[t], self.one_minus_sig[t], self.dtanh_g[t],
+                dz[t], dz[t, :hd], dz[t, hd : 2 * hd], dz[t, 2 * hd : h3], dz[t, :h3], dz[t, h3:],
+            )
+            for t, (sig, f, i, o, g) in reversed(list(enumerate(gate_views)))
+        )
+
+
+def _forward_into(ws: _StepWorkspace, window: np.ndarray) -> float:
+    """The forward pass of one (n, d) window, written into the workspace ``ws``.
+
+    Fills ``ws.activations``: the (n, 4h) gate rows and rows 1..n of the
+    (n + 1, h) cell and hidden states, whose row 0 holds the zero initial
+    state. Returns the prediction. The per-step loop only unpacks
+    ``ws.forward_steps`` and writes through ``out=``: it allocates nothing
+    and slices nothing. This is the only copy of the forward arithmetic:
+    :func:`forward_sequence` and :func:`train` both run it.
+    """
+    xz = ws.xz
+    np.matmul(ws.W_x, window.T, out=xz)  # input contributions for every step at once
+    xz += ws.b_col
+    W_h, z, z_sig, z_g, den, tmp = ws.W_h, ws.z, ws.z_sig, ws.z_g, ws.den, ws.tmp
+    for xz_t, sig, f, i, o, g, c_prev, c, h_prev, h in ws.forward_steps:
+        np.matmul(W_h, h_prev, out=z)
+        z += xz_t
+        _sigmoid(z_sig, out=sig, den=den)
+        np.tanh(z_g, out=g)
+        # c = f * c_prev + i * g
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=tmp)
+        c += tmp
+        # h = o * tanh(c)
+        np.tanh(c, out=tmp)
+        np.multiply(o, tmp, out=h)
+    return float(ws.w_out @ ws.h_n + ws.b_out[0])
 
 
 def forward_sequence(
@@ -229,12 +291,9 @@ def forward_sequence(
         raise ValueError(f"window must be a non-empty 2-D matrix, got shape {window.shape}")
     if window.shape[1] != params.input_dim:
         raise ValueError(f"window columns {window.shape[1]} != input_dim {params.input_dim}")
-    n, hd = window.shape[0], params.hidden_dim
-    gates = np.empty((n, 4 * hd))
-    cs = np.zeros((n + 1, hd))
-    hs = np.zeros((n + 1, hd))
-    prediction = _forward_into(params, window, gates, cs, hs, np.empty((4 * hd, n)), np.empty(4 * hd))
-    return prediction, (gates, cs, hs)
+    ws = _StepWorkspace(params, window.shape[0])
+    prediction = _forward_into(ws, window)
+    return prediction, ws.activations
 
 
 def predict_windows(params: ModelParams, windows: np.ndarray) -> np.ndarray:
@@ -288,58 +347,53 @@ def loss_mse(predictions, targets) -> float:
     return float(np.mean((predictions - targets) ** 2))
 
 
-def _backward_into(
-    params: ModelParams,
-    gates: np.ndarray,
-    cs: np.ndarray,
-    hs: np.ndarray,
-    window: np.ndarray,
-    dpred: float,
-    dz: np.ndarray,
-    grads: ModelParams,
-) -> None:
-    """BPTT for one window from its forward activations, written into ``grads``.
+def _backward_into(ws: _StepWorkspace, window: np.ndarray, dpred: float) -> None:
+    """BPTT for one window from the activations in ``ws``, written into ``ws.grads``.
 
-    ``dpred`` is the derivative of the loss by the prediction and ``dz``
-    (n, 4h) is scratch for the per-step pre-activation gradients. Factors that
-    depend on one operand are taken over all steps at once; each product keeps
-    the left-to-right order of the per-step formulas (for the forget gate,
+    ``dpred`` is the derivative of the loss by the prediction. The
+    pre-activation gradients go to ``ws.dz`` (n, 4h). Factors that depend on
+    one operand are taken over all steps at once; each product keeps the
+    left-to-right order of the per-step formulas (for the forget gate,
     dc * c_prev * f * (1 - f)), because forming f * (1 - f) first would move
-    the gradients in the last bits.
+    the gradients in the last bits. Like :func:`_forward_into`, the per-step
+    loop only unpacks ``ws.backward_steps``: it allocates nothing and slices
+    nothing.
     """
-    n, hd = len(gates), params.hidden_dim
-    h3 = 3 * hd
-    W_h_T = params.W_h.T
-    tanh_cs = np.tanh(cs[1:])
-    dtanh_cs = 1.0 - tanh_cs ** 2
-    one_minus_sig = 1.0 - gates[:, :h3]  # 1 - f, 1 - i, 1 - o
-    dtanh_g = 1.0 - gates[:, h3:] ** 2
-    dh = dpred * params.W_out[0]
-    dc = np.zeros(hd)
-    tmp = np.empty(hd)
-    for t in range(n - 1, -1, -1):
-        row, dz_t = gates[t], dz[t]
-        f, i, o, g = row[:hd], row[hd : 2 * hd], row[2 * hd : h3], row[h3:]
+    tanh_cs, dtanh_cs, dtanh_g = ws.tanh_cs, ws.dtanh_cs, ws.dtanh_g
+    np.tanh(ws.cs_steps, out=tanh_cs)
+    np.square(tanh_cs, out=dtanh_cs)
+    np.subtract(1.0, dtanh_cs, out=dtanh_cs)  # 1 - tanh(c)^2
+    np.subtract(1.0, ws.gates_sig, out=ws.one_minus_sig)  # 1 - f, 1 - i, 1 - o
+    np.square(ws.gates_g, out=dtanh_g)
+    np.subtract(1.0, dtanh_g, out=dtanh_g)  # 1 - g^2
+    W_h_T, dh, dc, tmp = ws.W_h_T, ws.dh, ws.dc, ws.tmp
+    np.multiply(dpred, ws.w_out, out=dh)
+    dc.fill(0.0)
+    for (
+        f, i, o, g, sig, c_prev, tanh_c, dtanh_c, one_minus_sig, dtanh_g_t,
+        dz_t, dz_f, dz_i, dz_o, dz_sig, dz_g,
+    ) in ws.backward_steps:
         # dc = dc + dh * o * (1 - tanh(c)^2)
         np.multiply(dh, o, out=tmp)
-        tmp *= dtanh_cs[t]
+        tmp *= dtanh_c
         dc += tmp
         # Gate order (f, i, o, c): dc * c_prev, dc * g, dh * tanh(c), then
         # times each sigmoid gate and its complement.
-        np.multiply(dc, cs[t], out=dz_t[:hd])
-        np.multiply(dc, g, out=dz_t[hd : 2 * hd])
-        np.multiply(dh, tanh_cs[t], out=dz_t[2 * hd : h3])
-        dz_t[:h3] *= row[:h3]
-        dz_t[:h3] *= one_minus_sig[t]
-        np.multiply(dc, i, out=dz_t[h3:])
-        dz_t[h3:] *= dtanh_g[t]
+        np.multiply(dc, c_prev, out=dz_f)
+        np.multiply(dc, g, out=dz_i)
+        np.multiply(dh, tanh_c, out=dz_o)
+        dz_sig *= sig
+        dz_sig *= one_minus_sig
+        np.multiply(dc, i, out=dz_g)
+        dz_g *= dtanh_g_t
         np.matmul(W_h_T, dz_t, out=dh)
         dc *= f
 
-    np.matmul(dz.T, hs[:n], out=grads.W_h)  # summed outer products over all steps
-    np.matmul(dz.T, window, out=grads.W_x)
-    np.sum(dz, axis=0, out=grads.b)
-    np.multiply(dpred, hs[n], out=grads.W_out[0])
+    grads = ws.grads
+    np.matmul(ws.dz_T, ws.hs_prev, out=grads.W_h)  # summed outer products over all steps
+    np.matmul(ws.dz_T, window, out=grads.W_x)
+    np.sum(ws.dz, axis=0, out=grads.b)
+    np.multiply(dpred, ws.h_n, out=ws.grad_w_out)
     grads.b_out[0] = dpred
 
 
@@ -352,8 +406,9 @@ def backward(
     """Exact gradients of the squared error (pred - target)^2 for one window.
 
     ``activations`` is the ``(gates, cs, hs)`` triple :func:`forward_sequence`
-    returned for this window. Backpropagates through the output layer and all
-    time steps; the gradient has the layout of ``params``.
+    returned for this window; it is read, not written. Backpropagates through
+    the output layer and all time steps; the gradient has the layout of
+    ``params``.
     """
     gates, cs, hs = activations
     window = np.asarray(window, dtype=float)
@@ -361,10 +416,9 @@ def backward(
     if len(gates) != n:
         raise ValueError(f"activation/window mismatch: {len(gates)} steps for {n} rows")
     prediction = float(params.W_out[0] @ hs[n] + params.b_out[0])
-    grads = ModelParams(params.input_dim, params.hidden_dim)
-    dz = np.empty((n, 4 * params.hidden_dim))
-    _backward_into(params, gates, cs, hs, window, 2.0 * (prediction - target), dz, grads)
-    return grads
+    ws = _StepWorkspace(params, n, activations)
+    _backward_into(ws, window, 2.0 * (prediction - target))
+    return ws.grads
 
 
 def gradient_check(
@@ -381,13 +435,14 @@ def gradient_check(
     injection); otherwise :func:`backward` is called.
     """
     window = np.asarray(window, dtype=float)
+    _, activations = forward_sequence(params, window)  # also checks the window
     if grads is None:
-        _, activations = forward_sequence(params, window)
         grads = backward(params, activations, window, target)
+    # One workspace serves every perturbed forward: its views follow params.flat.
+    ws = _StepWorkspace(params, len(window))
 
     def loss_at() -> float:
-        prediction, _ = forward_sequence(params, window)
-        return (prediction - target) ** 2
+        return (_forward_into(ws, window) - target) ** 2
 
     flat = params.flat
     worst = 0.0
@@ -487,8 +542,10 @@ def train(
     squared error observed during the pass. Deterministic for a fixed seed.
     Raises ValueError for malformed or non-finite data, naming the first
     window that holds a non-finite value, and TrainingDivergenceError if the
-    loss goes non-finite. The step's activation and gradient buffers are
-    allocated once per call.
+    loss goes non-finite. One workspace per call (see ``_StepWorkspace``)
+    owns every buffer the step writes and binds every view it reads, so the
+    per-window loop allocates nothing and slices nothing beyond taking the
+    window itself.
     """
     windows = np.asarray(windows, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -502,33 +559,24 @@ def train(
     if not finite.all():
         raise ValueError(f"window {int(np.argmin(finite))} or its target holds a non-finite value")
 
-    n, hd = windows.shape[1], params.hidden_dim
-    gates = np.empty((n, 4 * hd))
-    cs = np.zeros((n + 1, hd))
-    hs = np.zeros((n + 1, hd))
-    xz = np.empty((4 * hd, n))
-    z = np.empty(4 * hd)
-    dz = np.empty((n, 4 * hd))
-    grads = ModelParams(params.input_dim, hd)
+    ws = _StepWorkspace(params, windows.shape[1])
     rng = np.random.default_rng(config.seed)
     state = init_optimizer_state(params, config)
     loss_history = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(windows))
-        total = np.float64(0.0)
+        total = 0.0
         # Divergence produces huge residuals; let them saturate to inf quietly
         # and abort on the non-finite epoch mean.
         with np.errstate(over="ignore", invalid="ignore"):
             for idx in order:
                 window = windows[idx]
-                target = float(targets[idx])
-                prediction = _forward_into(params, window, gates, cs, hs, xz, z)
-                residual = np.float64(prediction) - np.float64(target)
+                residual = _forward_into(ws, window) - float(targets[idx])
                 total += residual * residual
-                _backward_into(params, gates, cs, hs, window, 2.0 * (prediction - target), dz, grads)
-                optimizer_step(params, grads, config, state)
-        epoch_loss = float(total / len(windows))
-        if not np.isfinite(epoch_loss):
+                _backward_into(ws, window, 2.0 * residual)
+                optimizer_step(params, ws.grads, config, state)
+        epoch_loss = total / len(windows)
+        if not math.isfinite(epoch_loss):
             raise TrainingDivergenceError(
                 f"training diverged: non-finite loss {epoch_loss} at epoch {epoch + 1}"
             )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from curvetransfer.cli import main
+from curvetransfer.cli import _write_json, main
 from curvetransfer.curves import load_dataset
 
 from conftest import write_manifest
@@ -364,7 +364,7 @@ class TestCheckpointCommands:
         assert "repeated" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tamper", ["sequence_length=0", "sequence_length=2.7",
-                                        "scaler_min=NaN", "extra_scaler"])
+                                        "scaler_min=NaN", "extra_scaler", "stress_span=inf"])
     def test_tampered_checkpoint_exits_2(self, suite_dir, tmp_path, capsys, tamper):
         ckpt = tmp_path / "pre.json"
         assert main(
@@ -379,13 +379,19 @@ class TestCheckpointCommands:
             doc["sequence_length"] = 2.7
         elif tamper == "scaler_min=NaN":
             param_scalers[0]["min"] = "NaN"
+        elif tamper == "stress_span=inf":
+            # Each bound is finite, but max - min overflows: unscaled predictions and metrics would be infinite.
+            doc["feature_scalers"]["stress"].update({"min": -1.7e308, "max": 1.7e308})
         else:
             param_scalers.append(dict(param_scalers[0]))
         ckpt.write_text(json.dumps(doc), encoding="utf-8")
         rc = main(["evaluate", "--checkpoint", str(ckpt),
                    "--target", manifest_of(suite_dir, "metal_plateau")])
         assert rc == 2
-        assert "malformed checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed checkpoint" in err
+        if tamper == "stress_span=inf":
+            assert "scaler 'stress'" in err
 
     def test_env_seed_fallback(self, suite_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CURVETRANSFER_SEED", "42")
@@ -397,6 +403,14 @@ class TestCheckpointCommands:
         )
         assert rc == 0
         assert json.loads(out.read_text())["seed"] == 42
+
+
+class TestWriteJson:
+    def test_non_finite_value_raises_before_writing(self, tmp_path):
+        path = tmp_path / "run" / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_json({"mape": float("inf")}, path)
+        assert not path.exists()
 
 
 class TestManifestValidationThroughCli:

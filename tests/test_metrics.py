@@ -108,3 +108,8 @@ class TestSummarize:
             assert s.mape >= 0.0
             assert s.rmse >= 0.0
             assert s.r2 <= 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_rejected(self, bad):
+        with pytest.raises(ValueError, match="1 of 3 predictions are not finite"):
+            summarize(np.array([10.0, 20.0, 35.0]), np.array([10.0, bad, 35.0]))

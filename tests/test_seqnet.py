@@ -521,3 +521,67 @@ class TestTrainOracle:
         supervised = transfer.window_dataset(plateau.curves, scalers, config.sequence_length)
         params = init_params(config.seed, scalers.input_dim)
         assert_train_matches_oracle(params, supervised.windows, supervised.targets, config)
+
+
+def window_layout(layout, windows, rng):
+    """``windows`` (or, for "sliding", fresh windows of the same shape) in the given memory layout."""
+    if layout == "c":
+        return np.ascontiguousarray(windows)
+    if layout == "fortran":
+        return np.asfortranarray(windows)
+    if layout == "strided":
+        stack = np.zeros((2 * len(windows),) + windows.shape[1:])
+        stack[::2] = windows
+        return stack[::2]
+    # The (L - n, n, d) view transfer._curve_windows builds over an (L, d) feature series.
+    n_windows, n, d = windows.shape
+    features = rng.normal(size=(n_windows + n, d))
+    return np.lib.stride_tricks.sliding_window_view(features, n, axis=0)[:-1].transpose(0, 2, 1)
+
+
+class TestWindowLayouts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 5, 8, 32, 33]),
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.integers(1, 30),
+        st.sampled_from(["adam", "sgd"]),
+        st.sampled_from([1.0, 40.0]),
+        st.sampled_from(["c", "fortran", "strided", "sliding"]),
+    )
+    def test_train_equals_oracle_on_every_layout(
+        self, seed, hidden_dim, input_dim, n, n_windows, optimizer, scale, layout
+    ):
+        params, windows, targets = random_lstm_case(seed, hidden_dim, input_dim, n, n_windows, scale)
+        windows = window_layout(layout, windows, np.random.default_rng(seed))
+        assert windows.shape == (n_windows, n, input_dim)
+        config = TrainConfig(epochs=2, learning_rate=3e-2, optimizer=optimizer, seed=seed)
+        assert_train_matches_oracle(params, windows, targets, config)
+
+
+class TestBufferOwnership:
+    """Each call owns its buffers: nothing one call returns is written by a later call."""
+
+    def test_later_calls_leave_returned_arrays_alone(self):
+        params, windows, targets = random_lstm_case(5, 8, 3, 6, 12, 4.0)
+        _, activations = forward_sequence(params, windows[0])
+        saved = [a.tobytes() for a in activations]
+        grads = backward(params, activations, windows[0], targets[0])
+        saved_grads = grads.flat.tobytes()
+
+        _, other = forward_sequence(params, windows[1])
+        backward(params, other, windows[1], targets[1])
+        train(params.copy(), windows, targets, TrainConfig(epochs=1))
+        assert [a.tobytes() for a in activations] == saved
+        assert grads.flat.tobytes() == saved_grads
+
+    def test_train_calls_on_copies_agree(self):
+        params, windows, targets = random_lstm_case(6, 8, 3, 6, 12, 4.0)
+        config = TrainConfig(epochs=2, seed=6)
+        want, want_history = oracle_train(params.copy(), windows, targets, config)
+        for _ in range(2):
+            got, got_history = train(params.copy(), windows, targets, config)
+            assert np.array_equal(got.flat, want.flat)
+            assert got_history == want_history

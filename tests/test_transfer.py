@@ -11,7 +11,7 @@ from curvetransfer import transfer
 from curvetransfer.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from curvetransfer.curves import Dataset, ParamField, RawCurve
 from curvetransfer.errors import DataValidationError
-from curvetransfer.scaling import fit_scalers, padded_param_values
+from curvetransfer.scaling import FeatureScaler, fit_scalers, padded_param_values
 from curvetransfer.seqnet import PARAM_NAMES, TrainConfig, forward_sequence, init_params
 from curvetransfer.synthgen import FamilySpec, generate_dataset, standard_suite
 from curvetransfer.transfer import (
@@ -77,6 +77,16 @@ class TestFitScalers:
         scalers = fit_scalers(curves)
         values = np.array([0.0, 12.3, 50.0])
         np.testing.assert_allclose(scalers.stress.unscale(scalers.stress.scale(values)), values)
+
+
+class TestFeatureScalerFromDict:
+    def test_infinite_span_rejected_naming_the_scaler(self):
+        with pytest.raises(ValueError, match="scaler 'stress': span max - min .* is not finite"):
+            FeatureScaler.from_dict({"name": "stress", "min": -1.7e308, "max": 1.7e308})
+
+    def test_large_finite_span_accepted(self):
+        scaler = FeatureScaler.from_dict({"name": "stress", "min": -8e307, "max": 8e307})
+        assert scaler == FeatureScaler("stress", -8e307, 8e307)
 
 
 class TestWindowDataset:
@@ -349,6 +359,13 @@ class TestPretrainTransferFinetune:
 
 
 class TestPredictCurve:
+    def test_non_finite_prediction_names_the_sample(self):
+        curve = linear_curve(sample_id="s7", n=10, params={"p": 1.0})
+        predicted = np.full(curve.n_points() - 5, 1.0)
+        predicted[2] = np.inf
+        with pytest.raises(DataValidationError, match="sample 's7': 1 of 5 predictions are not finite"):
+            transfer._summarize_sample(curve, 5, predicted, 1e-6)
+
     def test_prediction_length(self):
         ds = small_source()
         ckpt = pretrain(ds.curves, small_config(), ds.name)
