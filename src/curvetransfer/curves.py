@@ -137,8 +137,8 @@ def validate_curve(curve: RawCurve) -> RawCurve:
     stress = stress[order]
 
     # Merge runs of equal strain by averaging their stresses.
-    uniq, inverse, counts = np.unique(strain, return_inverse=True, return_counts=True)
-    if len(uniq) != len(strain):
+    if np.any(strain[1:] == strain[:-1]):
+        uniq, inverse, counts = np.unique(strain, return_inverse=True, return_counts=True)
         merged = np.bincount(inverse, weights=stress) / counts
         strain, stress = uniq, merged
     if len(strain) < 2:

@@ -117,7 +117,7 @@ def fit_scalers(
 
     ``arity`` fixes the positional parameter count; by default it is the
     maximum arity among the curves. Parameter names are recorded for audit
-    from the first curve that supplies each position.
+    from the first curve that supplies each position. A span max - min that overflows is rejected.
     """
     if not train_curves:
         raise DataValidationError("fit_scalers requires at least one training curve")
@@ -138,8 +138,12 @@ def fit_scalers(
         FeatureScaler(param_names[i], float(np.min(columns[:, i])), float(np.max(columns[:, i])))
         for i in range(arity)
     )
-    return CurveScalers(
+    scalers = CurveScalers(
         strain=FeatureScaler("strain", strain_min, strain_max),
         params=param_scalers,
         stress=FeatureScaler("stress", stress_min, stress_max),
     )
+    for s in (scalers.strain, *scalers.params, scalers.stress):
+        if not math.isfinite(s.vmax - s.vmin):
+            raise DataValidationError(f"feature {s.name!r}: non-finite span of [{s.vmin!r}, {s.vmax!r}]")
+    return scalers

@@ -78,34 +78,36 @@ def cumulative_cost(local: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _dtw_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """DTW distance of each row pair ``(a[p], b[p])`` of two (P, N) stress arrays.
+def _dtw_many(a: np.ndarray, b_rev: np.ndarray) -> np.ndarray:
+    """DTW distance of each column pair of two (N, P) stress stacks (or of one (N,) pair).
 
-    All P cost matrices are swept together along their 2N-1 anti-diagonals.
-    Column k+1 of a diagonal's buffer holds the cost of cell (k, d-k); column 0
-    and every off-grid cell a later diagonal reads hold +inf. (Each of the
-    three rolling buffers is reused every third diagonal and, up to the middle
-    diagonal, is written only at columns 1..d+1, so the off-grid column d+2 it
-    is later read at has never been written.) Each cell adds its local cost to
-    the minimum of the same three predecessors as :func:`cumulative_cost`, so
-    every distance is bitwise equal to that DP's last cell. Memory is O(P*N).
+    Column p of ``b_rev`` is pair p's second curve reversed. All P cost matrices
+    are swept together along their 2N-1 anti-diagonals, cell-major: row k+1 of a
+    diagonal's (N+1, P) buffer holds cell (k, d-k) of every pair, read from rows
+    k of ``a`` and N-1-d+k of ``b_rev``, so each of a diagonal's five ufuncs is
+    one contiguous loop and none allocates. Row 0 and every off-grid cell a
+    later diagonal reads hold +inf. (Each of the three rolling buffers is reused
+    every third diagonal and, up to the middle diagonal, is written only at rows
+    1..d+1, so the off-grid row d+2 it is later read at has never been written.)
+    Each cell adds its local cost to the minimum of the same three predecessors
+    as :func:`cumulative_cost`, so every distance is bitwise equal to that DP's
+    last cell. Memory is O(P*N).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    pairs, n = a.shape
-    b_rev = b[:, ::-1]
-    before, last, cur = (np.full((pairs, n + 1), np.inf) for _ in range(3))
-    last[:, 1] = (a[:, 0] - b[:, 0]) ** 2
+    n = len(a)
+    before, last, cur = (np.full((n + 1,) + a.shape[1:], np.inf) for _ in range(3))
+    square = np.empty_like(a)
+    last[1] = (a[0] - b_rev[n - 1]) ** 2
     for d in range(1, 2 * n - 1):
         k0, k1 = max(0, d - n + 1), min(d, n - 1) + 1
-        j0 = n - 1 - d + k0
-        out = cur[:, k0 + 1 : k1 + 1]
+        out, sq = cur[k0 + 1 : k1 + 1], square[: k1 - k0]
         # Predecessors of (k, d-k): (k-1, d-k-1) on diagonal d-2, (k-1, d-k) and (k, d-k-1) on d-1.
-        np.minimum(before[:, k0:k1], last[:, k0:k1], out=out)
-        np.minimum(out, last[:, k0 + 1 : k1 + 1], out=out)
-        out += (a[:, k0:k1] - b_rev[:, j0 : j0 + k1 - k0]) ** 2
+        np.minimum(before[k0:k1], last[k0:k1], out=out)
+        np.minimum(out, last[k0 + 1 : k1 + 1], out=out)
+        np.subtract(a[k0:k1], b_rev[n - 1 - d + k0 : n - 1 - d + k1], out=sq)
+        np.square(sq, out=sq)
+        out += sq
         before, last, cur = last, cur, before
-    return last[:, n].copy()
+    return last[n].copy()
 
 
 def dtw_path(cumulative: np.ndarray) -> list[tuple[int, int]]:
@@ -138,7 +140,7 @@ def dtw_path(cumulative: np.ndarray) -> list[tuple[int, int]]:
 def dtw_distance(a: GridCurve, b: GridCurve) -> float:
     """DTW distance between two gridded curves (the last cumulative cost)."""
     _check_same_length(a, b)
-    return float(_dtw_many(a.stress_norm[None], b.stress_norm[None])[0])
+    return float(_dtw_many(a.stress_norm, b.stress_norm[::-1]))
 
 
 def brute_force_dtw(a, b) -> float:
@@ -176,24 +178,32 @@ def brute_force_dtw(a, b) -> float:
     return best_from(0, 0)
 
 
-def average_dtw(source: list[GridCurve], target: list[GridCurve]) -> float:
-    """Mean DTW distance over all source x target curve pairs.
+def _mean_dtws(sources: list[list[GridCurve]], target: list[GridCurve]) -> list[float]:
+    """Mean DTW distance of each source's curves to the target curves.
 
-    All pairs go through one :func:`_dtw_many` sweep. The distances are summed
-    one by one in (source curve, target curve) order, as a per-pair loop would,
-    so the mean is bitwise the same.
+    Lengths are checked first; then all pairs of all sources run through one
+    :func:`_dtw_many` sweep. Each source's distances are summed one by one in
+    (source curve, target curve) order, so every mean is bitwise that of a per-pair loop.
     """
+    for p, m in ((p, m) for source in sources for p in source for m in target):
+        _check_same_length(p, m)
+    a = np.stack([p.stress_norm for source in sources for p in source for _ in target], axis=1)
+    b_rev = np.stack([m.stress_norm[::-1] for source in sources for _ in source for m in target], axis=1)
+    distances = iter(_dtw_many(a, b_rev).tolist())
+    means = []
+    for source in sources:
+        count, total = len(source) * len(target), 0.0
+        for _ in range(count):
+            total += next(distances)
+        means.append(total / count)
+    return means
+
+
+def average_dtw(source: list[GridCurve], target: list[GridCurve]) -> float:
+    """Mean DTW distance over all source x target curve pairs: the one-source case of :func:`_mean_dtws`."""
     if not source or not target:
         raise ValueError("average_dtw requires non-empty curve lists")
-    for p in source:
-        for m in target:
-            _check_same_length(p, m)
-    a = np.array([p.stress_norm for p in source for _ in target])
-    b = np.array([m.stress_norm for _ in source for m in target])
-    total = 0.0
-    for d in _dtw_many(a, b).tolist():
-        total += d
-    return total / (len(source) * len(target))
+    return _mean_dtws([source], target)[0]
 
 
 def rank_sources(
@@ -204,18 +214,18 @@ def rank_sources(
     """Rank candidate source datasets by average DTW distance to the target training curves.
 
     Only target TRAINING curves may be passed here; using test curves would
-    leak them into model selection.
+    leak them into model selection. The pairs of all sources run in one DTW sweep.
     """
     if not sources:
         raise ValueError("rank_sources requires at least one source dataset")
     if not target_train:
         raise ValueError("rank_sources requires at least one target training curve")
     target_grids = [grid_curve(c, n) for c in target_train]
-    entries = []
+    source_grids = []
     for dataset in sources:
         if not dataset.curves:
             raise ValueError(f"source dataset {dataset.name!r} is empty")
-        source_grids = [grid_curve(c, n) for c in dataset.curves]
-        entries.append((dataset.name, average_dtw(source_grids, target_grids)))
-    entries.sort(key=lambda e: (e[1], e[0]))
+        source_grids.append([grid_curve(c, n) for c in dataset.curves])
+    means = _mean_dtws(source_grids, target_grids)
+    entries = sorted(zip([ds.name for ds in sources], means), key=lambda e: (e[1], e[0]))
     return SourceRanking(entries=entries, selected=entries[0][0])

@@ -10,6 +10,7 @@ source model's weights copied verbatim.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -230,6 +231,17 @@ def concat_shuffle_sources(datasets: list[Dataset], seed: int) -> list[RawCurve]
     return [curves[i] for i in order]
 
 
+@contextmanager
+def _stage_errors(stage: str, dataset_name: str):
+    """Name the stage and the dataset in errors: bad data is a data error, a divergence a training failure."""
+    try:
+        yield
+    except TrainingDivergenceError as exc:
+        raise TrainingDivergenceError(f"{stage} on dataset {dataset_name!r}: {exc}") from exc
+    except ValueError as exc:
+        raise DataValidationError(f"{stage} on dataset {dataset_name!r}: {exc}") from exc
+
+
 def _train_stage(
     stage: str,
     checkpoint_stage: str,
@@ -240,18 +252,10 @@ def _train_stage(
     config: TrainConfig,
     pad: bool,
 ) -> ModelCheckpoint:
-    """Train on the windows of one stage's curves.
-
-    Non-finite training data and a divergence both name the stage and the
-    dataset; the first is a data error, the second a training failure.
-    """
+    """Train on the windows of one stage's curves."""
     supervised = window_dataset(curves, scalers, config.sequence_length, pad=pad)
-    try:
+    with _stage_errors(stage, dataset_name):
         params, _ = train(params, supervised.windows, supervised.targets, config)
-    except TrainingDivergenceError as exc:
-        raise TrainingDivergenceError(f"{stage} on dataset {dataset_name!r}: {exc}") from exc
-    except ValueError as exc:
-        raise DataValidationError(f"{stage} on dataset {dataset_name!r}: {exc}") from exc
     return ModelCheckpoint(
         params=params,
         scalers=scalers,
@@ -272,7 +276,8 @@ def pretrain(
     """Train a fresh model on the source curves; scalers are fit on them."""
     if not source_curves:
         raise DataValidationError("pretrain requires a non-empty source curve list")
-    scalers = fit_scalers(source_curves, arity=param_arity, pad=pad)
+    with _stage_errors("pretrain", dataset_name):
+        scalers = fit_scalers(source_curves, arity=param_arity, pad=pad)
     params = init_params(config.seed, scalers.input_dim)
     return _train_stage(
         "pretrain", "pretrained", dataset_name, params, source_curves, scalers, config, pad
@@ -302,7 +307,8 @@ def finetune(
     """
     if not target_train_curves:
         raise DataValidationError("finetune requires a non-empty target training curve list")
-    scalers = fit_scalers(target_train_curves, arity=param_arity, pad=pad)
+    with _stage_errors("finetune", dataset_name):
+        scalers = fit_scalers(target_train_curves, arity=param_arity, pad=pad)
     if scalers.input_dim != params_init.input_dim:
         raise DataValidationError(
             f"target input_dim {scalers.input_dim} does not match model input_dim "

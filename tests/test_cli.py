@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -111,6 +112,36 @@ class TestRank:
         assert path_rows[0] == "k,l"
         assert path_rows[1] == "0,0"
         assert path_rows[-1] == "39,39"
+
+
+# sha256 of `rank --auto-extreme --seed 0 --out` for every target of suite seeds 0-2.
+# DTW uses only IEEE min, add, subtract and square, so these bytes are the same on any machine.
+RANK_GOLDEN = {
+    (0, "metal_plateau"): "2b8d9f58407dda0138951d5d5cb5ee5eb035a2af7ca7d2ef9d35ca2636610a81",
+    (0, "metal_hardening"): "3c0f51454acbb1643fd88d261a4bfa8041005510f15dca64108e4e95bbeefa9a",
+    (0, "metal_yield_drop"): "f7f6d21da9bf64590885b6257d2619cda1467f758db930ed01f51b1370a23db0",
+    (1, "metal_plateau"): "f69f3ddc30476c7df3f04ebd07752500aa821e30e831da70eafef8883478bdf0",
+    (1, "metal_hardening"): "8ddf633fbe9b0dcdd069d582520a08798a42b091ba2383b05577825f1bf61fa0",
+    (1, "metal_yield_drop"): "61a6f21e8cda18ea5ba6b54090e28f6cb3ea40bfe66d65dd6b6ea449ef7361d4",
+    (2, "metal_plateau"): "f6034b21e68ac34c41f2d2b935de22a33f0e3e43ce116c7cfe8954a06ef3ced6",
+    (2, "metal_hardening"): "3073dca62a417bfe61c5f76cb11b7cb25a5f083827455b88a0e6a46925645976",
+    (2, "metal_yield_drop"): "1eb26623a4dce46c8e96d15b8d289d5c8c319f0aed08b16a1c0c7ff531d2ea75",
+}
+
+
+class TestRankGolden:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ranking_bytes_match_golden(self, seed, tmp_path):
+        suite = tmp_path / "suite"
+        assert main(["synth", "--seed", str(seed), "--out", str(suite)]) == 0
+        digests = {}
+        for target in ("metal_plateau", "metal_hardening", "metal_yield_drop"):
+            out = tmp_path / f"{target}.json"
+            rc = main(["rank", *source_args(suite), "--target", manifest_of(suite, target),
+                       "--auto-extreme", "--seed", "0", "--out", str(out)])
+            assert rc == 0
+            digests[seed, target] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {key: d for key, d in RANK_GOLDEN.items() if key[0] == seed}
 
 
 # Every command that takes --seed, with its other required flags. The files

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvetransfer.curves import (
     GridCurve,
@@ -29,7 +30,40 @@ CARBON_STEEL_DOE = [
 ]
 
 
+def merge_oracle(strain, stress):
+    """Sort, merge and clamp as validate_curve did when every curve went through np.unique."""
+    order = np.argsort(strain, kind="stable")
+    strain, stress = strain[order], stress[order]
+    uniq, inverse, counts = np.unique(strain, return_inverse=True, return_counts=True)
+    if len(uniq) != len(strain):
+        strain, stress = uniq, np.bincount(inverse, weights=stress) / counts
+    return strain, np.maximum(stress, 0.0)
+
+
+@st.composite
+def curves_with_repeated_strains(draw):
+    """Unsorted strains from a few levels, so most draws repeat some, with signed zeros."""
+    size = draw(st.integers(2, 40))
+    levels = st.sampled_from([-0.0, 0.0, 0.01, 0.02, 0.025, 0.1])
+    strain = np.array(draw(st.lists(levels, min_size=size, max_size=size)))
+    stress = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+    return strain, stress
+
+
 class TestValidateCurve:
+    @settings(max_examples=200, deadline=None)
+    @given(curves_with_repeated_strains())
+    def test_merge_matches_unique_oracle_bitwise(self, arrays):
+        strain, stress = arrays
+        expected_strain, expected_stress = merge_oracle(strain, stress)
+        if len(expected_strain) < 2:
+            with pytest.raises(DataValidationError, match="fewer than 2 distinct"):
+                validate_curve(RawCurve("s", strain, stress))
+            return
+        cleaned = validate_curve(RawCurve("s", strain, stress))
+        assert cleaned.strain.tobytes() == expected_strain.tobytes()
+        assert cleaned.stress.tobytes() == expected_stress.tobytes()
+
     def test_duplicate_strains_merged_by_averaging(self):
         curve = RawCurve("s", np.array([0.0, 0.01, 0.01, 0.02]), np.array([0.0, 10.0, 12.0, 20.0]))
         cleaned = validate_curve(curve)

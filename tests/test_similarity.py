@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from curvetransfer.curves import Dataset, ParamField, RawCurve, GridCurve
+from curvetransfer.curves import Dataset, ParamField, RawCurve, GridCurve, grid_curve
 from curvetransfer.metrics import pearson
 from curvetransfer.similarity import (
     _dtw_many,
+    _mean_dtws,
     average_dtw,
     brute_force_dtw,
     cumulative_cost,
@@ -167,47 +168,63 @@ stress_values = st.sampled_from([
 
 
 @st.composite
-def stress_rows(draw):
-    """Two (P, N) stress arrays whose rows are paired for the all-pairs kernel."""
-    elements = draw(stress_values)
-    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 40)))
-    return draw(arrays(float, shape, elements=elements)), draw(arrays(float, shape, elements=elements))
+def stress_columns(draw):
+    """Two (N, P) stress stacks whose columns are paired for the all-pairs kernel.
+
+    Cells are drawn from a pool of up to 16 values by a seeded generator: drawing
+    thousands of cells one by one would make each example slow.
+    """
+    pool = np.array(draw(st.lists(draw(stress_values), min_size=1, max_size=16)))
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(pool, shape), rng.choice(pool, shape)
 
 
 @st.composite
 def curve_lists(draw):
-    """A source and a target list of equal-length grid curves."""
+    """1-5 source lists and one target list of equal-length grid curves, 1-4 curves each."""
     elements = draw(stress_values)
     n = draw(st.integers(1, 30))
     curves = st.lists(arrays(float, n, elements=elements).map(make_grid), min_size=1, max_size=4)
-    return draw(curves), draw(curves)
+    return draw(st.lists(curves, min_size=1, max_size=5)), draw(curves)
+
+
+def oracle_means(sources, target):
+    """The per-source ranking path before the one-sweep kernel: per source, one loop over
+    ``cumulative_cost`` corners, summed in (source curve, target curve) order."""
+    means = []
+    for source in sources:
+        total = 0.0
+        for s in source:
+            for t in target:
+                total += float(cumulative_cost(local_distance_matrix(s, t))[-1, -1])
+        means.append(total / (len(source) * len(target)))
+    return means
 
 
 class TestAllPairsKernel:
     @settings(max_examples=200, deadline=None)
-    @given(stress_rows())
-    def test_each_pair_is_cumulative_corner_bitwise(self, rows):
-        a, b = rows
+    @given(stress_columns())
+    def test_each_pair_is_cumulative_corner_bitwise(self, columns):
+        a, b = columns
         # Squaring the difference of two huge finite floats overflows to inf in both implementations.
         with np.errstate(over="ignore"):
-            got = _dtw_many(a, b)
+            got = _dtw_many(a, np.ascontiguousarray(b[::-1]))
             expected = np.array(
-                [cumulative_cost((a[p][:, None] - b[p][None, :]) ** 2)[-1, -1] for p in range(len(a))]
+                [cumulative_cost((a[:, p, None] - b[None, :, p]) ** 2)[-1, -1] for p in range(a.shape[1])]
             )
         assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(curve_lists())
     def test_average_is_sequential_mean_bitwise(self, lists):
-        source, target = lists
+        sources, target = lists
         with np.errstate(over="ignore"):
-            total = 0.0
-            for s in source:
-                for t in target:
-                    total += float(cumulative_cost(local_distance_matrix(s, t))[-1, -1])
-            got = average_dtw(source, target)
-        expected = total / (len(source) * len(target))
-        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            expected = oracle_means(sources, target)
+            got = _mean_dtws(sources, target)
+            first = average_dtw(sources[0], target)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert np.float64(first).tobytes() == np.float64(expected[0]).tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 2))
@@ -306,6 +323,59 @@ class TestRankSources:
         r2 = rank_sources(list(reversed(sets)), self.target_curves(), 40)
         assert r1.entries == r2.entries
         assert r1.selected == r2.selected
+
+
+def oracle_rank_sources(sources, target_train, n):
+    means = oracle_means([[grid_curve(c, n) for c in ds.curves] for ds in sources],
+                         [grid_curve(c, n) for c in target_train])
+    return sorted(zip([ds.name for ds in sources], means), key=lambda e: (e[1], e[0]))
+
+
+def entry_bytes(entries):
+    return [(name, np.float64(d).tobytes()) for name, d in entries]
+
+
+@st.composite
+def raw_curve(draw, sample_id):
+    """A raw curve of 2-12 points with increasing strain and a positive peak stress."""
+    size = draw(st.integers(2, 12))
+    strain = np.cumsum(draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size)))
+    values = draw(st.sampled_from([st.floats(0.0, 1e3), st.integers(0, 3).map(float)]))
+    stress = draw(st.lists(values, min_size=size, max_size=size))
+    stress[draw(st.integers(0, size - 1))] = draw(st.floats(1.0, 1e3))
+    return RawCurve(sample_id, strain, np.array(stress))
+
+
+@st.composite
+def ranking_inputs(draw):
+    """1-5 source datasets of 1-4 curves each, optionally one renamed copy (a tie), and 1-3 target curves."""
+    sources = []
+    for i in range(draw(st.integers(1, 5))):
+        curves = [draw(raw_curve(str(j))) for j in range(draw(st.integers(1, 4)))]
+        sources.append(Dataset(f"src{i}", "source", [], curves))
+    if draw(st.booleans()):
+        copied = draw(st.sampled_from(sources))
+        sources.insert(draw(st.integers(0, len(sources))), Dataset("dup", "source", [], copied.curves))
+    target = [draw(raw_curve(f"t{j}")) for j in range(draw(st.integers(1, 3)))]
+    return sources, target, draw(st.integers(2, 30))
+
+
+class TestOneSweepRankingOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(ranking_inputs())
+    def test_entries_equal_per_source_oracle_bitwise(self, inputs):
+        sources, target, n = inputs
+        ranking = rank_sources(sources, target, n)
+        expected = oracle_rank_sources(sources, target, n)
+        assert entry_bytes(ranking.entries) == entry_bytes(expected)
+        assert ranking.selected == expected[0][0]
+
+    def test_length_mismatch_raises_before_any_sweep(self, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("swept before the length check")
+        monkeypatch.setattr("curvetransfer.similarity._dtw_many", sweep)
+        with pytest.raises(ValueError, match="grid length mismatch: 4 vs 3"):
+            _mean_dtws([[make_grid(np.zeros(3))], [make_grid(np.zeros(4))]], [make_grid(np.zeros(3))])
 
 
 class TestBaselines:

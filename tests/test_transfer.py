@@ -78,6 +78,20 @@ class TestFitScalers:
         values = np.array([0.0, 12.3, 50.0])
         np.testing.assert_allclose(scalers.stress.unscale(scalers.stress.scale(values)), values)
 
+    @pytest.mark.parametrize("feature", ["strain", "speed", "stress"])
+    def test_overflowing_span_rejected_naming_the_feature(self, feature):
+        values = {"strain": (0.0, 1.0), "speed": (0.0, 1.0), "stress": (0.0, 1.0)}
+        values[feature] = (-1.7e308, 1.7e308)
+        curves = [RawCurve(str(i), np.array([values["strain"][i]]), np.array([values["stress"][i]]),
+                           {"speed": values["speed"][i]}) for i in range(2)]
+        with pytest.raises(DataValidationError, match=f"feature '{feature}': non-finite span"):
+            fit_scalers(curves)
+
+    def test_large_finite_span_accepted(self):
+        curves = [linear_curve(sample_id=str(i), params={"speed": v})
+                  for i, v in enumerate((-8e307, 8e307))]
+        assert fit_scalers(curves).params[0] == FeatureScaler("speed", -8e307, 8e307)
+
 
 class TestFeatureScalerFromDict:
     def test_infinite_span_rejected_naming_the_scaler(self):
@@ -340,11 +354,10 @@ class TestPretrainTransferFinetune:
 
     @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
     def test_non_finite_training_data_is_a_data_error(self, stage):
-        # Parameters of +-1.7e308 span an infinite range: the top one scales to inf / inf = nan,
-        # so every window of the second curve (windows 7-13) holds a nan.
+        # Parameters of +-1.7e308 span an infinite range: the top one would scale to inf / inf = nan.
         curves = [linear_curve(sample_id=str(i), n=12, params={"p": p})
                   for i, p in enumerate((-1.7e308, 1.7e308))]
-        with pytest.raises(DataValidationError, match=f"{stage} on dataset 'huge': window 7 or its target"):
+        with pytest.raises(DataValidationError, match=f"{stage} on dataset 'huge': feature 'p': non-finite span"):
             if stage == "pretrain":
                 pretrain(curves, small_config(), "huge")
             else:
