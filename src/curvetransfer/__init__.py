@@ -17,15 +17,11 @@ from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import MetricSummary, mape, pearson, r2, rmse, summarize
 from .scaling import CurveScalers, FeatureScaler, fit_scalers
 from .seqnet import (
-    CellState,
     ModelParams,
     TrainConfig,
     backward,
     forward_sequence,
-    gradient_check,
     init_params,
-    lstm_cell_forward,
-    loss_mse,
     optimizer_step,
     predict_windows,
     train,
@@ -33,7 +29,6 @@ from .seqnet import (
 from .similarity import (
     SourceRanking,
     average_dtw,
-    brute_force_dtw,
     cumulative_cost,
     dtw_distance,
     dtw_path,

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .curves import _write_json
 from .errors import DataValidationError
 from .scaling import CurveScalers
 from .seqnet import PARAM_NAMES, ModelParams
@@ -73,11 +74,8 @@ class ModelCheckpoint:
 
 
 def save_checkpoint(checkpoint: ModelCheckpoint, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write the checkpoint as strict JSON; a non-finite value raises ValueError and writes nothing."""
+    _write_json(checkpoint.to_dict(), Path(path))
 
 
 def load_checkpoint(path: str | Path) -> ModelCheckpoint:

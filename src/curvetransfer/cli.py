@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .curves import DEFAULT_GRID_N, Dataset, grid_curve, load_dataset, save_dataset
+from .curves import DEFAULT_GRID_N, Dataset, _write_json, grid_curve, load_dataset, save_dataset
 from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import DEFAULT_MAPE_EPSILON
 from .seqnet import TrainConfig
@@ -45,14 +44,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _write_json(doc: dict, path: Path) -> None:
-    # Strict JSON: a NaN or infinity raises ValueError before the file is opened.
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
 
 
 def _parse_ids(raw: str) -> list[str]:

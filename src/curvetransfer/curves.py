@@ -10,6 +10,7 @@ before any similarity computation.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -318,21 +319,37 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     return Dataset(name, role, schema, curves)
 
 
+def _write_json(doc: dict, path: Path) -> None:
+    """Write ``doc`` as strict, sorted, indented JSON plus a newline, creating the parent directory.
+
+    The text is built before the file is opened, so a NaN or infinity raises
+    ValueError and leaves no file behind.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     """Write a dataset as manifest.json plus one CSV per sample; returns the manifest path.
 
-    Output round-trips through :func:`load_dataset`.
+    Output round-trips through :func:`load_dataset`. Every file's text is
+    built before the first file is created, so a non-finite strain, stress or
+    parameter value raises ValueError and leaves no file behind.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    samples = []
+    samples, csv_texts = [], []
     for curve in dataset.curves:
+        if not (np.isfinite(curve.strain).all() and np.isfinite(curve.stress).all()):
+            raise ValueError(f"sample {curve.sample_id!r}: non-finite strain or stress value")
         fname = f"{curve.sample_id}.csv"
-        with open(out_dir / fname, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for eps, sig in zip(curve.strain, curve.stress):
-                writer.writerow([repr(float(eps)), repr(float(sig))])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(CSV_HEADER)
+        for eps, sig in zip(curve.strain, curve.stress):
+            writer.writerow([repr(float(eps)), repr(float(sig))])
+        csv_texts.append((fname, buf.getvalue()))
         samples.append({"id": curve.sample_id, "file": fname, "params": dict(curve.params)})
     manifest = {
         "name": dataset.name,
@@ -341,7 +358,8 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
         "samples": samples,
     }
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest, manifest_path)
+    for fname, text in csv_texts:
+        with open(out_dir / fname, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
     return manifest_path

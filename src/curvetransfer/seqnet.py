@@ -3,7 +3,9 @@
 One LSTM layer (forget/input/output gates, persistent cell state) followed by
 a fully connected layer that maps the final hidden state to a single stress
 output. Everything is double precision numpy; gradients are exact and checked
-against central finite differences.
+against central finite differences. The test-only oracles (the single-step
+cell, the finite-difference check and the fresh-array training step) live in
+``tests/step_oracle.py``.
 """
 
 from __future__ import annotations
@@ -105,18 +107,6 @@ class ModelParams:
         return ModelParams(self.input_dim, self.hidden_dim, self.flat.copy())
 
 
-@dataclass
-class CellState:
-    """LSTM hidden and cell state vectors, each of length hidden_dim."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-    @staticmethod
-    def zeros(hidden_dim: int) -> "CellState":
-        return CellState(np.zeros(hidden_dim), np.zeros(hidden_dim))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters; loss is fixed to mean squared error."""
@@ -161,62 +151,61 @@ def init_params(seed: int, input_dim: int, hidden_dim: int = HIDDEN_DIM) -> Mode
     return params
 
 
-def lstm_cell_forward(
-    params: ModelParams, x_t: np.ndarray, prev: CellState
-) -> tuple[CellState, np.ndarray]:
-    """One LSTM cell step in the standard forget-gate form.
-
-    Returns the new state and the step's (4h,) gate row: the f, i, o sigmoid
-    gates, then the tanh candidate g, in STACK_ORDER.
-    """
-    x_t = np.asarray(x_t, dtype=float)
-    if x_t.shape != (params.input_dim,):
-        raise ValueError(f"x_t: expected shape ({params.input_dim},), got {x_t.shape}")
-    h_prev, c_prev = prev.h, prev.c
-    f = _sigmoid(params.W_fh @ h_prev + params.W_fx @ x_t + params.b_f)
-    i = _sigmoid(params.W_ih @ h_prev + params.W_ix @ x_t + params.b_i)
-    g = np.tanh(params.W_ch @ h_prev + params.W_cx @ x_t + params.b_c)
-    c = f * c_prev + i * g
-    o = _sigmoid(params.W_oh @ h_prev + params.W_ox @ x_t + params.b_o)
-    h = o * np.tanh(c)
-    return CellState(h=h, c=c), np.concatenate((f, i, o, g))
+def _gate_views(gates: np.ndarray, hd: int) -> list[tuple[np.ndarray, ...]]:
+    # Per step: the three sigmoid gates as one block, then f, i, o, g.
+    h3 = 3 * hd
+    return [(row[:h3], row[:hd], row[hd : 2 * hd], row[2 * hd : h3], row[h3:]) for row in gates]
 
 
-class _StepWorkspace:
-    """Every buffer and view one batch-1 step on an (n, d) window touches, bound once.
+class _ForwardWorkspace:
+    """Every buffer and view the forward pass of one (n, d) window touches, bound once.
 
-    Holds the window's activations ``(gates, cs, hs)`` (fresh arrays, or the
-    caller's when given), the forward and backward scratch and the gradient
-    ``grads``. ``forward_steps`` lists each time step's views in the order
-    t = 0..n-1 and ``backward_steps`` in the order t = n-1..0, and the
+    Holds fresh activations ``(gates, cs, hs)``, the forward scratch, and
+    ``forward_steps``, each time step's views in the order t = 0..n-1. The
     parameter block views are bound to ``params.flat``, which the optimizer
-    updates in place. So :func:`_forward_into` and :func:`_backward_into`
-    neither slice nor allocate. Each call of :func:`train`, and of the public
-    wrappers, builds its own workspace; none is shared between calls.
+    updates in place. So :func:`_forward_into` neither slices nor allocates.
+    Each call of :func:`train`, :func:`forward_sequence` and
+    :func:`predict_windows` builds its own; none is shared between calls.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        n: int,
-        activations: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ):
+    def __init__(self, params: ModelParams, n: int):
         hd = params.hidden_dim
         h3 = 3 * hd
-        if activations is None:
-            # Row 0 of cs and hs is the zero initial state; the kernels never write it.
-            activations = (np.empty((n, 4 * hd)), np.zeros((n + 1, hd)), np.zeros((n + 1, hd)))
-        gates, cs, hs = self.activations = activations
-        self.W_h, self.W_h_T, self.W_x = params.W_h, params.W_h.T, params.W_x
+        # Row 0 of cs and hs is the zero initial state; the kernel never writes it.
+        gates, cs, hs = self.activations = (
+            np.empty((n, 4 * hd)), np.zeros((n + 1, hd)), np.zeros((n + 1, hd))
+        )
+        self.W_h, self.W_x = params.W_h, params.W_x
         self.b_col, self.w_out, self.b_out = params.b[:, None], params.W_out[0], params.b_out
-
         self.xz = np.empty((4 * hd, n))
         self.z = np.empty(4 * hd)
         self.z_sig, self.z_g = self.z[:h3], self.z[h3:]
         self.den = np.empty(h3)
         self.tmp = np.empty(hd)
         self.h_n = hs[n]
+        self.forward_steps = tuple(
+            (self.xz[:, t], sig, f, i, o, g, cs[t], cs[t + 1], hs[t], hs[t + 1])
+            for t, (sig, f, i, o, g) in enumerate(_gate_views(gates, hd))
+        )
 
+
+class _BackwardWorkspace:
+    """Every buffer and view BPTT over given activations ``(gates, cs, hs)`` touches, bound once.
+
+    Reads the activations, never writes them, and holds the backward scratch,
+    the gradient ``grads`` and ``backward_steps``, each time step's views in
+    the order t = n-1..0. So :func:`_backward_into` neither slices nor
+    allocates. :func:`train` binds one to its forward workspace's activations;
+    :func:`backward` binds one to the caller's.
+    """
+
+    def __init__(self, params: ModelParams, activations: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        gates, cs, hs = activations
+        n, hd = len(gates), params.hidden_dim
+        h3 = 3 * hd
+        self.W_h_T, self.w_out = params.W_h.T, params.W_out[0]
+        self.tmp = np.empty(hd)
+        self.h_n = hs[n]
         self.cs_steps = cs[1:]
         self.gates_sig, self.gates_g = gates[:, :h3], gates[:, h3:]
         self.tanh_cs, self.dtanh_cs = np.empty((n, hd)), np.empty((n, hd))
@@ -226,32 +215,26 @@ class _StepWorkspace:
         self.dz_T, self.hs_prev = dz.T, hs[:n]
         self.grads = ModelParams(params.input_dim, hd)
         self.grad_w_out = self.grads.W_out[0]
-
-        # Per step: the three sigmoid gates as one block, then f, i, o, g.
-        gate_views = [(row[:h3], row[:hd], row[hd : 2 * hd], row[2 * hd : h3], row[h3:]) for row in gates]
-        self.forward_steps = tuple(
-            (self.xz[:, t], sig, f, i, o, g, cs[t], cs[t + 1], hs[t], hs[t + 1])
-            for t, (sig, f, i, o, g) in enumerate(gate_views)
-        )
         self.backward_steps = tuple(
             (
                 f, i, o, g, sig, cs[t],
                 self.tanh_cs[t], self.dtanh_cs[t], self.one_minus_sig[t], self.dtanh_g[t],
                 dz[t], dz[t, :hd], dz[t, hd : 2 * hd], dz[t, 2 * hd : h3], dz[t, :h3], dz[t, h3:],
             )
-            for t, (sig, f, i, o, g) in reversed(list(enumerate(gate_views)))
+            for t, (sig, f, i, o, g) in reversed(list(enumerate(_gate_views(gates, hd))))
         )
 
 
-def _forward_into(ws: _StepWorkspace, window: np.ndarray) -> float:
+def _forward_into(ws: _ForwardWorkspace, window: np.ndarray) -> float:
     """The forward pass of one (n, d) window, written into the workspace ``ws``.
 
     Fills ``ws.activations``: the (n, 4h) gate rows and rows 1..n of the
     (n + 1, h) cell and hidden states, whose row 0 holds the zero initial
     state. Returns the prediction. The per-step loop only unpacks
     ``ws.forward_steps`` and writes through ``out=``: it allocates nothing
-    and slices nothing. This is the only copy of the forward arithmetic:
-    :func:`forward_sequence` and :func:`train` both run it.
+    and slices nothing. This is the only copy of the batch-1 forward
+    arithmetic: :func:`forward_sequence`, :func:`train` and the one-window
+    path of :func:`predict_windows` all run it.
     """
     xz = ws.xz
     np.matmul(ws.W_x, window.T, out=xz)  # input contributions for every step at once
@@ -280,10 +263,10 @@ def forward_sequence(
     Returns the scalar prediction W_out . h_n + b_out (normalized-stress
     units) and the window's activations ``(gates, cs, hs)`` that
     :func:`backward` reads. Row t of the (n, 4h) ``gates`` is step t's gate
-    row as :func:`lstm_cell_forward` returns it; ``cs`` and ``hs`` are the
-    (n + 1, h) cell and hidden states, row 0 the zero initial state and row
-    t + 1 the state after step t. Equivalent to iterating
-    :func:`lstm_cell_forward`, with the four gate products fused into one
+    row (f, i, o, g in STACK_ORDER); ``cs`` and ``hs`` are the (n + 1, h)
+    cell and hidden states, row 0 the zero initial state and row t + 1 the
+    state after step t. Equivalent to iterating the single-step cell oracle
+    in ``tests/step_oracle.py``, with the four gate products fused into one
     multiply by the gate-stacked W_h per step.
     """
     window = np.asarray(window, dtype=float)
@@ -291,7 +274,7 @@ def forward_sequence(
         raise ValueError(f"window must be a non-empty 2-D matrix, got shape {window.shape}")
     if window.shape[1] != params.input_dim:
         raise ValueError(f"window columns {window.shape[1]} != input_dim {params.input_dim}")
-    ws = _StepWorkspace(params, window.shape[0])
+    ws = _ForwardWorkspace(params, window.shape[0])
     prediction = _forward_into(ws, window)
     return prediction, ws.activations
 
@@ -311,10 +294,10 @@ def predict_windows(params: ModelParams, windows: np.ndarray) -> np.ndarray:
         raise ValueError(f"windows must be a non-empty 3-D (B, n, d) stack, got shape {windows.shape}")
     if windows.shape[2] != params.input_dim:
         raise ValueError(f"window columns {windows.shape[2]} != input_dim {params.input_dim}")
-    if len(windows) == 1:
-        # numpy runs a one-row product as a GEMV; forward_sequence is the exact path.
-        return np.array([forward_sequence(params, windows[0])[0]])
     (B, n, _), hd = windows.shape, params.hidden_dim
+    if B == 1:
+        # numpy runs a one-row product as a GEMV; the batch-1 kernel is the exact path.
+        return np.array([_forward_into(_ForwardWorkspace(params, n), windows[0])])
     W_h, W_x, b = params.W_h, params.W_x, params.b
     h, c = np.zeros((B, hd)), np.zeros((B, hd))
     xz, z = np.empty((B, 4 * hd)), np.empty((B, 4 * hd))
@@ -336,18 +319,7 @@ def predict_windows(params: ModelParams, windows: np.ndarray) -> np.ndarray:
     return np.vecdot(h, params.W_out[0]) + params.b_out[0]
 
 
-def loss_mse(predictions, targets) -> float:
-    """Mean squared error."""
-    predictions = np.asarray(predictions, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if predictions.shape != targets.shape:
-        raise ValueError(f"length mismatch: {predictions.shape} vs {targets.shape}")
-    if predictions.size == 0:
-        raise ValueError("empty input")
-    return float(np.mean((predictions - targets) ** 2))
-
-
-def _backward_into(ws: _StepWorkspace, window: np.ndarray, dpred: float) -> None:
+def _backward_into(ws: _BackwardWorkspace, window: np.ndarray, dpred: float) -> None:
     """BPTT for one window from the activations in ``ws``, written into ``ws.grads``.
 
     ``dpred`` is the derivative of the loss by the prediction. The
@@ -416,49 +388,9 @@ def backward(
     if len(gates) != n:
         raise ValueError(f"activation/window mismatch: {len(gates)} steps for {n} rows")
     prediction = float(params.W_out[0] @ hs[n] + params.b_out[0])
-    ws = _StepWorkspace(params, n, activations)
+    ws = _BackwardWorkspace(params, activations)
     _backward_into(ws, window, 2.0 * (prediction - target))
     return ws.grads
-
-
-def gradient_check(
-    params: ModelParams,
-    window: np.ndarray,
-    target: float,
-    delta: float = 1e-5,
-    grads: ModelParams | None = None,
-) -> float:
-    """Worst relative error between BPTT gradients and central finite differences.
-
-    The relative error uses denominator max(|g|, |g_fd|, 1e-8) per parameter
-    entry. Pass precomputed ``grads`` to check a candidate gradient (fault
-    injection); otherwise :func:`backward` is called.
-    """
-    window = np.asarray(window, dtype=float)
-    _, activations = forward_sequence(params, window)  # also checks the window
-    if grads is None:
-        grads = backward(params, activations, window, target)
-    # One workspace serves every perturbed forward: its views follow params.flat.
-    ws = _StepWorkspace(params, len(window))
-
-    def loss_at() -> float:
-        return (_forward_into(ws, window) - target) ** 2
-
-    flat = params.flat
-    worst = 0.0
-    for idx in range(flat.size):
-        original = flat[idx]
-        flat[idx] = original + delta
-        loss_plus = loss_at()
-        flat[idx] = original - delta
-        loss_minus = loss_at()
-        flat[idx] = original
-        g_fd = (loss_plus - loss_minus) / (2.0 * delta)
-        g = grads.flat[idx]
-        rel = abs(g - g_fd) / max(abs(g), abs(g_fd), 1e-8)
-        if rel > worst:
-            worst = rel
-    return worst
 
 
 @dataclass
@@ -542,10 +474,10 @@ def train(
     squared error observed during the pass. Deterministic for a fixed seed.
     Raises ValueError for malformed or non-finite data, naming the first
     window that holds a non-finite value, and TrainingDivergenceError if the
-    loss goes non-finite. One workspace per call (see ``_StepWorkspace``)
-    owns every buffer the step writes and binds every view it reads, so the
-    per-window loop allocates nothing and slices nothing beyond taking the
-    window itself.
+    loss goes non-finite. One forward and one backward workspace per call
+    (see ``_ForwardWorkspace`` and ``_BackwardWorkspace``) own every buffer
+    the step writes and bind every view it reads, so the per-window loop
+    allocates nothing and slices nothing beyond taking the window itself.
     """
     windows = np.asarray(windows, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -559,7 +491,8 @@ def train(
     if not finite.all():
         raise ValueError(f"window {int(np.argmin(finite))} or its target holds a non-finite value")
 
-    ws = _StepWorkspace(params, windows.shape[1])
+    fwd = _ForwardWorkspace(params, windows.shape[1])
+    bwd = _BackwardWorkspace(params, fwd.activations)
     rng = np.random.default_rng(config.seed)
     state = init_optimizer_state(params, config)
     loss_history = []
@@ -571,10 +504,10 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             for idx in order:
                 window = windows[idx]
-                residual = _forward_into(ws, window) - float(targets[idx])
+                residual = _forward_into(fwd, window) - float(targets[idx])
                 total += residual * residual
-                _backward_into(ws, window, 2.0 * residual)
-                optimizer_step(params, ws.grads, config, state)
+                _backward_into(bwd, window, 2.0 * residual)
+                optimizer_step(params, bwd.grads, config, state)
         epoch_loss = total / len(windows)
         if not math.isfinite(epoch_loss):
             raise TrainingDivergenceError(

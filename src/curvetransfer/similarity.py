@@ -4,7 +4,8 @@ The DTW distance here is the minimum cumulative sum of squared stress
 differences along a valid monotone alignment path between two curves that were
 normalized and resampled onto the same strain grid. No square root and no
 path-length normalization are applied, and the recurrence is unconstrained
-(no warping window).
+(no warping window). The tests check the distance against an oracle that
+enumerates every alignment path, in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import RawCurve, Dataset, GridCurve, grid_curve, DEFAULT_GRID_N
-
-BRUTE_FORCE_MAX_LEN = 10
 
 
 @dataclass(frozen=True)
@@ -141,41 +140,6 @@ def dtw_distance(a: GridCurve, b: GridCurve) -> float:
     """DTW distance between two gridded curves (the last cumulative cost)."""
     _check_same_length(a, b)
     return float(_dtw_many(a.stress_norm, b.stress_norm[::-1]))
-
-
-def brute_force_dtw(a, b) -> float:
-    """Exhaustive-enumeration DTW over all valid alignment paths.
-
-    Test oracle for :func:`dtw_distance`: recursively explores every monotone
-    path from (0, 0) to (K-1, L-1) without memoization and returns the minimum
-    total squared-difference cost. Exponential in sequence length, hence the
-    length cap.
-    """
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
-    K, L = len(a), len(b)
-    if K == 0 or L == 0:
-        raise ValueError("sequences must be non-empty")
-    if K > BRUTE_FORCE_MAX_LEN or L > BRUTE_FORCE_MAX_LEN:
-        raise ValueError(f"sequences longer than {BRUTE_FORCE_MAX_LEN} are intractable to enumerate")
-    d = [[(ai - bj) ** 2 for bj in b] for ai in a]
-
-    def best_from(k: int, l: int) -> float:
-        cost = d[k][l]
-        if k == K - 1 and l == L - 1:
-            return cost
-        best = None
-        if k + 1 < K:
-            best = best_from(k + 1, l)
-        if l + 1 < L:
-            v = best_from(k, l + 1)
-            best = v if best is None or v < best else best
-        if k + 1 < K and l + 1 < L:
-            v = best_from(k + 1, l + 1)
-            best = v if v < best else best
-        return cost + best
-
-    return best_from(0, 0)
 
 
 def _mean_dtws(sources: list[list[GridCurve]], target: list[GridCurve]) -> list[float]:

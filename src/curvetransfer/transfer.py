@@ -75,6 +75,9 @@ class ExperimentPlan:
             raise DataValidationError(
                 f"mape_epsilon must be a positive finite number, got {self.mape_epsilon!r}"
             )
+        epochs = self.pretrain_epochs
+        if epochs is not None and (isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 1):
+            raise DataValidationError(f"pretrain_epochs must be None or an int >= 1, got {epochs!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -50,9 +50,58 @@ def euclidean_distance(a, b):
     return float(np.sum((a.stress_norm - b.stress_norm) ** 2))
 
 
+BRUTE_FORCE_MAX_LEN = 10
+
+
+def brute_force_dtw(a, b) -> float:
+    """Exhaustive-enumeration DTW over all valid alignment paths.
+
+    Test oracle for :func:`curvetransfer.similarity.dtw_distance`: recursively
+    explores every monotone path from (0, 0) to (K-1, L-1) without memoization
+    and returns the minimum total squared-difference cost. Exponential in
+    sequence length, hence the length cap.
+    """
+    a = [float(v) for v in a]
+    b = [float(v) for v in b]
+    K, L = len(a), len(b)
+    if K == 0 or L == 0:
+        raise ValueError("sequences must be non-empty")
+    if K > BRUTE_FORCE_MAX_LEN or L > BRUTE_FORCE_MAX_LEN:
+        raise ValueError(f"sequences longer than {BRUTE_FORCE_MAX_LEN} are intractable to enumerate")
+    d = [[(ai - bj) ** 2 for bj in b] for ai in a]
+
+    def best_from(k: int, l: int) -> float:
+        cost = d[k][l]
+        if k == K - 1 and l == L - 1:
+            return cost
+        best = None
+        if k + 1 < K:
+            best = best_from(k + 1, l)
+        if l + 1 < L:
+            v = best_from(k, l + 1)
+            best = v if best is None or v < best else best
+        if k + 1 < K and l + 1 < L:
+            v = best_from(k + 1, l + 1)
+            best = v if v < best else best
+        return cost + best
+
+    return best_from(0, 0)
+
+
+def loss_mse(predictions, targets) -> float:
+    """Mean squared error."""
+    predictions = np.asarray(predictions, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if predictions.shape != targets.shape:
+        raise ValueError(f"length mismatch: {predictions.shape} vs {targets.shape}")
+    if predictions.size == 0:
+        raise ValueError("empty input")
+    return float(np.mean((predictions - targets) ** 2))
+
+
 def evaluate_loss(params, windows, targets):
     """Forward-only mean squared error of the model on a set of windows."""
-    from curvetransfer.seqnet import forward_sequence, loss_mse
+    from curvetransfer.seqnet import forward_sequence
 
     predictions = [forward_sequence(params, w)[0] for w in windows]
     return loss_mse(predictions, targets)

@@ -1,15 +1,23 @@
-"""The training step as one loop of fresh-array numpy calls: the bitwise oracle.
+"""Test-only LSTM oracles: the single-step cell, finite differences and the fresh-array step.
 
-These are the package's per-window forward, backward, optimizer and training
-loop bodies from before the step moved to in-place kernels, kept unchanged
-apart from their names. ``seqnet.train`` must equal ``oracle_train`` bit for
-bit on ``ModelParams.flat`` and on the loss history.
+``lstm_cell_forward`` is one cell step in the standard forget-gate form, the
+reference ``forward_sequence`` is checked against step by step.
+``gradient_check`` compares BPTT gradients with central finite differences of
+the package's own forward kernel.
+
+The ``oracle_*`` functions are the package's per-window forward, backward,
+optimizer and training loop bodies from before the step moved to in-place
+kernels, kept unchanged apart from their names. ``seqnet.train`` must equal
+``oracle_train`` bit for bit on ``ModelParams.flat`` and on the loss history.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from curvetransfer import seqnet
 from curvetransfer.errors import TrainingDivergenceError
 from curvetransfer.seqnet import (
     ADAM_BETA1,
@@ -18,8 +26,83 @@ from curvetransfer.seqnet import (
     ModelParams,
     OptimizerState,
     TrainConfig,
+    backward,
+    forward_sequence,
     init_optimizer_state,
 )
+
+
+@dataclass
+class CellState:
+    """LSTM hidden and cell state vectors, each of length hidden_dim."""
+
+    h: np.ndarray
+    c: np.ndarray
+
+    @staticmethod
+    def zeros(hidden_dim: int) -> "CellState":
+        return CellState(np.zeros(hidden_dim), np.zeros(hidden_dim))
+
+
+def lstm_cell_forward(
+    params: ModelParams, x_t: np.ndarray, prev: CellState
+) -> tuple[CellState, np.ndarray]:
+    """One LSTM cell step in the standard forget-gate form.
+
+    Returns the new state and the step's (4h,) gate row: the f, i, o sigmoid
+    gates, then the tanh candidate g, in STACK_ORDER.
+    """
+    x_t = np.asarray(x_t, dtype=float)
+    if x_t.shape != (params.input_dim,):
+        raise ValueError(f"x_t: expected shape ({params.input_dim},), got {x_t.shape}")
+    h_prev, c_prev = prev.h, prev.c
+    f = seqnet._sigmoid(params.W_fh @ h_prev + params.W_fx @ x_t + params.b_f)
+    i = seqnet._sigmoid(params.W_ih @ h_prev + params.W_ix @ x_t + params.b_i)
+    g = np.tanh(params.W_ch @ h_prev + params.W_cx @ x_t + params.b_c)
+    c = f * c_prev + i * g
+    o = seqnet._sigmoid(params.W_oh @ h_prev + params.W_ox @ x_t + params.b_o)
+    h = o * np.tanh(c)
+    return CellState(h=h, c=c), np.concatenate((f, i, o, g))
+
+
+def gradient_check(
+    params: ModelParams,
+    window: np.ndarray,
+    target: float,
+    delta: float = 1e-5,
+    grads: ModelParams | None = None,
+) -> float:
+    """Worst relative error between BPTT gradients and central finite differences.
+
+    The relative error uses denominator max(|g|, |g_fd|, 1e-8) per parameter
+    entry. Pass precomputed ``grads`` to check a candidate gradient (fault
+    injection); otherwise :func:`backward` is called.
+    """
+    window = np.asarray(window, dtype=float)
+    _, activations = forward_sequence(params, window)  # also checks the window
+    if grads is None:
+        grads = backward(params, activations, window, target)
+    # One forward workspace serves every perturbed forward: its views follow params.flat.
+    ws = seqnet._ForwardWorkspace(params, len(window))
+
+    def loss_at() -> float:
+        return (seqnet._forward_into(ws, window) - target) ** 2
+
+    flat = params.flat
+    worst = 0.0
+    for idx in range(flat.size):
+        original = flat[idx]
+        flat[idx] = original + delta
+        loss_plus = loss_at()
+        flat[idx] = original - delta
+        loss_minus = loss_at()
+        flat[idx] = original
+        g_fd = (loss_plus - loss_minus) / (2.0 * delta)
+        g = grads.flat[idx]
+        rel = abs(g - g_fd) / max(abs(g), abs(g_fd), 1e-8)
+        if rel > worst:
+            worst = rel
+    return worst
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -19,11 +19,9 @@ from curvetransfer.seqnet import (
     TrainConfig,
     backward,
     forward_sequence,
-    gradient_check,
     init_params,
 )
 from curvetransfer.similarity import (
-    brute_force_dtw,
     dtw_distance,
     rank_sources,
 )
@@ -37,7 +35,8 @@ from curvetransfer.transfer import (
     transfer_init,
 )
 
-from conftest import euclidean_distance
+from conftest import brute_force_dtw, euclidean_distance
+from step_oracle import gradient_check
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvetransfer.curves import (
+    Dataset,
     GridCurve,
+    ParamField,
     RawCurve,
     grid_curve,
     load_dataset,
     normalize_curve,
     resample_to_grid,
+    save_dataset,
     validate_curve,
 )
 from curvetransfer.errors import DataValidationError
@@ -310,3 +313,29 @@ def test_grid_curve_end_to_end():
     assert gc.sample_id == "s"
     assert len(gc) == 60
     assert gc.stress_norm[-1] == 1.0
+
+
+class TestSaveDataset:
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("stress", float("nan"), "non-finite strain or stress"),
+            ("strain", float("inf"), "non-finite strain or stress"),
+            ("param", float("inf"), "not JSON compliant"),
+        ],
+    )
+    def test_non_finite_value_raises_before_any_file(self, tmp_path, field, value, match):
+        strain, stress, params = np.array([0.0, 0.01, 0.02]), np.array([0.0, 10.0, 20.0]), {"speed": 10.0}
+        if field == "stress":
+            stress[1] = value
+        elif field == "strain":
+            strain[2] = value
+        else:
+            params["speed"] = value
+        good = RawCurve("1", np.array([0.0, 0.01, 0.02]), np.array([0.0, 5.0, 9.0]), {"speed": 5.0})
+        bad = RawCurve("2", strain, stress, params)
+        dataset = Dataset("demo", "target", [ParamField("speed")], [good, bad])
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match=match):
+            save_dataset(dataset, out_dir)
+        assert not out_dir.exists()

@@ -12,15 +12,11 @@ from curvetransfer.errors import TrainingDivergenceError
 from curvetransfer.scaling import fit_scalers
 from curvetransfer.seqnet import (
     PARAM_NAMES,
-    CellState,
     ModelParams,
     TrainConfig,
     backward,
     forward_sequence,
-    gradient_check,
     init_params,
-    loss_mse,
-    lstm_cell_forward,
     optimizer_step,
     init_optimizer_state,
     predict_windows,
@@ -29,8 +25,15 @@ from curvetransfer.seqnet import (
 )
 from curvetransfer.synthgen import standard_suite
 
-from conftest import evaluate_loss
-from step_oracle import oracle_backward, oracle_forward_sequence, oracle_train
+from conftest import evaluate_loss, loss_mse
+from step_oracle import (
+    CellState,
+    gradient_check,
+    lstm_cell_forward,
+    oracle_backward,
+    oracle_forward_sequence,
+    oracle_train,
+)
 
 
 def sign_split_sigmoid(z):

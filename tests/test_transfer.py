@@ -556,6 +556,15 @@ class TestRunVariant:
 
 
 class TestCheckpointErrors:
+    def test_non_finite_weight_raises_before_writing(self, tmp_path):
+        ds = small_source()
+        ckpt = pretrain(ds.curves, small_config(), ds.name)
+        ckpt.params.W_fh[0, 0] = float("nan")
+        path = tmp_path / "out" / "ckpt.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_checkpoint(ckpt, path)
+        assert not path.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataValidationError, match="cannot read"):
             load_checkpoint(tmp_path / "nope.json")
@@ -675,6 +684,15 @@ class TestPlanValidation:
                 variant="vanilla", source_datasets=[], target_dataset="t",
                 target_train_ids=["1"], target_test_ids=["2"], config=small_config(),
                 grid_n=grid_n,
+            )
+
+    @pytest.mark.parametrize("epochs", [0, -3, True, 2.5, "4"])
+    def test_bad_pretrain_epochs_rejected(self, epochs):
+        with pytest.raises(DataValidationError, match="pretrain_epochs"):
+            ExperimentPlan(
+                variant="vanilla", source_datasets=[], target_dataset="t",
+                target_train_ids=["1"], target_test_ids=["2"], config=small_config(),
+                pretrain_epochs=epochs,
             )
 
     def test_plan_echo_includes_config(self):
