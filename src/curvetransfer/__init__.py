@@ -3,7 +3,6 @@
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .curves import (
     Dataset,
-    GridCurve,
     ParamField,
     RawCurve,
     grid_curve,
@@ -39,7 +38,6 @@ from .synthgen import FamilySpec, generate_dataset, standard_suite
 from .transfer import (
     EvalReport,
     ExperimentPlan,
-    SupervisedSet,
     concat_shuffle_sources,
     finetune,
     predict_curve,

@@ -56,6 +56,7 @@ def _parse_ids(raw: str) -> list[str]:
 
 
 def _train_ids(args, target: Dataset) -> list[str]:
+    """--train-ids if given, else the two DOE-corner samples; --auto-extreme names that default."""
     if args.train_ids:
         return _parse_ids(args.train_ids)
     return list(select_extreme_training_samples(target))
@@ -114,7 +115,8 @@ def _add_split_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--train-ids", help="comma-separated target training sample ids")
     group.add_argument(
         "--auto-extreme", action="store_true",
-        help="pick the two DOE-corner samples (scaled-parameter-sum extremes) for training",
+        help="train on the two DOE-corner samples (scaled-parameter-sum extremes); "
+        "the default without --train-ids",
     )
 
 
@@ -249,7 +251,7 @@ def cmd_pipeline(args) -> int:
             for eps, actual, predicted in zip(curve.strain[n:], curve.stress[n:], sample.predicted):
                 writer.writerow([repr(float(eps)), repr(float(actual)), repr(float(predicted))])
 
-    print(f"variant: {report.variant}")
+    print(f"variant: {report.plan.variant}")
     if report.selected_source:
         print(f"selected source: {report.selected_source}")
     print(f"MAPE: {report.aggregate_mape:.2f}%  RMSE: {report.aggregate_rmse:.2f}  "

@@ -93,22 +93,6 @@ class Dataset:
         raise DataValidationError(f"dataset {self.name!r} has no sample {sample_id!r}")
 
 
-@dataclass(frozen=True)
-class GridCurve:
-    """A normalized curve resampled onto the common N-point strain grid.
-
-    ``grid`` is evenly spaced in [0, 1] with grid[0] == 0 and grid[-1] == 1;
-    ``stress_norm`` holds the interpolated normalized stress at each grid point.
-    """
-
-    sample_id: str
-    grid: np.ndarray
-    stress_norm: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.grid)
-
-
 def validate_curve(curve: RawCurve) -> RawCurve:
     """Clean one raw curve so downstream normalization is well defined.
 
@@ -175,11 +159,13 @@ def resample_to_grid(
     stress_norm: np.ndarray,
     n: int = DEFAULT_GRID_N,
     sample_id: str = "",
-) -> GridCurve:
-    """Linearly interpolate normalized stress onto an n-point grid over [0, 1].
+) -> np.ndarray:
+    """Normalized stress linearly interpolated at the n evenly spaced grid points of [0, 1].
 
+    The result is an (n,) float64 array; point k sits at strain k / (n - 1).
     Grid points below the smallest strain carry the first stress value
     (constant-left extension); points above the largest strain carry the last.
+    ``sample_id`` only names the sample in error messages.
     """
     if n < 2:
         raise DataValidationError(f"grid size must be >= 2, got {n}")
@@ -187,13 +173,11 @@ def resample_to_grid(
     stress_norm = np.asarray(stress_norm, dtype=float)
     if np.any(np.diff(strain_norm) <= 0):
         raise DataValidationError(f"sample {sample_id!r}: strain must be strictly increasing")
-    grid = np.linspace(0.0, 1.0, n)
-    values = np.interp(grid, strain_norm, stress_norm)
-    return GridCurve(sample_id=sample_id, grid=grid, stress_norm=values)
+    return np.interp(np.linspace(0.0, 1.0, n), strain_norm, stress_norm)
 
 
-def grid_curve(curve: RawCurve, n: int = DEFAULT_GRID_N) -> GridCurve:
-    """Validate, normalize, and resample one raw curve in a single step."""
+def grid_curve(curve: RawCurve, n: int = DEFAULT_GRID_N) -> np.ndarray:
+    """Validate, normalize, and resample one raw curve: its (n,) normalized stress on the grid."""
     cleaned = validate_curve(curve)
     strain_norm, stress_norm = normalize_curve(cleaned)
     return resample_to_grid(strain_norm, stress_norm, n, sample_id=curve.sample_id)

@@ -122,8 +122,9 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not (lr > 0 and math.isfinite(lr)):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.sequence_length < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import RawCurve, Dataset, GridCurve, grid_curve, DEFAULT_GRID_N
+from .curves import RawCurve, Dataset, grid_curve, DEFAULT_GRID_N
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,15 @@ class SourceRanking:
         }
 
 
-def _check_same_length(a: GridCurve, b: GridCurve) -> None:
-    if len(a.stress_norm) != len(b.stress_norm):
-        raise ValueError(
-            f"grid length mismatch: {len(a.stress_norm)} vs {len(b.stress_norm)}"
-        )
+def _check_same_length(a: np.ndarray, b: np.ndarray) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"grid length mismatch: {len(a)} vs {len(b)}")
 
 
-def local_distance_matrix(a: GridCurve, b: GridCurve) -> np.ndarray:
-    """Matrix of squared differences between every pair of stress values."""
+def local_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of squared differences between every pair of stress values of two gridded curves."""
     _check_same_length(a, b)
-    return (a.stress_norm[:, None] - b.stress_norm[None, :]) ** 2
+    return (a[:, None] - b[None, :]) ** 2
 
 
 def cumulative_cost(local: np.ndarray) -> np.ndarray:
@@ -136,13 +134,13 @@ def dtw_path(cumulative: np.ndarray) -> list[tuple[int, int]]:
     return path
 
 
-def dtw_distance(a: GridCurve, b: GridCurve) -> float:
-    """DTW distance between two gridded curves (the last cumulative cost)."""
+def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """DTW distance between two gridded (N,) stress arrays (the last cumulative cost)."""
     _check_same_length(a, b)
-    return float(_dtw_many(a.stress_norm, b.stress_norm[::-1]))
+    return float(_dtw_many(a, b[::-1]))
 
 
-def _mean_dtws(sources: list[list[GridCurve]], target: list[GridCurve]) -> list[float]:
+def _mean_dtws(sources: list[list[np.ndarray]], target: list[np.ndarray]) -> list[float]:
     """Mean DTW distance of each source's curves to the target curves.
 
     Lengths are checked first; then all pairs of all sources run through one
@@ -151,8 +149,8 @@ def _mean_dtws(sources: list[list[GridCurve]], target: list[GridCurve]) -> list[
     """
     for p, m in ((p, m) for source in sources for p in source for m in target):
         _check_same_length(p, m)
-    a = np.stack([p.stress_norm for source in sources for p in source for _ in target], axis=1)
-    b_rev = np.stack([m.stress_norm[::-1] for source in sources for _ in source for m in target], axis=1)
+    a = np.stack([p for source in sources for p in source for _ in target], axis=1)
+    b_rev = np.stack([m[::-1] for source in sources for _ in source for m in target], axis=1)
     distances = iter(_dtw_many(a, b_rev).tolist())
     means = []
     for source in sources:
@@ -163,7 +161,7 @@ def _mean_dtws(sources: list[list[GridCurve]], target: list[GridCurve]) -> list[
     return means
 
 
-def average_dtw(source: list[GridCurve], target: list[GridCurve]) -> float:
+def average_dtw(source: list[np.ndarray], target: list[np.ndarray]) -> float:
     """Mean DTW distance over all source x target curve pairs: the one-source case of :func:`_mean_dtws`."""
     if not source or not target:
         raise ValueError("average_dtw requires non-empty curve lists")

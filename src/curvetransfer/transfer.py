@@ -27,17 +27,6 @@ VARIANTS = ("vanilla", "tl_all", "dtw_tl")
 
 
 @dataclass
-class SupervisedSet:
-    """One training split's (W, n, d) windows and the scaled stress each one predicts."""
-
-    windows: np.ndarray
-    targets: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.windows)
-
-
-@dataclass
 class ExperimentPlan:
     """One experiment: variant, datasets, target split, and training config."""
 
@@ -67,14 +56,13 @@ class ExperimentPlan:
             raise DataValidationError("target_train_ids must not be empty")
         if not self.target_test_ids:
             raise DataValidationError("target_test_ids must not be empty")
-        if self.grid_n < 2:
-            raise DataValidationError(f"grid_n must be >= 2, got {self.grid_n}")
+        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, int) or self.grid_n < 2:
+            raise DataValidationError(f"grid_n must be >= 2 and an int, got {self.grid_n!r}")
         if self.variant != "vanilla" and not self.source_datasets:
             raise DataValidationError(f"variant {self.variant!r} requires source datasets")
-        if not (self.mape_epsilon > 0 and np.isfinite(self.mape_epsilon)):
-            raise DataValidationError(
-                f"mape_epsilon must be a positive finite number, got {self.mape_epsilon!r}"
-            )
+        eps = self.mape_epsilon
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not (eps > 0 and np.isfinite(eps)):
+            raise DataValidationError(f"mape_epsilon must be a positive finite number, got {eps!r}")
         epochs = self.pretrain_epochs
         if epochs is not None and (isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 1):
             raise DataValidationError(f"pretrain_epochs must be None or an int >= 1, got {epochs!r}")
@@ -109,9 +97,8 @@ class SampleEval:
 
 @dataclass
 class EvalReport:
-    """Full result of one experiment run."""
+    """Full result of one experiment run; the variant is ``plan.variant``."""
 
-    variant: str
     plan: ExperimentPlan
     per_sample: list[SampleEval]
     aggregate_mape: float
@@ -122,7 +109,7 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         doc = {
-            "variant": self.variant,
+            "variant": self.plan.variant,
             "plan": self.plan.to_dict(),
             "seed": self.plan.config.seed,
             "per_sample": [
@@ -172,12 +159,13 @@ def window_dataset(
     scalers: CurveScalers,
     n: int,
     pad: bool = False,
-) -> SupervisedSet:
+) -> tuple[np.ndarray, np.ndarray]:
     """Slide length-n windows over every curve; each window predicts the next stress.
 
-    A curve of L points yields L - n windows, stacked in curve order into one
-    (W, n, d) array. Curves with <= n points are skipped with a warning; an
-    error is raised if no windows remain.
+    Returns ``(windows, targets)``: a curve of L points yields L - n windows,
+    stacked in curve order into one (W, n, d) array, and ``targets`` holds the
+    (W,) scaled stress each window predicts. Curves with <= n points are
+    skipped with a warning; an error is raised if no windows remain.
     """
     if n < 1:
         raise DataValidationError(f"sequence length must be >= 1, got {n}")
@@ -196,7 +184,7 @@ def window_dataset(
         targets.append(curve_targets)
     if not windows:
         raise DataValidationError(f"no usable windows: every curve has <= {n} points")
-    return SupervisedSet(windows=np.concatenate(windows), targets=np.concatenate(targets))
+    return np.concatenate(windows), np.concatenate(targets)
 
 
 def select_extreme_training_samples(dataset: Dataset) -> tuple[str, str]:
@@ -256,9 +244,9 @@ def _train_stage(
     pad: bool,
 ) -> ModelCheckpoint:
     """Train on the windows of one stage's curves."""
-    supervised = window_dataset(curves, scalers, config.sequence_length, pad=pad)
+    windows, targets = window_dataset(curves, scalers, config.sequence_length, pad=pad)
     with _stage_errors(stage, dataset_name):
-        params, _ = train(params, supervised.windows, supervised.targets, config)
+        params, _ = train(params, windows, targets, config)
     return ModelCheckpoint(
         params=params,
         scalers=scalers,
@@ -479,7 +467,6 @@ def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
     per_sample = _finetune_and_evaluate(plan, params0, target, train_curves, test_curves, arity)
     aggregate = _aggregate(per_sample)
     return EvalReport(
-        variant=plan.variant,
         plan=plan,
         per_sample=per_sample,
         aggregate_mape=aggregate["mape"],

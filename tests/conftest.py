@@ -47,7 +47,7 @@ def linear_curve(sample_id="s", n=30, slope=1000.0, max_strain=0.05, params=None
 
 def euclidean_distance(a, b):
     """Point-by-point sum of squared stress differences of two gridded curves (no warping)."""
-    return float(np.sum((a.stress_norm - b.stress_norm) ** 2))
+    return float(np.sum((a - b) ** 2))
 
 
 BRUTE_FORCE_MAX_LEN = 10

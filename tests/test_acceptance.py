@@ -12,7 +12,6 @@ import pytest
 
 from curvetransfer.checkpoint import load_checkpoint, save_checkpoint
 from curvetransfer.cli import main
-from curvetransfer.curves import GridCurve
 from curvetransfer.metrics import mape, pearson, r2, rmse, summarize
 from curvetransfer.seqnet import (
     PARAM_NAMES,
@@ -45,7 +44,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def random_grid(rng, n=120):
-    return GridCurve("r", np.linspace(0.0, 1.0, n), rng.random(n))
+    return rng.random(n)
 
 
 def extreme_split(dataset):
@@ -80,8 +79,7 @@ def test_criterion_1_dtw_oracle_equivalence():
         length = int(rng.integers(2, 9))
         a = rng.random(length)
         b = rng.random(length)
-        grid = np.linspace(0.0, 1.0, length)
-        fast = dtw_distance(GridCurve("a", grid, a), GridCurve("b", grid, b))
+        fast = dtw_distance(a, b)
         oracle = brute_force_dtw(a, b)
         worst = max(worst, abs(fast - oracle))
     elapsed = time.perf_counter() - start

@@ -144,6 +144,45 @@ class TestRankGolden:
         assert digests == {key: d for key, d in RANK_GOLDEN.items() if key[0] == seed}
 
 
+# sha256 of `pipeline --auto-extreme --seed 0 --out` report.json on metal_hardening of
+# suite seed 0 at a small config, per variant, and of `evaluate --out` for a one-epoch
+# poly_plateau checkpoint on the same target. Training and inference run through BLAS,
+# so unlike RANK_GOLDEN these bytes hold for one numpy/OpenBLAS build (numpy 2.4,
+# OpenBLAS 0.3.31, x86-64).
+GOLDEN_TRAIN = ["--seed", "0", "--epochs", "2", "--pretrain-epochs", "1", "--seq-len", "5"]
+PIPELINE_GOLDEN = {
+    "vanilla": "2d1c739230d6f800384b9c11347941377cc1426a9f7805ea61fc12b1d1a42cfb",
+    "tl_all": "8a09fa1be41386869a5789adbdc099f81001d7e78eeca8f9a70ab579f0b7dc97",
+    "dtw_tl": "4e817e0884acf72251bb027bd2bcd61256f95e356b25687438a56827ab1d593f",
+}
+EVALUATE_GOLDEN = "8e1e2e1f7c7f1ce43b01654ff1185a1524260b5632dcce8c5b5c6df8b8e432ff"
+
+
+@pytest.fixture(scope="module")
+def golden_suite(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_suite")
+    assert main(["synth", "--seed", "0", "--out", str(out)]) == 0
+    return out
+
+
+class TestTrainGolden:
+    @pytest.mark.parametrize("variant", sorted(PIPELINE_GOLDEN))
+    def test_report_bytes_match_golden(self, variant, golden_suite, tmp_path):
+        rc = main(["pipeline", "--variant", variant, *source_args(golden_suite),
+                   "--target", manifest_of(golden_suite, "metal_hardening"),
+                   "--auto-extreme", *GOLDEN_TRAIN, "--out", str(tmp_path)])
+        assert rc == 0
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == PIPELINE_GOLDEN[variant]
+
+    def test_evaluate_bytes_match_golden(self, golden_suite, tmp_path):
+        ckpt, out = tmp_path / "pre.json", tmp_path / "eval.json"
+        assert main(["pretrain", "--sources", manifest_of(golden_suite, "poly_plateau"),
+                     "--out", str(ckpt), "--seed", "0", "--epochs", "1"]) == 0
+        assert main(["evaluate", "--checkpoint", str(ckpt),
+                     "--target", manifest_of(golden_suite, "metal_hardening"), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EVALUATE_GOLDEN
+
+
 # Every command that takes --seed, with its other required flags. The files
 # are never read: the usage errors tested with these are caught first.
 REQUIRED_FLAGS = {

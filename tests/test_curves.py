@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from curvetransfer.curves import (
     Dataset,
-    GridCurve,
     ParamField,
     RawCurve,
     grid_curve,
@@ -146,23 +145,23 @@ def _interp_reference(x, xs, ys):
 class TestResampleToGrid:
     def test_linear_segment(self):
         gc = resample_to_grid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 3)
-        np.testing.assert_allclose(gc.grid, [0.0, 0.5, 1.0])
-        np.testing.assert_allclose(gc.stress_norm, [0.0, 0.5, 1.0])
+        assert gc.shape == (3,)
+        np.testing.assert_allclose(gc, [0.0, 0.5, 1.0])
 
     def test_constant_left_extension(self):
         gc = resample_to_grid(np.array([0.2, 1.0]), np.array([0.1, 1.0]), 120)
-        below = gc.grid < 0.2
+        below = np.linspace(0.0, 1.0, 120) < 0.2
         assert below.sum() > 0
-        np.testing.assert_allclose(gc.stress_norm[below], 0.1)
-        assert gc.stress_norm[-1] == 1.0
+        np.testing.assert_allclose(gc[below], 0.1)
+        assert gc[-1] == 1.0
 
     def test_piecewise_interpolation_matches_reference(self):
         xs = np.array([0.0, 0.5, 1.0])
         ys = np.array([0.0, 1.0, 1.0])
         gc = resample_to_grid(xs, ys, 5)
         # grid point 0.25 lies mid-segment: hand value 0.5
-        assert abs(gc.stress_norm[1] - 0.5) < 1e-15
-        for g, v in zip(gc.grid, gc.stress_norm):
+        assert abs(gc[1] - 0.5) < 1e-15
+        for g, v in zip(np.linspace(0.0, 1.0, 5), gc):
             assert abs(v - _interp_reference(g, xs, ys)) < 1e-12
 
     def test_random_curves_match_reference(self):
@@ -174,27 +173,28 @@ class TestResampleToGrid:
             xs = np.unique(xs)
             ys = rng.random(len(xs))
             gc = resample_to_grid(xs, ys, 37)
-            for g, v in zip(gc.grid, gc.stress_norm):
+            for g, v in zip(np.linspace(0.0, 1.0, 37), gc):
                 assert abs(v - _interp_reference(g, xs, ys)) < 1e-12
 
     def test_grid_invariants(self):
         gc = resample_to_grid(np.array([0.0, 1.0]), np.array([0.3, 0.9]), 120)
+        grid = np.linspace(0.0, 1.0, 120)
         assert len(gc) == 120
-        assert gc.grid[0] == 0.0 and gc.grid[-1] == 1.0
-        assert np.all(np.diff(gc.grid) > 0)
-        assert np.all((gc.stress_norm >= 0) & (gc.stress_norm <= 1 + 1e-12))
+        assert grid[0] == 0.0 and grid[-1] == 1.0
+        assert np.all(np.diff(grid) > 0)
+        assert np.all((gc >= 0) & (gc <= 1 + 1e-12))
 
     def test_exact_at_coincident_points(self):
         xs = np.linspace(0.0, 1.0, 11)  # every xs lands on the 11-point grid
         ys = np.sin(xs * 3) ** 2
         gc = resample_to_grid(xs, ys, 11)
-        np.testing.assert_allclose(gc.stress_norm, ys, atol=1e-12)
+        np.testing.assert_allclose(gc, ys, atol=1e-12)
 
     def test_round_trip_on_grid(self):
         grid = np.linspace(0.0, 1.0, 50)
         values = np.clip(np.cumsum(np.random.default_rng(3).random(50)) / 30.0, 0, 1)
         gc = resample_to_grid(grid, values, 50)
-        np.testing.assert_allclose(gc.stress_norm, values, atol=1e-12)
+        np.testing.assert_allclose(gc, values, atol=1e-12)
 
     def test_too_few_grid_points(self):
         with pytest.raises(DataValidationError, match=">= 2"):
@@ -309,10 +309,9 @@ class TestLoadDataset:
 def test_grid_curve_end_to_end():
     curve = RawCurve("s", np.array([0.0, 0.01, 0.01, 0.05]), np.array([-1.0, 10.0, 12.0, 50.0]))
     gc = grid_curve(curve, 60)
-    assert isinstance(gc, GridCurve)
-    assert gc.sample_id == "s"
+    assert isinstance(gc, np.ndarray) and gc.dtype == np.float64
     assert len(gc) == 60
-    assert gc.stress_norm[-1] == 1.0
+    assert gc[-1] == 1.0
 
 
 class TestSaveDataset:

@@ -395,6 +395,8 @@ class TestTrain:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", math.nan),
         ("learning_rate", math.inf),
+        ("learning_rate", True),
+        ("learning_rate", "1e-3"),
         ("epochs", True),
         ("epochs", 2.0),
         ("sequence_length", True),
@@ -521,9 +523,9 @@ class TestTrainOracle:
         plateau = next(ds for ds in sources if ds.name == "poly_plateau")
         config = TrainConfig(epochs=2)
         scalers = fit_scalers(plateau.curves)
-        supervised = transfer.window_dataset(plateau.curves, scalers, config.sequence_length)
+        windows, targets = transfer.window_dataset(plateau.curves, scalers, config.sequence_length)
         params = init_params(config.seed, scalers.input_dim)
-        assert_train_matches_oracle(params, supervised.windows, supervised.targets, config)
+        assert_train_matches_oracle(params, windows, targets, config)
 
 
 def window_layout(layout, windows, rng):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from curvetransfer.curves import Dataset, ParamField, RawCurve, GridCurve, grid_curve
+from curvetransfer.curves import Dataset, ParamField, RawCurve, grid_curve
 from curvetransfer.metrics import pearson
 from curvetransfer.similarity import (
     _dtw_many,
@@ -25,12 +25,11 @@ VALID_STEPS = {(1, 0), (0, 1), (1, 1)}
 
 def pearson_similarity(a, b):
     """Sample Pearson correlation of two gridded stress vectors."""
-    return pearson(a.stress_norm, b.stress_norm)
+    return pearson(a, b)
 
 
-def make_grid(stress, sample_id="g"):
-    stress = np.asarray(stress, dtype=float)
-    return GridCurve(sample_id, np.linspace(0.0, 1.0, len(stress)), stress)
+def make_grid(stress):
+    return np.asarray(stress, dtype=float)
 
 
 class TestLocalDistanceMatrix:
@@ -85,7 +84,7 @@ class TestDtwDistance:
         a = make_grid([0.0, 1.0, 1.0, 0.0])
         b = make_grid([0.0, 1.0, 0.0, 0.0])
         assert dtw_distance(a, b) == 0.0
-        assert brute_force_dtw(a.stress_norm, b.stress_norm) == 0.0
+        assert brute_force_dtw(a, b) == 0.0
 
     def test_opposite_two_point_curves(self):
         a, b = make_grid([0.0, 1.0]), make_grid([1.0, 0.0])
@@ -98,7 +97,7 @@ class TestDtwDistance:
             k = int(rng.integers(2, 9))
             l = int(rng.integers(2, 9))
             a, b = make_grid(rng.random(k)), make_grid(rng.random(l))
-            oracle = brute_force_dtw(a.stress_norm, b.stress_norm)
+            oracle = brute_force_dtw(a, b)
             local = local_distance_matrix_pairable(a, b)
             assert abs(float(cumulative_cost(local)[-1, -1]) - oracle) < 1e-12
 
@@ -135,7 +134,7 @@ class TestDtwDistance:
 def gridded_pairs(draw):
     n = draw(st.integers(2, 30))
     values = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
-    return make_grid(draw(values), "a"), make_grid(draw(values), "b")
+    return make_grid(draw(values)), make_grid(draw(values))
 
 
 class TestDistanceOnlyFastPath:
@@ -151,7 +150,7 @@ class TestDistanceOnlyFastPath:
     @given(gridded_pairs())
     def test_path_is_valid_and_realizes_distance(self, pair):
         a, b = pair
-        n = len(a.stress_norm)
+        n = len(a)
         local = local_distance_matrix(a, b)
         path = dtw_path(cumulative_cost(local))
         assert path[0] == (0, 0) and path[-1] == (n - 1, n - 1)
@@ -237,7 +236,7 @@ class TestAllPairsKernel:
 
 def local_distance_matrix_pairable(a, b):
     # DTW between different-length sequences, for oracle comparisons only.
-    return (a.stress_norm[:, None] - b.stress_norm[None, :]) ** 2
+    return (a[:, None] - b[None, :]) ** 2
 
 
 class TestBruteForce:
@@ -391,7 +390,7 @@ class TestBaselines:
 
     def test_pearson_reflected(self):
         a = make_grid([0.0, 0.2, 0.9, 1.0])
-        b = make_grid(1.0 - a.stress_norm)
+        b = make_grid(1.0 - a)
         assert abs(pearson_similarity(a, b) + 1.0) < 1e-12
 
     def test_pearson_constant_rejected(self):

@@ -107,8 +107,8 @@ class TestWindowDataset:
     def test_window_count(self):
         curves = [linear_curve(n=7, params={"p": 1.0})]
         scalers = fit_scalers(curves)
-        supervised = window_dataset(curves, scalers, 5)
-        assert len(supervised) == 2
+        windows, _ = window_dataset(curves, scalers, 5)
+        assert len(windows) == 2
 
     def test_windows_never_cross_curves(self):
         curves = [
@@ -116,17 +116,17 @@ class TestWindowDataset:
             linear_curve(sample_id="b", n=6, params={"p": 2.0}),
         ]
         scalers = fit_scalers(curves)
-        supervised = window_dataset(curves, scalers, 5)
-        assert len(supervised) == 2
-        param_column = supervised.windows[:, :, 1]
+        windows, _ = window_dataset(curves, scalers, 5)
+        assert len(windows) == 2
+        param_column = windows[:, :, 1]
         assert np.all(param_column == param_column[:, :1])  # no window mixes the two curves' rows
         np.testing.assert_array_equal(param_column[:, 0], [0.0, 1.0])  # a's window, then b's
 
     def test_param_columns_constant_within_window(self):
         curves = [linear_curve(n=10, params={"p": 3.0, "q": 9.0})]
         scalers = fit_scalers(curves)
-        supervised = window_dataset(curves, scalers, 4)
-        for window in supervised.windows:
+        windows, _ = window_dataset(curves, scalers, 4)
+        for window in windows:
             assert np.all(window[:, 1] == window[0, 1])
             assert np.all(window[:, 2] == window[0, 2])
 
@@ -138,10 +138,10 @@ class TestWindowDataset:
             strain[0] = 0.0
             curves.append(RawCurve(str(i), strain, rng.random(20) * 300, {"p": float(i)}))
         scalers = fit_scalers(curves)
-        supervised = window_dataset(curves, scalers, 5)
-        for window in supervised.windows:
+        windows, targets = window_dataset(curves, scalers, 5)
+        for window in windows:
             assert np.all(window >= -1e-12) and np.all(window <= 1 + 1e-12)
-        assert np.all(supervised.targets >= -1e-12) and np.all(supervised.targets <= 1 + 1e-12)
+        assert np.all(targets >= -1e-12) and np.all(targets <= 1 + 1e-12)
 
     def test_short_curves_skipped_with_warning(self):
         curves = [
@@ -150,9 +150,9 @@ class TestWindowDataset:
         ]
         scalers = fit_scalers(curves)
         with pytest.warns(UserWarning, match="short"):
-            supervised = window_dataset(curves, scalers, 5)
-        assert len(supervised) == 10 - 5
-        assert np.all(supervised.windows[:, :, 1] == 1.0)  # long's scaled p; short's would be 0
+            windows, _ = window_dataset(curves, scalers, 5)
+        assert len(windows) == 10 - 5
+        assert np.all(windows[:, :, 1] == 1.0)  # long's scaled p; short's would be 0
 
     def test_all_short_rejected(self):
         curves = [linear_curve(n=3, params={"p": 1.0})]
@@ -339,9 +339,9 @@ class TestPretrainTransferFinetune:
         tuned = finetune(params0, target.curves, config, target.name)
 
         scalers = tuned.scalers
-        supervised = window_dataset(target.curves, scalers, config.sequence_length)
-        loss_before = evaluate_loss(params0, supervised.windows, supervised.targets)
-        loss_after = evaluate_loss(tuned.params, supervised.windows, supervised.targets)
+        windows, targets = window_dataset(target.curves, scalers, config.sequence_length)
+        loss_before = evaluate_loss(params0, windows, targets)
+        loss_after = evaluate_loss(tuned.params, windows, targets)
         assert loss_after < loss_before
 
     def test_finetune_does_not_mutate_input_params(self):
@@ -543,13 +543,13 @@ class TestRunVariant:
         train_curves = [target.curve_by_id(sid) for sid in plan.target_train_ids]
         scalers = fit_scalers(train_curves)
         n = plan.config.sequence_length
-        supervised = window_dataset(train_curves, scalers, n)
+        windows, _ = window_dataset(train_curves, scalers, n)
 
         def scaled_params(curve):
             return tuple(float(s.scale(v)) for s, v in zip(scalers.params, curve.param_values()))
 
-        assert len(supervised) == sum(c.n_points() - n for c in train_curves)
-        window_params = {tuple(w[0, 1:]) for w in supervised.windows}
+        assert len(windows) == sum(c.n_points() - n for c in train_curves)
+        window_params = {tuple(w[0, 1:]) for w in windows}
         assert window_params == {scaled_params(c) for c in train_curves}
         test_params = {scaled_params(target.curve_by_id(sid)) for sid in plan.target_test_ids}
         assert window_params.isdisjoint(test_params)
@@ -668,7 +668,7 @@ class TestPlanValidation:
                 target_train_ids=train_ids, target_test_ids=test_ids, config=small_config(),
             )
 
-    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf"), True, "1e-6"])
     def test_bad_mape_epsilon_rejected(self, epsilon):
         with pytest.raises(DataValidationError, match="mape_epsilon"):
             ExperimentPlan(
@@ -677,7 +677,7 @@ class TestPlanValidation:
                 mape_epsilon=epsilon,
             )
 
-    @pytest.mark.parametrize("grid_n", [1, 0, -1])
+    @pytest.mark.parametrize("grid_n", [1, 0, -1, 2.5, "7", True])
     def test_bad_grid_n_rejected(self, grid_n):
         with pytest.raises(DataValidationError, match="grid_n must be >= 2"):
             ExperimentPlan(
