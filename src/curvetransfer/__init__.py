@@ -6,6 +6,7 @@ from .curves import (
     ParamField,
     RawCurve,
     grid_curve,
+    grid_curves,
     load_dataset,
     normalize_curve,
     resample_to_grid,

@@ -206,7 +206,7 @@ def cmd_evaluate(args) -> int:
     target = load_dataset(args.target)
     test_ids = _parse_ids(args.test_ids) if args.test_ids else target.sample_ids()
     test_curves = [target.curve_by_id(sid) for sid in test_ids]
-    per_sample = _evaluate(checkpoint, test_curves, DEFAULT_MAPE_EPSILON)
+    per_sample = _evaluate(checkpoint, test_curves, DEFAULT_MAPE_EPSILON, args.pad_params)
     agg = _aggregate(per_sample)
     if args.out:
         doc = {"dataset": target.name, "per_sample": [s.to_dict() for s in per_sample], "aggregate": agg}
@@ -309,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--test-ids", help="comma-separated sample ids (default: all)")
+    p.add_argument("--pad-params", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 

@@ -167,8 +167,7 @@ def resample_to_grid(
     (constant-left extension); points above the largest strain carry the last.
     ``sample_id`` only names the sample in error messages.
     """
-    if n < 2:
-        raise DataValidationError(f"grid size must be >= 2, got {n}")
+    _check_grid_size(n)
     strain_norm = np.asarray(strain_norm, dtype=float)
     stress_norm = np.asarray(stress_norm, dtype=float)
     if np.any(np.diff(strain_norm) <= 0):
@@ -176,11 +175,74 @@ def resample_to_grid(
     return np.interp(np.linspace(0.0, 1.0, n), strain_norm, stress_norm)
 
 
+def _check_grid_size(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DataValidationError(f"grid size must be an int, got {n!r}")
+    if n < 2:
+        raise DataValidationError(f"grid size must be >= 2, got {n}")
+
+
 def grid_curve(curve: RawCurve, n: int = DEFAULT_GRID_N) -> np.ndarray:
     """Validate, normalize, and resample one raw curve: its (n,) normalized stress on the grid."""
+    _check_grid_size(n)
     cleaned = validate_curve(curve)
     strain_norm, stress_norm = normalize_curve(cleaned)
     return resample_to_grid(strain_norm, stress_norm, n, sample_id=curve.sample_id)
+
+
+def grid_curves(curves: list[RawCurve], n: int = DEFAULT_GRID_N) -> np.ndarray:
+    """The (C, n) stack whose row k is bitwise ``grid_curve(curves[k], n)``.
+
+    The curves are concatenated once, and each check of an already-clean curve
+    runs once over the concatenation: finite values, positive maxima, and
+    strictly increasing strain after the divide by the positive maximum. That
+    last check implies the raw strain increases, and it also catches two
+    neighbouring strains that the divide merges. Negative stress is clamped and
+    each curve is divided by its own maxima, so every value is the one
+    ``grid_curve`` computes; then one ``np.interp`` per curve reads one shared
+    grid. A curve that is not already clean (unsorted, repeated strains, a bad
+    structure, or invalid) goes through ``grid_curve`` itself, in list order: it
+    is cleaned as there, and a list holding invalid curves raises what the first
+    failing ``grid_curve`` call would.
+    """
+    _check_grid_size(n)
+    points = [(np.asarray(c.strain, dtype=float), np.asarray(c.stress, dtype=float)) for c in curves]
+    fast = [
+        k for k, (strain, stress) in enumerate(points)
+        if strain.ndim == 1 and stress.ndim == 1 and len(strain) == len(stress) and len(strain) >= 2
+    ]
+    clean = np.zeros(len(curves), dtype=bool)
+    if fast:
+        lengths = np.array([len(points[k][0]) for k in fast])
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        strain = np.concatenate([points[k][0] for k in fast])
+        stress = np.concatenate([points[k][1] for k in fast])
+        finite = np.isfinite(strain) & np.isfinite(stress)
+        stress = np.maximum(stress, 0.0)
+        max_strain = np.maximum.reduceat(strain, starts)
+        max_stress = np.maximum.reduceat(stress, starts)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            strain_norm = strain / np.repeat(max_strain, lengths)
+            stress_norm = stress / np.repeat(max_stress, lengths)
+        rises = np.empty(len(strain), dtype=bool)
+        rises[1:] = strain_norm[1:] > strain_norm[:-1]
+        rises[starts] = True  # a curve's first point has no predecessor
+        clean[fast] = (
+            np.logical_and.reduceat(finite & rises, starts)
+            & (max_strain > 0.0)
+            & (max_stress > 0.0)
+        )
+        bounds = dict(zip(fast, zip(starts.tolist(), ends.tolist())))
+    grid = np.linspace(0.0, 1.0, n)
+    out = np.empty((len(curves), n))
+    for k, curve in enumerate(curves):
+        if clean[k]:
+            lo, hi = bounds[k]
+            out[k] = np.interp(grid, strain_norm[lo:hi], stress_norm[lo:hi])
+        else:
+            out[k] = grid_curve(curve, n)
+    return out
 
 
 def _read_curve_csv(path: Path, sample_id: str) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import RawCurve, Dataset, grid_curve, DEFAULT_GRID_N
+from .curves import RawCurve, Dataset, grid_curves, DEFAULT_GRID_N
 
 
 @dataclass(frozen=True)
@@ -140,17 +140,19 @@ def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(_dtw_many(a, b[::-1]))
 
 
-def _mean_dtws(sources: list[list[np.ndarray]], target: list[np.ndarray]) -> list[float]:
-    """Mean DTW distance of each source's curves to the target curves.
+def _mean_dtws(sources: list[np.ndarray], target: np.ndarray) -> list[float]:
+    """Mean DTW distance of each source's (C_s, N) curve stack to the (T, N) target stack.
 
-    Lengths are checked first; then all pairs of all sources run through one
-    :func:`_dtw_many` sweep. Each source's distances are summed one by one in
-    (source curve, target curve) order, so every mean is bitwise that of a per-pair loop.
+    Each source's grid length is checked first; then all pairs of all sources
+    run through one :func:`_dtw_many` sweep, one column per (source curve,
+    target curve) pair in that order. Each source's distances are summed one by
+    one in that order, so every mean is bitwise that of a per-pair loop.
     """
-    for p, m in ((p, m) for source in sources for p in source for m in target):
-        _check_same_length(p, m)
-    a = np.stack([p for source in sources for p in source for _ in target], axis=1)
-    b_rev = np.stack([m[::-1] for source in sources for _ in source for m in target], axis=1)
+    for source in sources:
+        if source.shape[1] != target.shape[1]:
+            raise ValueError(f"grid length mismatch: {source.shape[1]} vs {target.shape[1]}")
+    a = np.repeat(np.concatenate(sources).T, len(target), axis=1)
+    b_rev = np.tile(target[:, ::-1].T, (1, sum(len(source) for source in sources)))
     distances = iter(_dtw_many(a, b_rev).tolist())
     means = []
     for source in sources:
@@ -165,7 +167,10 @@ def average_dtw(source: list[np.ndarray], target: list[np.ndarray]) -> float:
     """Mean DTW distance over all source x target curve pairs: the one-source case of :func:`_mean_dtws`."""
     if not source or not target:
         raise ValueError("average_dtw requires non-empty curve lists")
-    return _mean_dtws([source], target)[0]
+    for p in source:
+        for m in target:
+            _check_same_length(p, m)
+    return _mean_dtws([np.stack(source)], np.stack(target))[0]
 
 
 def rank_sources(
@@ -176,18 +181,20 @@ def rank_sources(
     """Rank candidate source datasets by average DTW distance to the target training curves.
 
     Only target TRAINING curves may be passed here; using test curves would
-    leak them into model selection. The pairs of all sources run in one DTW sweep.
+    leak them into model selection. Each dataset is gridded in one
+    :func:`~curvetransfer.curves.grid_curves` call, and the pairs of all sources
+    run in one DTW sweep.
     """
     if not sources:
         raise ValueError("rank_sources requires at least one source dataset")
     if not target_train:
         raise ValueError("rank_sources requires at least one target training curve")
-    target_grids = [grid_curve(c, n) for c in target_train]
+    target_grids = grid_curves(target_train, n)
     source_grids = []
     for dataset in sources:
         if not dataset.curves:
             raise ValueError(f"source dataset {dataset.name!r} is empty")
-        source_grids.append([grid_curve(c, n) for c in dataset.curves])
+        source_grids.append(grid_curves(dataset.curves, n))
     means = _mean_dtws(source_grids, target_grids)
     entries = sorted(zip([ds.name for ds in sources], means), key=lambda e: (e[1], e[0]))
     return SourceRanking(entries=entries, selected=entries[0][0])

@@ -311,17 +311,18 @@ def finetune(
     )
 
 
-def predict_curve(checkpoint: ModelCheckpoint, curve: RawCurve) -> np.ndarray:
+def predict_curve(checkpoint: ModelCheckpoint, curve: RawCurve, pad: bool = False) -> np.ndarray:
     """Predicted stress (MPa) at positions n..len-1 of the curve.
 
     The first n points seed the first window and receive no prediction. The
     curve's L - n windows run through the LSTM in one batched pass. Features
     are scaled with the checkpoint's scalers; values outside the training
-    range simply scale outside [0, 1].
+    range simply scale outside [0, 1]. A curve with fewer parameters than the
+    checkpoint is rejected unless ``pad`` zero-pads it.
     """
     n = checkpoint.sequence_length
     _check_predictable(curve, n)
-    windows, _ = _curve_windows(curve, checkpoint.scalers, n, pad=True)
+    windows, _ = _curve_windows(curve, checkpoint.scalers, n, pad)
     return checkpoint.scalers.stress.unscale(predict_windows(checkpoint.params, windows))
 
 
@@ -376,12 +377,12 @@ def _summarize_sample(
 
 
 def _evaluate(
-    checkpoint: ModelCheckpoint, test_curves: list[RawCurve], epsilon: float
+    checkpoint: ModelCheckpoint, test_curves: list[RawCurve], epsilon: float, pad: bool
 ) -> list[SampleEval]:
     n = checkpoint.sequence_length
     evals = []
     for curve in test_curves:
-        predicted = predict_curve(checkpoint, curve)
+        predicted = predict_curve(checkpoint, curve, pad)
         summary = _summarize_sample(curve, n, predicted, epsilon)
         evals.append(SampleEval(curve.sample_id, summary, predicted))
     return evals
@@ -434,7 +435,7 @@ def _finetune_and_evaluate(
     checkpoint = finetune(
         params0, train_curves, plan.config, target.name, param_arity=arity, pad=plan.pad_params
     )
-    return _evaluate(checkpoint, test_curves, plan.mape_epsilon)
+    return _evaluate(checkpoint, test_curves, plan.mape_epsilon, plan.pad_params)
 
 
 def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from curvetransfer.cli import _write_json, main
-from curvetransfer.curves import load_dataset
+from curvetransfer.curves import Dataset, RawCurve, load_dataset, save_dataset
 
 from conftest import write_manifest
 
@@ -394,6 +394,27 @@ class TestCheckpointCommands:
         assert rc == 0
         doc = json.loads(report.read_text())
         assert [s["sample_id"] for s in doc["per_sample"]] == ["3", "5"]
+
+    def test_evaluate_fewer_parameters_needs_pad_params(self, suite_dir, tmp_path, capsys):
+        ckpt = tmp_path / "pre.json"
+        assert main(
+            ["pretrain", "--sources", manifest_of(suite_dir, "poly_plateau"),
+             "--out", str(ckpt), "--seed", "0", "--epochs", "1"]
+        ) == 0
+        full = load_dataset(manifest_of(suite_dir, "metal_plateau"))
+        assert len(full.param_schema) == 2
+        first = full.param_schema[0].name
+        cut = Dataset(full.name, full.role, full.param_schema[:1], [
+            RawCurve(c.sample_id, c.strain, c.stress, {first: c.params[first]}) for c in full.curves
+        ])
+        argv = ["evaluate", "--checkpoint", str(ckpt),
+                "--target", str(save_dataset(cut, tmp_path / "cut")),
+                "--out", str(tmp_path / "eval.json")]
+        assert main(argv) == 2
+        assert "(padding disabled)" in capsys.readouterr().err
+        assert not (tmp_path / "eval.json").exists()
+        assert main(argv + ["--pad-params"]) == 0
+        assert len(json.loads((tmp_path / "eval.json").read_text())["per_sample"]) == len(full.curves)
 
     @pytest.mark.parametrize("command", ["rank", "finetune", "evaluate"])
     def test_unknown_sample_id_exits_2(self, suite_dir, tmp_path, capsys, command):

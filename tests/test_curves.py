@@ -11,6 +11,7 @@ from curvetransfer.curves import (
     ParamField,
     RawCurve,
     grid_curve,
+    grid_curves,
     load_dataset,
     normalize_curve,
     resample_to_grid,
@@ -312,6 +313,112 @@ def test_grid_curve_end_to_end():
     assert isinstance(gc, np.ndarray) and gc.dtype == np.float64
     assert len(gc) == 60
     assert gc[-1] == 1.0
+
+
+def composition(curve, n):
+    """grid_curve spelled out: validate, normalize, resample."""
+    strain_norm, stress_norm = normalize_curve(validate_curve(curve))
+    return resample_to_grid(strain_norm, stress_norm, n, sample_id=curve.sample_id)
+
+
+@st.composite
+def mixed_curve(draw, sample_id):
+    """A valid raw curve of 2-12 points: clean, unsorted, with repeated strains, or with negative stress."""
+    size = draw(st.integers(2, 12))
+    strain = np.cumsum(draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size)))
+    strain += strain[-1] * draw(st.floats(-0.9, 0.5))
+    kind = draw(st.sampled_from(["clean", "unsorted", "duplicate", "negative"]))
+    low = -1e3 if kind == "negative" else 0.0
+    stress = np.array(draw(st.lists(st.floats(low, 1e3), min_size=size, max_size=size)))
+    stress[draw(st.integers(0, size - 1))] = draw(st.floats(1.0, 1e3))
+    if kind == "duplicate" and size > 2:
+        k = draw(st.integers(1, size - 2))
+        strain[k] = strain[k - 1]
+    if kind in ("unsorted", "duplicate"):
+        order = np.array(draw(st.permutations(range(size))))
+        strain, stress = strain[order], stress[order]
+    return RawCurve(sample_id, strain, stress)
+
+
+def mixed_curves(min_size, max_size):
+    return st.integers(min_size, max_size).flatmap(
+        lambda size: st.tuples(*[mixed_curve(str(k)) for k in range(size)]).map(list)
+    )
+
+
+# Each raises in grid_curve: at validation, normalization or resampling.
+BAD_CURVES = {
+    "nan_stress": ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0]),
+    "inf_strain": ([0.0, np.inf, 1.0], [0.0, 0.5, 1.0]),
+    "flat": ([0.0, 0.5, 1.0], [0.0, 0.0, 0.0]),
+    "negative_flat": ([0.0, 0.5, 1.0], [-1.0, -2.0, -0.5]),
+    "max_strain_not_positive": ([-0.3, -0.2, 0.0], [1.0, 2.0, 3.0]),
+    "one_distinct_strain": ([0.2, 0.2, 0.2], [1.0, 2.0, 3.0]),
+    "merges_after_normalizing": ([0.0, 5e-324, 2.0], [1.0, 2.0, 3.0]),
+    "one_point": ([0.5], [1.0]),
+    "unequal_lengths": ([0.0, 0.5, 1.0], [1.0, 2.0]),
+}
+
+
+def expected_grid(curves, n):
+    """The rows of the per-curve composition, or the first exception it raises in list order."""
+    try:
+        return np.array([composition(c, n) for c in curves]).reshape(len(curves), n), None
+    except DataValidationError as exc:
+        return None, exc
+
+
+class TestGridCurves:
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_curves(1, 8), st.integers(2, 40))
+    def test_rows_equal_composition_bitwise(self, curves, n):
+        expected, error = expected_grid(curves, n)
+        assert error is None
+        got = grid_curves(curves, n)
+        assert got.shape == (len(curves), n) and got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mixed_curves(0, 6),
+        st.lists(st.tuples(st.sampled_from(sorted(BAD_CURVES)), st.integers(0, 6)), min_size=1, max_size=3),
+        st.integers(2, 40),
+    )
+    def test_bad_list_raises_first_failure_in_order(self, curves, bad, n):
+        for name, position in bad:
+            strain, stress = BAD_CURVES[name]
+            curves.insert(position, RawCurve(f"bad_{name}", np.array(strain), np.array(stress)))
+        expected, error = expected_grid(curves, n)
+        assert error is not None
+        with pytest.raises(type(error)) as raised:
+            grid_curves(curves, n)
+        assert str(raised.value) == str(error)
+
+    @pytest.mark.parametrize("name", sorted(BAD_CURVES))
+    def test_each_bad_curve_raises_as_grid_curve(self, name):
+        strain, stress = BAD_CURVES[name]
+        curve = RawCurve("bad", np.array(strain), np.array(stress))
+        with pytest.raises(DataValidationError) as expected:
+            grid_curve(curve, 10)
+        with pytest.raises(DataValidationError) as raised:
+            grid_curves([RawCurve("ok", np.array([0.0, 1.0]), np.array([0.0, 1.0])), curve], 10)
+        assert str(raised.value) == str(expected.value)
+
+    def test_empty_list(self):
+        assert grid_curves([], 7).shape == (0, 7)
+
+
+@pytest.mark.parametrize("n", [2.5, "7", None, True, 1])
+@pytest.mark.parametrize("grid", ["grid_curve", "grid_curves", "resample_to_grid"])
+def test_bad_grid_size_rejected(grid, n):
+    curve = RawCurve("s", np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    call = {
+        "grid_curve": lambda: grid_curve(curve, n),
+        "grid_curves": lambda: grid_curves([curve], n),
+        "resample_to_grid": lambda: resample_to_grid(curve.strain, curve.stress, n),
+    }[grid]
+    with pytest.raises(DataValidationError, match="grid size must be"):
+        call()
 
 
 class TestSaveDataset:

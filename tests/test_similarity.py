@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from curvetransfer.curves import Dataset, ParamField, RawCurve, grid_curve
+from curvetransfer.errors import DataValidationError
 from curvetransfer.metrics import pearson
 from curvetransfer.similarity import (
     _dtw_many,
@@ -219,7 +220,7 @@ class TestAllPairsKernel:
         sources, target = lists
         with np.errstate(over="ignore"):
             expected = oracle_means(sources, target)
-            got = _mean_dtws(sources, target)
+            got = _mean_dtws([np.stack(source) for source in sources], np.stack(target))
             first = average_dtw(sources[0], target)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         assert np.float64(first).tobytes() == np.float64(expected[0]).tobytes()
@@ -368,12 +369,40 @@ class TestOneSweepRankingOracle:
         assert entry_bytes(ranking.entries) == entry_bytes(expected)
         assert ranking.selected == expected[0][0]
 
+    @settings(max_examples=50, deadline=None)
+    @given(ranking_inputs(), st.randoms(use_true_random=False))
+    def test_unsorted_raw_curves_equal_oracle_bitwise(self, inputs, random):
+        # A curve of 3+ points gets a repeated strain and the shuffle unsorts most others,
+        # so they take grid_curves' per-curve cleaning path.
+        sources, target, n = inputs
+
+        def shuffled(curve):
+            order = list(range(len(curve.strain)))
+            random.shuffle(order)
+            strain = curve.strain[order]
+            if len(order) > 2:
+                strain[order.index(1)] = curve.strain[0]
+            return RawCurve(curve.sample_id, strain, curve.stress[order])
+
+        sources = [Dataset(ds.name, "source", [], [shuffled(c) for c in ds.curves]) for ds in sources]
+        target = [shuffled(c) for c in target]
+        ranking = rank_sources(sources, target, n)
+        expected = oracle_rank_sources(sources, target, n)
+        assert entry_bytes(ranking.entries) == entry_bytes(expected)
+        assert ranking.selected == expected[0][0]
+
+    @pytest.mark.parametrize("n", [2.5, "7", None, True])
+    def test_non_int_grid_size_rejected(self, n):
+        source = Dataset("s", "source", [], [RawCurve("1", np.array([0.0, 1.0]), np.array([0.0, 1.0]))])
+        with pytest.raises(DataValidationError, match="grid size must be"):
+            rank_sources([source], source.curves, n)
+
     def test_length_mismatch_raises_before_any_sweep(self, monkeypatch):
         def sweep(*args):
             raise AssertionError("swept before the length check")
         monkeypatch.setattr("curvetransfer.similarity._dtw_many", sweep)
         with pytest.raises(ValueError, match="grid length mismatch: 4 vs 3"):
-            _mean_dtws([[make_grid(np.zeros(3))], [make_grid(np.zeros(4))]], [make_grid(np.zeros(3))])
+            _mean_dtws([np.zeros((1, 3)), np.zeros((1, 4))], np.zeros((1, 3)))
 
 
 class TestBaselines:
