@@ -46,13 +46,14 @@ def _sigmoid(
     # overflows: the denominator is 1 + exp(-|z|) and the numerator
     # exp(min(z, 0)), which is exactly 1 for z >= 0. ``den`` is optional
     # scratch of z's shape for the denominator.
-    den = np.abs(z, out=den)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    den += 1.0
+    den = np.abs(z, den)
+    np.negative(den, den)
+    np.exp(den, den)
+    np.add(den, 1.0, den)
+    # np.minimum deprecates a positional ``out``.
     out = np.minimum(z, 0.0, out=out)
-    np.exp(out, out=out)
-    return np.divide(out, den, out=out)
+    np.exp(out, out)
+    return np.divide(out, den, out)
 
 
 class ModelParams:
@@ -232,28 +233,34 @@ def _forward_into(ws: _ForwardWorkspace, window: np.ndarray) -> float:
     Fills ``ws.activations``: the (n, 4h) gate rows and rows 1..n of the
     (n + 1, h) cell and hidden states, whose row 0 holds the zero initial
     state. Returns the prediction. The per-step loop only unpacks
-    ``ws.forward_steps`` and writes through ``out=``: it allocates nothing
-    and slices nothing. This is the only copy of the batch-1 forward
-    arithmetic: :func:`forward_sequence`, :func:`train` and the one-window
-    path of :func:`predict_windows` all run it.
+    ``ws.forward_steps`` and writes into bound buffers: it allocates nothing
+    and slices nothing. On arrays of 32-128 elements a numpy call costs
+    mostly its dispatch, so every ufunc is a local bound once per call and
+    takes its output by position (augmented assignment and a keyword
+    ``out=`` each cost about 0.1-0.5 us more), and every BLAS product is an
+    ``np.dot``, which dispatches faster than ``np.matmul`` and gives its
+    bytes. This is the only copy of the batch-1 forward arithmetic:
+    :func:`forward_sequence`, :func:`train` and the one-window path of
+    :func:`predict_windows` all run it.
     """
+    add, multiply, tanh, dot = np.add, np.multiply, np.tanh, np.dot
     xz = ws.xz
-    np.matmul(ws.W_x, window.T, out=xz)  # input contributions for every step at once
-    xz += ws.b_col
+    dot(ws.W_x, window.T, xz)  # input contributions for every step at once
+    add(xz, ws.b_col, xz)
     W_h, z, z_sig, z_g, den, tmp = ws.W_h, ws.z, ws.z_sig, ws.z_g, ws.den, ws.tmp
     for xz_t, sig, f, i, o, g, c_prev, c, h_prev, h in ws.forward_steps:
-        np.matmul(W_h, h_prev, out=z)
-        z += xz_t
-        _sigmoid(z_sig, out=sig, den=den)
-        np.tanh(z_g, out=g)
+        dot(W_h, h_prev, z)
+        add(z, xz_t, z)
+        _sigmoid(z_sig, sig, den)
+        tanh(z_g, g)
         # c = f * c_prev + i * g
-        np.multiply(f, c_prev, out=c)
-        np.multiply(i, g, out=tmp)
-        c += tmp
+        multiply(f, c_prev, c)
+        multiply(i, g, tmp)
+        add(c, tmp, c)
         # h = o * tanh(c)
-        np.tanh(c, out=tmp)
-        np.multiply(o, tmp, out=h)
-    return float(ws.w_out @ ws.h_n + ws.b_out[0])
+        tanh(c, tmp)
+        multiply(o, tmp, h)
+    return float(dot(ws.w_out, ws.h_n) + ws.b_out[0])
 
 
 def forward_sequence(
@@ -328,45 +335,46 @@ def _backward_into(ws: _BackwardWorkspace, window: np.ndarray, dpred: float) -> 
     one operand are taken over all steps at once; each product keeps the
     left-to-right order of the per-step formulas (for the forget gate,
     dc * c_prev * f * (1 - f)), because forming f * (1 - f) first would move
-    the gradients in the last bits. Like :func:`_forward_into`, the per-step
-    loop only unpacks ``ws.backward_steps``: it allocates nothing and slices
-    nothing.
+    the gradients in the last bits. Like :func:`_forward_into`, and in its
+    call form, the per-step loop only unpacks ``ws.backward_steps``: it
+    allocates nothing and slices nothing.
     """
+    add, subtract, multiply, square, dot = np.add, np.subtract, np.multiply, np.square, np.dot
     tanh_cs, dtanh_cs, dtanh_g = ws.tanh_cs, ws.dtanh_cs, ws.dtanh_g
-    np.tanh(ws.cs_steps, out=tanh_cs)
-    np.square(tanh_cs, out=dtanh_cs)
-    np.subtract(1.0, dtanh_cs, out=dtanh_cs)  # 1 - tanh(c)^2
-    np.subtract(1.0, ws.gates_sig, out=ws.one_minus_sig)  # 1 - f, 1 - i, 1 - o
-    np.square(ws.gates_g, out=dtanh_g)
-    np.subtract(1.0, dtanh_g, out=dtanh_g)  # 1 - g^2
+    np.tanh(ws.cs_steps, tanh_cs)
+    square(tanh_cs, dtanh_cs)
+    subtract(1.0, dtanh_cs, dtanh_cs)  # 1 - tanh(c)^2
+    subtract(1.0, ws.gates_sig, ws.one_minus_sig)  # 1 - f, 1 - i, 1 - o
+    square(ws.gates_g, dtanh_g)
+    subtract(1.0, dtanh_g, dtanh_g)  # 1 - g^2
     W_h_T, dh, dc, tmp = ws.W_h_T, ws.dh, ws.dc, ws.tmp
-    np.multiply(dpred, ws.w_out, out=dh)
+    multiply(dpred, ws.w_out, dh)
     dc.fill(0.0)
     for (
         f, i, o, g, sig, c_prev, tanh_c, dtanh_c, one_minus_sig, dtanh_g_t,
         dz_t, dz_f, dz_i, dz_o, dz_sig, dz_g,
     ) in ws.backward_steps:
         # dc = dc + dh * o * (1 - tanh(c)^2)
-        np.multiply(dh, o, out=tmp)
-        tmp *= dtanh_c
-        dc += tmp
+        multiply(dh, o, tmp)
+        multiply(tmp, dtanh_c, tmp)
+        add(dc, tmp, dc)
         # Gate order (f, i, o, c): dc * c_prev, dc * g, dh * tanh(c), then
         # times each sigmoid gate and its complement.
-        np.multiply(dc, c_prev, out=dz_f)
-        np.multiply(dc, g, out=dz_i)
-        np.multiply(dh, tanh_c, out=dz_o)
-        dz_sig *= sig
-        dz_sig *= one_minus_sig
-        np.multiply(dc, i, out=dz_g)
-        dz_g *= dtanh_g_t
-        np.matmul(W_h_T, dz_t, out=dh)
-        dc *= f
+        multiply(dc, c_prev, dz_f)
+        multiply(dc, g, dz_i)
+        multiply(dh, tanh_c, dz_o)
+        multiply(dz_sig, sig, dz_sig)
+        multiply(dz_sig, one_minus_sig, dz_sig)
+        multiply(dc, i, dz_g)
+        multiply(dz_g, dtanh_g_t, dz_g)
+        dot(W_h_T, dz_t, dh)
+        multiply(dc, f, dc)
 
     grads = ws.grads
-    np.matmul(ws.dz_T, ws.hs_prev, out=grads.W_h)  # summed outer products over all steps
-    np.matmul(ws.dz_T, window, out=grads.W_x)
-    np.sum(ws.dz, axis=0, out=grads.b)
-    np.multiply(dpred, ws.h_n, out=ws.grad_w_out)
+    dot(ws.dz_T, ws.hs_prev, grads.W_h)  # summed outer products over all steps
+    dot(ws.dz_T, window, grads.W_x)
+    add.reduce(ws.dz, 0, None, grads.b)
+    multiply(dpred, ws.h_n, ws.grad_w_out)
     grads.b_out[0] = dpred
 
 
@@ -425,7 +433,8 @@ def optimizer_step(
 
     sgd is the plain update theta <- theta - lr * grad; adam keeps
     bias-corrected first/second moment estimates. Each expression is
-    evaluated in its written order, through ``state.scratch``.
+    evaluated in its written order, through ``state.scratch``, in
+    :func:`_forward_into`'s call form.
     """
     dims, grad_dims = (params.input_dim, params.hidden_dim), (grads.input_dim, grads.hidden_dim)
     if grad_dims != dims:
@@ -433,8 +442,9 @@ def optimizer_step(
     theta, g = params.flat, grads.flat
     lr = config.learning_rate
     s1, s2 = state.scratch
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     if config.optimizer == "sgd":
-        theta -= np.multiply(lr, g, out=s1)
+        subtract(theta, multiply(lr, g, s1), theta)
         return params
 
     state.step += 1
@@ -443,21 +453,21 @@ def optimizer_step(
     bias2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
     # m <- beta1 * m + (1 - beta1) * g
-    m *= ADAM_BETA1
-    m += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
+    multiply(m, ADAM_BETA1, m)
+    add(m, multiply(1.0 - ADAM_BETA1, g, s1), m)
     # v <- beta2 * v + (1 - beta2) * g * g
-    v *= ADAM_BETA2
-    np.multiply(1.0 - ADAM_BETA2, g, out=s1)
-    s1 *= g
-    v += s1
+    multiply(v, ADAM_BETA2, v)
+    multiply(1.0 - ADAM_BETA2, g, s1)
+    multiply(s1, g, s1)
+    add(v, s1, v)
     # theta <- theta - lr * (m / bias1) / (sqrt(v / bias2) + eps)
-    np.divide(m, bias1, out=s1)
-    np.multiply(lr, s1, out=s1)
-    np.divide(v, bias2, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += ADAM_EPS
-    s1 /= s2
-    theta -= s1
+    divide(m, bias1, s1)
+    multiply(lr, s1, s1)
+    divide(v, bias2, s2)
+    np.sqrt(s2, s2)
+    add(s2, ADAM_EPS, s2)
+    divide(s1, s2, s1)
+    subtract(theta, s1, theta)
     return params
 
 
@@ -478,7 +488,8 @@ def train(
     loss goes non-finite. One forward and one backward workspace per call
     (see ``_ForwardWorkspace`` and ``_BackwardWorkspace``) own every buffer
     the step writes and bind every view it reads, so the per-window loop
-    allocates nothing and slices nothing beyond taking the window itself.
+    allocates nothing and slices nothing beyond taking the window itself;
+    each ufunc of the step takes its output by position (see :func:`_forward_into`).
     """
     windows = np.asarray(windows, dtype=float)
     targets = np.asarray(targets, dtype=float)

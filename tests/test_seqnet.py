@@ -21,6 +21,8 @@ from curvetransfer.seqnet import (
     init_optimizer_state,
     predict_windows,
     train,
+    _BackwardWorkspace,
+    _ForwardWorkspace,
     _sigmoid,
 )
 from curvetransfer.synthgen import standard_suite
@@ -564,6 +566,48 @@ class TestWindowLayouts:
         assert windows.shape == (n_windows, n, input_dim)
         config = TrainConfig(epochs=2, learning_rate=3e-2, optimizer=optimizer, seed=seed)
         assert_train_matches_oracle(params, windows, targets, config)
+
+
+class TestDotEqualsMatmul:
+    """The step's ``np.dot`` calls give ``np.matmul``'s bytes on the operands the workspaces bind.
+
+    The kernels call ``np.dot``, which dispatches faster; the oracle step
+    calls ``np.matmul``. A numpy or OpenBLAS that routes one form to another
+    BLAS kernel (GEMV, GEMM, dot, or a copy-and-GEMM) can sum in another
+    order, and this fails first.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.sampled_from([1.0, 40.0]),
+        st.sampled_from(["c", "fortran", "strided", "sliding"]),
+    )
+    def test_every_blas_call_of_the_step(self, seed, hidden_dim, input_dim, n, scale, layout):
+        rng = np.random.default_rng(seed)
+        params, windows, _ = random_lstm_case(seed, hidden_dim, input_dim, n, 3, scale)
+        window = window_layout(layout, windows, rng)[1]
+        fwd = _ForwardWorkspace(params, n)
+        hs = fwd.activations[2]
+        hs[1:] = rng.normal(size=(n, hidden_dim))
+        bwd = _BackwardWorkspace(params, fwd.activations)
+        bwd.dz[...] = rng.normal(scale=scale, size=bwd.dz.shape)
+        calls = [
+            (fwd.W_x, window.T, fwd.xz),
+            (fwd.W_h, hs[n - 1], fwd.z),
+            (bwd.W_h_T, bwd.dz[0], bwd.dh),
+            (bwd.dz_T, bwd.hs_prev, bwd.grads.W_h),
+            (bwd.dz_T, window, bwd.grads.W_x),
+        ]
+        for a, b, out in calls:
+            np.dot(a, b, out)
+            assert out.tobytes() == np.matmul(a, b, out=np.empty_like(out)).tobytes()
+        assert np.dot(fwd.w_out, fwd.h_n).tobytes() == np.matmul(fwd.w_out, fwd.h_n).tobytes()
+        np.add.reduce(bwd.dz, 0, None, bwd.grads.b)
+        assert bwd.grads.b.tobytes() == np.sum(bwd.dz, axis=0).tobytes()
 
 
 class TestBufferOwnership:
