@@ -8,8 +8,6 @@ from .curves import (
     grid_curve,
     grid_curves,
     load_dataset,
-    normalize_curve,
-    resample_to_grid,
     save_dataset,
     validate_curve,
 )

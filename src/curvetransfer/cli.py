@@ -56,7 +56,7 @@ def _parse_ids(raw: str) -> list[str]:
 
 
 def _train_ids(args, target: Dataset) -> list[str]:
-    """--train-ids if given, else the two DOE-corner samples; --auto-extreme names that default."""
+    """--train-ids if given, else the two DOE-corner samples."""
     if args.train_ids:
         return _parse_ids(args.train_ids)
     return list(select_extreme_training_samples(target))
@@ -111,12 +111,10 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--train-ids", help="comma-separated target training sample ids")
-    group.add_argument(
-        "--auto-extreme", action="store_true",
-        help="train on the two DOE-corner samples (scaled-parameter-sum extremes); "
-        "the default without --train-ids",
+    parser.add_argument(
+        "--train-ids",
+        help="comma-separated target training sample ids (default: the two DOE-corner samples, "
+        "the scaled-parameter-sum extremes)",
     )
 
 

@@ -1,10 +1,12 @@
-"""Curve and dataset handling: CSV/manifest ingestion, validation, normalization, resampling.
+"""Curve and dataset handling: CSV/manifest ingestion, cleaning, gridding.
 
 A dataset is a named collection of tensile test records. Each record holds one
 measured (strain, stress) sequence plus the constant process parameters the
-sample was fabricated with. Curves are normalized per curve (each axis divided
-by its own maximum) and resampled onto a common evenly spaced strain grid
-before any similarity computation.
+sample was fabricated with. :func:`load_dataset` cleans every curve it reads
+with :func:`validate_curve`. Before any similarity computation,
+:func:`grid_curves` normalizes each clean curve (each axis divided by its own
+maximum) and resamples it onto a common evenly spaced strain grid; it refuses
+a curve that still needs cleaning.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ class RawCurve:
 
     strain is dimensionless (mm/mm), stress is in MPa. ``params`` is an
     ordered name -> value map whose keys must match the owning dataset's
-    parameter schema exactly.
+    parameter schema exactly. A raw curve may be unsorted or repeat a strain;
+    gridding needs a clean one, which :func:`validate_curve` makes and
+    :func:`load_dataset` returns.
     """
 
     sample_id: str
@@ -72,6 +76,12 @@ class Dataset:
             raise DataValidationError(f"dataset {self.name!r}: duplicate parameter names in schema")
         seen: set[str] = set()
         for curve in self.curves:
+            # The id names the sample's CSV file (save_dataset, pipeline predictions).
+            if curve.sample_id in (".", "..") or any(c in curve.sample_id for c in "/\\\0"):
+                raise DataValidationError(
+                    f"dataset {self.name!r}: sample_id {curve.sample_id!r} cannot name a file: "
+                    "it must not be '.' or '..' or hold '/', '\\' or NUL"
+                )
             if curve.sample_id in seen:
                 raise DataValidationError(
                     f"dataset {self.name!r}: duplicate sample_id {curve.sample_id!r}"
@@ -135,46 +145,6 @@ def validate_curve(curve: RawCurve) -> RawCurve:
     return RawCurve(curve.sample_id, strain, stress, dict(curve.params))
 
 
-def normalize_curve(curve: RawCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Divide strain and stress by their own maxima so both axes span [0, 1].
-
-    Requires a validated curve with positive strain and stress maxima; the
-    maxima map to exactly 1.
-    """
-    max_strain = float(np.max(curve.strain))
-    max_stress = float(np.max(curve.stress))
-    if max_strain <= 0.0:
-        raise DataValidationError(
-            f"sample {curve.sample_id!r}: max strain is {max_strain}, cannot normalize"
-        )
-    if max_stress <= 0.0:
-        raise DataValidationError(
-            f"sample {curve.sample_id!r}: max stress is {max_stress} (flat curve), cannot normalize"
-        )
-    return curve.strain / max_strain, curve.stress / max_stress
-
-
-def resample_to_grid(
-    strain_norm: np.ndarray,
-    stress_norm: np.ndarray,
-    n: int = DEFAULT_GRID_N,
-    sample_id: str = "",
-) -> np.ndarray:
-    """Normalized stress linearly interpolated at the n evenly spaced grid points of [0, 1].
-
-    The result is an (n,) float64 array; point k sits at strain k / (n - 1).
-    Grid points below the smallest strain carry the first stress value
-    (constant-left extension); points above the largest strain carry the last.
-    ``sample_id`` only names the sample in error messages.
-    """
-    _check_grid_size(n)
-    strain_norm = np.asarray(strain_norm, dtype=float)
-    stress_norm = np.asarray(stress_norm, dtype=float)
-    if np.any(np.diff(strain_norm) <= 0):
-        raise DataValidationError(f"sample {sample_id!r}: strain must be strictly increasing")
-    return np.interp(np.linspace(0.0, 1.0, n), strain_norm, stress_norm)
-
-
 def _check_grid_size(n) -> None:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DataValidationError(f"grid size must be an int, got {n!r}")
@@ -183,41 +153,41 @@ def _check_grid_size(n) -> None:
 
 
 def grid_curve(curve: RawCurve, n: int = DEFAULT_GRID_N) -> np.ndarray:
-    """Validate, normalize, and resample one raw curve: its (n,) normalized stress on the grid."""
-    _check_grid_size(n)
-    cleaned = validate_curve(curve)
-    strain_norm, stress_norm = normalize_curve(cleaned)
-    return resample_to_grid(strain_norm, stress_norm, n, sample_id=curve.sample_id)
+    """One clean curve's (n,) normalized stress on the grid: row 0 of :func:`grid_curves`."""
+    return grid_curves([curve], n)[0]
 
 
 def grid_curves(curves: list[RawCurve], n: int = DEFAULT_GRID_N) -> np.ndarray:
-    """The (C, n) stack whose row k is bitwise ``grid_curve(curves[k], n)``.
+    """The (C, n) stack of each clean curve's normalized stress at ``np.linspace(0, 1, n)``.
 
-    The curves are concatenated once, and each check of an already-clean curve
-    runs once over the concatenation: finite values, positive maxima, and
-    strictly increasing strain after the divide by the positive maximum. That
-    last check implies the raw strain increases, and it also catches two
-    neighbouring strains that the divide merges. Negative stress is clamped and
-    each curve is divided by its own maxima, so every value is the one
-    ``grid_curve`` computes; then one ``np.interp`` per curve reads one shared
-    grid. A curve that is not already clean (unsorted, repeated strains, a bad
-    structure, or invalid) goes through ``grid_curve`` itself, in list order: it
-    is cleaned as there, and a list holding invalid curves raises what the first
-    failing ``grid_curve`` call would.
+    Gridding needs clean curves, as :func:`validate_curve` returns and
+    :func:`load_dataset` yields: finite, with strictly increasing strain.
+    The curves are concatenated once, and each check runs once over the
+    concatenation: finite values, positive maxima, and strictly increasing
+    strain after the divide by the positive maximum. That last check implies
+    the raw strain increases, and it also catches two neighbouring strains that
+    the divide merges. Negative stress is clamped and each curve is divided by
+    its own maxima (so both maxima map to exactly 1); then one ``np.interp``
+    per curve reads one shared grid, with constant extension past either end.
+    If any curve fails a check, the first one in list order raises
+    :class:`DataValidationError` naming its sample, and nothing is gridded. An
+    unsorted curve or a repeated strain raises "strain must be strictly
+    increasing"; it is never cleaned here.
     """
     _check_grid_size(n)
     points = [(np.asarray(c.strain, dtype=float), np.asarray(c.stress, dtype=float)) for c in curves]
-    fast = [
+    shaped = [
         k for k, (strain, stress) in enumerate(points)
         if strain.ndim == 1 and stress.ndim == 1 and len(strain) == len(stress) and len(strain) >= 2
     ]
     clean = np.zeros(len(curves), dtype=bool)
-    if fast:
-        lengths = np.array([len(points[k][0]) for k in fast])
+    bounds = []
+    if shaped:
+        lengths = np.array([len(points[k][0]) for k in shaped])
         ends = np.cumsum(lengths)
         starts = ends - lengths
-        strain = np.concatenate([points[k][0] for k in fast])
-        stress = np.concatenate([points[k][1] for k in fast])
+        strain = np.concatenate([points[k][0] for k in shaped])
+        stress = np.concatenate([points[k][1] for k in shaped])
         finite = np.isfinite(strain) & np.isfinite(stress)
         stress = np.maximum(stress, 0.0)
         max_strain = np.maximum.reduceat(strain, starts)
@@ -228,21 +198,45 @@ def grid_curves(curves: list[RawCurve], n: int = DEFAULT_GRID_N) -> np.ndarray:
         rises = np.empty(len(strain), dtype=bool)
         rises[1:] = strain_norm[1:] > strain_norm[:-1]
         rises[starts] = True  # a curve's first point has no predecessor
-        clean[fast] = (
+        clean[shaped] = (
             np.logical_and.reduceat(finite & rises, starts)
             & (max_strain > 0.0)
             & (max_stress > 0.0)
         )
-        bounds = dict(zip(fast, zip(starts.tolist(), ends.tolist())))
+        bounds = list(zip(starts.tolist(), ends.tolist()))
+    if not clean.all():
+        raise _check_failure(curves[int(np.argmin(clean))])
     grid = np.linspace(0.0, 1.0, n)
     out = np.empty((len(curves), n))
-    for k, curve in enumerate(curves):
-        if clean[k]:
-            lo, hi = bounds[k]
-            out[k] = np.interp(grid, strain_norm[lo:hi], stress_norm[lo:hi])
-        else:
-            out[k] = grid_curve(curve, n)
+    for k, (lo, hi) in enumerate(bounds):
+        out[k] = np.interp(grid, strain_norm[lo:hi], stress_norm[lo:hi])
     return out
+
+
+def _check_failure(curve: RawCurve) -> DataValidationError:
+    """Why ``curve`` fails :func:`grid_curves`' check, with the message of the first failing step.
+
+    :func:`validate_curve` raises for a bad structure, fewer than 2 points, a
+    non-finite value or fewer than 2 distinct strains. Otherwise the cleaned
+    curve's maxima must be positive, and its strain must stay strictly
+    increasing once divided by its maximum. A curve that would pass once
+    cleaned is a raw curve: its message says where cleaning happens.
+    """
+    cleaned = validate_curve(curve)
+    max_strain = float(np.max(cleaned.strain))
+    max_stress = float(np.max(cleaned.stress))
+    if max_strain <= 0.0:
+        return DataValidationError(
+            f"sample {curve.sample_id!r}: max strain is {max_strain}, cannot normalize"
+        )
+    if max_stress <= 0.0:
+        return DataValidationError(
+            f"sample {curve.sample_id!r}: max stress is {max_stress} (flat curve), cannot normalize"
+        )
+    message = f"sample {curve.sample_id!r}: strain must be strictly increasing"
+    if np.all(np.diff(cleaned.strain / max_strain) > 0):
+        message += " (a raw curve: load_dataset and validate_curve sort it and merge repeated strains)"
+    return DataValidationError(message)
 
 
 def _read_curve_csv(path: Path, sample_id: str) -> tuple[np.ndarray, np.ndarray]:
@@ -295,8 +289,10 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     relative to the manifest. ``samples`` must not be empty, and every
     parameter value must be a finite number. The dataset ``name`` and every
     sample ``id`` are non-empty strings; ``role`` and each schema ``name`` and
-    ``unit`` are strings. Every referenced CSV is parsed and cleaned via
-    :func:`validate_curve`. Any malformed input raises
+    ``unit`` are strings, and an id must be usable as a file name (no ``/``,
+    ``\\`` or NUL, not ``.`` or ``..``). Every referenced CSV is parsed and
+    cleaned via :func:`validate_curve`, so every returned curve is clean and
+    :func:`grid_curves` takes it as it is. Any malformed input raises
     :class:`DataValidationError`.
     """
     manifest_path = Path(manifest_path)

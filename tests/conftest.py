@@ -45,6 +45,57 @@ def linear_curve(sample_id="s", n=30, slope=1000.0, max_strain=0.05, params=None
     return RawCurve(sample_id, strain, slope * strain, params or {})
 
 
+def normalize_curve(curve):
+    """Divide strain and stress by their own maxima so both axes span [0, 1].
+
+    Test oracle for the divide in :func:`curvetransfer.curves.grid_curves`.
+    Requires a validated curve with positive strain and stress maxima; the
+    maxima map to exactly 1.
+    """
+    from curvetransfer.errors import DataValidationError
+
+    max_strain = float(np.max(curve.strain))
+    max_stress = float(np.max(curve.stress))
+    if max_strain <= 0.0:
+        raise DataValidationError(
+            f"sample {curve.sample_id!r}: max strain is {max_strain}, cannot normalize"
+        )
+    if max_stress <= 0.0:
+        raise DataValidationError(
+            f"sample {curve.sample_id!r}: max stress is {max_stress} (flat curve), cannot normalize"
+        )
+    return curve.strain / max_strain, curve.stress / max_stress
+
+
+def resample_to_grid(strain_norm, stress_norm, n, sample_id=""):
+    """Normalized stress linearly interpolated at the n evenly spaced grid points of [0, 1].
+
+    Test oracle for the resampling in :func:`curvetransfer.curves.grid_curves`.
+    Grid points below the smallest strain carry the first stress value
+    (constant-left extension); points above the largest strain carry the last.
+    """
+    from curvetransfer.errors import DataValidationError
+
+    strain_norm = np.asarray(strain_norm, dtype=float)
+    stress_norm = np.asarray(stress_norm, dtype=float)
+    if np.any(np.diff(strain_norm) <= 0):
+        raise DataValidationError(f"sample {sample_id!r}: strain must be strictly increasing")
+    return np.interp(np.linspace(0.0, 1.0, n), strain_norm, stress_norm)
+
+
+def composition(curve, n):
+    """Gridding one raw curve step by step: validate, normalize, resample.
+
+    The per-curve oracle for :func:`curvetransfer.curves.grid_curves`: on the
+    validated curve it must give these bytes, and on a curve that this raises
+    for it must raise the same message.
+    """
+    from curvetransfer.curves import validate_curve
+
+    strain_norm, stress_norm = normalize_curve(validate_curve(curve))
+    return resample_to_grid(strain_norm, stress_norm, n, sample_id=curve.sample_id)
+
+
 def euclidean_distance(a, b):
     """Point-by-point sum of squared stress differences of two gridded curves (no warping)."""
     return float(np.sum((a - b) ** 2))

@@ -180,7 +180,7 @@ def test_criterion_6_source_selection_recovery(tmp_path):
             out = suite_dir / f"rank_{target_name}.json"
             rc = main(["rank", *source_flags,
                        "--target", str(suite_dir / target_name / "manifest.json"),
-                       "--auto-extreme", "--out", str(out)])
+                       "--out", str(out)])
             assert rc == 0
             total += 1
             if json.loads(out.read_text())["selected"] == expected:
@@ -239,7 +239,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         "--sources", str(suite_dir / "poly_plateau" / "manifest.json"),
         "--sources", str(suite_dir / "poly_brittle" / "manifest.json"),
         "--target", str(suite_dir / "metal_plateau" / "manifest.json"),
-        "--auto-extreme", "--seed", "13",
+        "--seed", "13",
         "--epochs", "3", "--pretrain-epochs", "2",
     ]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -69,7 +70,7 @@ class TestRank:
         rc = main(
             ["rank", *source_args(suite_dir),
              "--target", manifest_of(suite_dir, "metal_yield_drop"),
-             "--auto-extreme", "--out", str(out)]
+             "--out", str(out)]
         )
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -83,7 +84,7 @@ class TestRank:
         rc = main(
             ["rank", "--sources", manifest_of(suite_dir, "poly_brittle"),
              "--target", manifest_of(suite_dir, "metal_plateau"),
-             "--auto-extreme", "--out", str(out)]
+             "--out", str(out)]
         )
         assert rc == 0
         assert json.loads(out.read_text())["selected"] == "poly_brittle"
@@ -92,7 +93,7 @@ class TestRank:
         missing = tmp_path / "missing" / "manifest.json"
         rc = main(
             ["rank", "--sources", str(missing),
-             "--target", manifest_of(suite_dir, "metal_plateau"), "--auto-extreme"]
+             "--target", manifest_of(suite_dir, "metal_plateau")]
         )
         assert rc == 2
         assert "missing" in capsys.readouterr().err
@@ -102,7 +103,7 @@ class TestRank:
         rc = main(
             ["rank", "--sources", manifest_of(suite_dir, "poly_plateau"),
              "--target", manifest_of(suite_dir, "metal_plateau"),
-             "--auto-extreme", "--grid-n", "40", "--dump-dtw", str(dump)]
+             "--grid-n", "40", "--dump-dtw", str(dump)]
         )
         assert rc == 0
         local = (dump / "poly_plateau_local.csv").read_text().splitlines()
@@ -113,8 +114,32 @@ class TestRank:
         assert path_rows[1] == "0,0"
         assert path_rows[-1] == "39,39"
 
+    def test_shuffled_and_duplicated_rows_rank_as_sorted(self, suite_dir, tmp_path):
+        # load_dataset cleans each curve it reads, so the order of the CSV rows and
+        # repeated rows do not reach the gridding.
+        rng = random.Random(0)
+        names = ("poly_plateau", "poly_hardening", "poly_yield_drop", "poly_brittle", "metal_plateau")
+        for name in names:
+            (tmp_path / name).mkdir()
+            for path in (suite_dir / name).iterdir():
+                text = path.read_text(encoding="utf-8")
+                if path.suffix == ".csv":
+                    header, *rows = text.splitlines()
+                    rows += rng.sample(rows, len(rows) // 3)
+                    rng.shuffle(rows)
+                    text = "\n".join([header, *rows]) + "\n"
+                (tmp_path / name / path.name).write_text(text, encoding="utf-8")
+        outputs = []
+        for root in (suite_dir, tmp_path):
+            out = tmp_path / f"ranking_{len(outputs)}.json"
+            rc = main(["rank", *source_args(root), "--target", manifest_of(root, "metal_plateau"),
+                       "--seed", "0", "--out", str(out)])
+            assert rc == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
-# sha256 of `rank --auto-extreme --seed 0 --out` for every target of suite seeds 0-2.
+
+# sha256 of `rank --seed 0 --out` for every target of suite seeds 0-2.
 # DTW uses only IEEE min, add, subtract and square, so these bytes are the same on any machine.
 RANK_GOLDEN = {
     (0, "metal_plateau"): "2b8d9f58407dda0138951d5d5cb5ee5eb035a2af7ca7d2ef9d35ca2636610a81",
@@ -138,13 +163,13 @@ class TestRankGolden:
         for target in ("metal_plateau", "metal_hardening", "metal_yield_drop"):
             out = tmp_path / f"{target}.json"
             rc = main(["rank", *source_args(suite), "--target", manifest_of(suite, target),
-                       "--auto-extreme", "--seed", "0", "--out", str(out)])
+                       "--seed", "0", "--out", str(out)])
             assert rc == 0
             digests[seed, target] = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digests == {key: d for key, d in RANK_GOLDEN.items() if key[0] == seed}
 
 
-# sha256 of `pipeline --auto-extreme --seed 0 --out` report.json on metal_hardening of
+# sha256 of `pipeline --seed 0 --out` report.json on metal_hardening of
 # suite seed 0 at a small config, per variant, and of `evaluate --out` for a one-epoch
 # poly_plateau checkpoint on the same target. Training and inference run through BLAS,
 # so unlike RANK_GOLDEN these bytes hold for one numpy/OpenBLAS build (numpy 2.4,
@@ -170,7 +195,7 @@ class TestTrainGolden:
     def test_report_bytes_match_golden(self, variant, golden_suite, tmp_path):
         rc = main(["pipeline", "--variant", variant, *source_args(golden_suite),
                    "--target", manifest_of(golden_suite, "metal_hardening"),
-                   "--auto-extreme", *GOLDEN_TRAIN, "--out", str(tmp_path)])
+                   *GOLDEN_TRAIN, "--out", str(tmp_path)])
         assert rc == 0
         assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == PIPELINE_GOLDEN[variant]
 
@@ -253,7 +278,7 @@ class TestPipeline:
         rc = main(
             ["pipeline", "--variant", "vanilla",
              "--target", manifest_of(suite_dir, "metal_plateau"),
-             "--auto-extreme", "--seed", "1", "--out", str(out), *FAST_TRAIN]
+             "--seed", "1", "--out", str(out), *FAST_TRAIN]
         )
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
@@ -270,7 +295,7 @@ class TestPipeline:
         rc = main(
             ["pipeline", "--variant", "dtw_tl", *source_args(suite_dir),
              "--target", manifest_of(suite_dir, "metal_hardening"),
-             "--auto-extreme", "--seed", "1", "--out", str(out),
+             "--seed", "1", "--out", str(out),
              *FAST_TRAIN, "--pretrain-epochs", "1"]
         )
         assert rc == 0
@@ -282,7 +307,7 @@ class TestPipeline:
         args = [
             "pipeline", "--variant", "vanilla",
             "--target", manifest_of(suite_dir, "metal_plateau"),
-            "--auto-extreme", "--seed", "7", *FAST_TRAIN,
+            "--seed", "7", *FAST_TRAIN,
         ]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
@@ -304,7 +329,7 @@ class TestPipeline:
         rc = main(
             ["pipeline", "--variant", "vanilla",
              "--target", manifest_of(suite_dir, "metal_plateau"),
-             "--auto-extreme", "--out", str(tmp_path / "run"), f"--mape-epsilon={epsilon}"]
+             "--out", str(tmp_path / "run"), f"--mape-epsilon={epsilon}"]
         )
         assert rc == 1
         assert "--mape-epsilon" in capsys.readouterr().err
@@ -313,7 +338,7 @@ class TestPipeline:
         rc = main(
             ["pipeline", "--variant", "vanilla",
              "--target", manifest_of(suite_dir, "metal_plateau"),
-             "--auto-extreme", "--out", str(tmp_path / "run"), "--mape-epsilon", "1e9",
+             "--out", str(tmp_path / "run"), "--mape-epsilon", "1e9",
              "--epochs", "1"]
         )
         assert rc == 2
@@ -323,7 +348,7 @@ class TestPipeline:
         rc = main(
             ["pipeline", "--variant", "vanilla",
              "--target", manifest_of(suite_dir, "metal_plateau"),
-             "--auto-extreme", "--seed", "0", "--out", str(tmp_path / "run"),
+             "--seed", "0", "--out", str(tmp_path / "run"),
              "--epochs", "60", "--lr", "1e12", "--optimizer", "sgd"]
         )
         assert rc == 3
@@ -363,7 +388,7 @@ class TestCheckpointCommands:
         rc = main(
             ["finetune", "--checkpoint", str(ckpt),
              "--target", manifest_of(suite_dir, "metal_plateau"),
-             "--auto-extreme", "--out", str(tuned), "--seed", "0", "--epochs", "2"]
+             "--out", str(tuned), "--seed", "0", "--epochs", "2"]
         )
         assert rc == 0
         doc = json.loads(tuned.read_text())
@@ -490,7 +515,7 @@ class TestCheckpointCommands:
         rc = main(
             ["rank", "--sources", manifest_of(suite_dir, "poly_plateau"),
              "--target", manifest_of(suite_dir, "metal_plateau"),
-             "--auto-extreme", "--out", str(out)]
+             "--out", str(out)]
         )
         assert rc == 0
         assert json.loads(out.read_text())["seed"] == 42
@@ -519,10 +544,32 @@ class TestManifestValidationThroughCli:
         argv = {
             "ingest": ["ingest", "--manifest", str(path)],
             "rank": ["rank", "--sources", str(path),
-                     "--target", manifest_of(suite_dir, "metal_plateau"), "--auto-extreme"],
+                     "--target", manifest_of(suite_dir, "metal_plateau")],
         }[command]
         assert main(argv) == 2
         assert "non-empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sample_id", ["../../escaped", "a/b", "a\\b", "a\0b", ".", ".."])
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    def test_sample_id_that_is_not_a_file_name_exits_2(self, suite_dir, tmp_path, capsys, command, sample_id):
+        # The id names predictions/<id>.csv and save_dataset's <id>.csv.
+        manifest = json.loads((suite_dir / "metal_plateau" / "manifest.json").read_text(encoding="utf-8"))
+        for sample in manifest["samples"]:
+            sample["file"] = str(suite_dir / "metal_plateau" / sample["file"])
+        manifest["samples"][3]["id"] = sample_id
+        path = tmp_path / "data" / "manifest.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "runs" / "run"
+        argv = {
+            "ingest": ["ingest", "--manifest", str(path)],
+            "pipeline": ["pipeline", "--variant", "vanilla", "--target", str(path),
+                         "--seed", "0", "--out", str(out), *FAST_TRAIN],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'metal_plateau'" in err and repr(sample_id) in err
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["data", "data/manifest.json"]
 
     def test_nan_parameter_exits_2(self, tmp_path, capsys):
         path = write_manifest(

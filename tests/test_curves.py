@@ -1,4 +1,4 @@
-"""Curve validation, normalization, resampling, and manifest ingestion."""
+"""Curve validation, gridding, and manifest ingestion."""
 
 import json
 
@@ -13,14 +13,13 @@ from curvetransfer.curves import (
     grid_curve,
     grid_curves,
     load_dataset,
-    normalize_curve,
-    resample_to_grid,
     save_dataset,
     validate_curve,
 )
 from curvetransfer.errors import DataValidationError
+from curvetransfer.similarity import rank_sources
 
-from conftest import write_curve_csv, write_manifest
+from conftest import composition, normalize_curve, write_curve_csv, write_manifest
 
 
 # Table B.3-style DOE: 18 carbon-steel samples, 2 build angles x 3 nozzle
@@ -143,14 +142,21 @@ def _interp_reference(x, xs, ys):
     raise AssertionError("unreachable")
 
 
+def resampled(xs, ys, n):
+    """grid_curves on a curve whose strain and stress maxima are 1, so the divide leaves it as it is."""
+    return grid_curves([RawCurve("s", np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))], n)[0]
+
+
 class TestResampleToGrid:
+    """Resampling as it shows through grid_curves."""
+
     def test_linear_segment(self):
-        gc = resample_to_grid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 3)
+        gc = resampled(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 3)
         assert gc.shape == (3,)
         np.testing.assert_allclose(gc, [0.0, 0.5, 1.0])
 
     def test_constant_left_extension(self):
-        gc = resample_to_grid(np.array([0.2, 1.0]), np.array([0.1, 1.0]), 120)
+        gc = resampled(np.array([0.2, 1.0]), np.array([0.1, 1.0]), 120)
         below = np.linspace(0.0, 1.0, 120) < 0.2
         assert below.sum() > 0
         np.testing.assert_allclose(gc[below], 0.1)
@@ -159,7 +165,7 @@ class TestResampleToGrid:
     def test_piecewise_interpolation_matches_reference(self):
         xs = np.array([0.0, 0.5, 1.0])
         ys = np.array([0.0, 1.0, 1.0])
-        gc = resample_to_grid(xs, ys, 5)
+        gc = resampled(xs, ys, 5)
         # grid point 0.25 lies mid-segment: hand value 0.5
         assert abs(gc[1] - 0.5) < 1e-15
         for g, v in zip(np.linspace(0.0, 1.0, 5), gc):
@@ -173,12 +179,13 @@ class TestResampleToGrid:
             xs[-1] = 1.0
             xs = np.unique(xs)
             ys = rng.random(len(xs))
-            gc = resample_to_grid(xs, ys, 37)
+            ys /= ys.max()
+            gc = resampled(xs, ys, 37)
             for g, v in zip(np.linspace(0.0, 1.0, 37), gc):
                 assert abs(v - _interp_reference(g, xs, ys)) < 1e-12
 
     def test_grid_invariants(self):
-        gc = resample_to_grid(np.array([0.0, 1.0]), np.array([0.3, 0.9]), 120)
+        gc = resampled(np.array([0.0, 1.0]), np.array([0.3, 1.0]), 120)
         grid = np.linspace(0.0, 1.0, 120)
         assert len(gc) == 120
         assert grid[0] == 0.0 and grid[-1] == 1.0
@@ -188,18 +195,20 @@ class TestResampleToGrid:
     def test_exact_at_coincident_points(self):
         xs = np.linspace(0.0, 1.0, 11)  # every xs lands on the 11-point grid
         ys = np.sin(xs * 3) ** 2
-        gc = resample_to_grid(xs, ys, 11)
+        ys /= ys.max()
+        gc = resampled(xs, ys, 11)
         np.testing.assert_allclose(gc, ys, atol=1e-12)
 
     def test_round_trip_on_grid(self):
         grid = np.linspace(0.0, 1.0, 50)
         values = np.clip(np.cumsum(np.random.default_rng(3).random(50)) / 30.0, 0, 1)
-        gc = resample_to_grid(grid, values, 50)
+        values /= values.max()
+        gc = resampled(grid, values, 50)
         np.testing.assert_allclose(gc, values, atol=1e-12)
 
     def test_too_few_grid_points(self):
         with pytest.raises(DataValidationError, match=">= 2"):
-            resample_to_grid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1)
+            resampled(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1)
 
 
 class TestLoadDataset:
@@ -309,16 +318,10 @@ class TestLoadDataset:
 
 def test_grid_curve_end_to_end():
     curve = RawCurve("s", np.array([0.0, 0.01, 0.01, 0.05]), np.array([-1.0, 10.0, 12.0, 50.0]))
-    gc = grid_curve(curve, 60)
+    gc = grid_curve(validate_curve(curve), 60)
     assert isinstance(gc, np.ndarray) and gc.dtype == np.float64
     assert len(gc) == 60
     assert gc[-1] == 1.0
-
-
-def composition(curve, n):
-    """grid_curve spelled out: validate, normalize, resample."""
-    strain_norm, stress_norm = normalize_curve(validate_curve(curve))
-    return resample_to_grid(strain_norm, stress_norm, n, sample_id=curve.sample_id)
 
 
 @st.composite
@@ -346,7 +349,7 @@ def mixed_curves(min_size, max_size):
     )
 
 
-# Each raises in grid_curve: at validation, normalization or resampling.
+# Each raises in composition: at validation, normalization or resampling.
 BAD_CURVES = {
     "nan_stress": ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0]),
     "inf_strain": ([0.0, np.inf, 1.0], [0.0, 0.5, 1.0]),
@@ -374,7 +377,7 @@ class TestGridCurves:
     def test_rows_equal_composition_bitwise(self, curves, n):
         expected, error = expected_grid(curves, n)
         assert error is None
-        got = grid_curves(curves, n)
+        got = grid_curves([validate_curve(c) for c in curves], n)
         assert got.shape == (len(curves), n) and got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
 
@@ -385,6 +388,7 @@ class TestGridCurves:
         st.integers(2, 40),
     )
     def test_bad_list_raises_first_failure_in_order(self, curves, bad, n):
+        curves = [validate_curve(c) for c in curves]
         for name, position in bad:
             strain, stress = BAD_CURVES[name]
             curves.insert(position, RawCurve(f"bad_{name}", np.array(strain), np.array(stress)))
@@ -399,23 +403,38 @@ class TestGridCurves:
         strain, stress = BAD_CURVES[name]
         curve = RawCurve("bad", np.array(strain), np.array(stress))
         with pytest.raises(DataValidationError) as expected:
-            grid_curve(curve, 10)
+            composition(curve, 10)
         with pytest.raises(DataValidationError) as raised:
             grid_curves([RawCurve("ok", np.array([0.0, 1.0]), np.array([0.0, 1.0])), curve], 10)
         assert str(raised.value) == str(expected.value)
+        with pytest.raises(DataValidationError) as raised:
+            grid_curve(curve, 10)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("kind, strain", [("unsorted", [0.5, 0.0, 1.0]), ("repeated", [0.0, 0.5, 0.5, 1.0])])
+    @pytest.mark.parametrize("caller", ["grid_curves", "rank_sources"])
+    def test_raw_curve_raises_naming_its_sample(self, kind, strain, caller):
+        ok = RawCurve("ok", np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        raw = RawCurve(f"raw_{kind}", np.array(strain), np.linspace(1.0, 2.0, len(strain)))
+        call = {
+            "grid_curves": lambda: grid_curves([ok, raw], 10),
+            "rank_sources": lambda: rank_sources([Dataset("src", "source", [], [ok])], [ok, raw], 10),
+        }[caller]
+        with pytest.raises(DataValidationError, match=f"sample 'raw_{kind}': strain must be strictly increasing"):
+            call()
+        assert composition(raw, 10).shape == (10,)  # cleaning alone would have gridded it
 
     def test_empty_list(self):
         assert grid_curves([], 7).shape == (0, 7)
 
 
 @pytest.mark.parametrize("n", [2.5, "7", None, True, 1])
-@pytest.mark.parametrize("grid", ["grid_curve", "grid_curves", "resample_to_grid"])
+@pytest.mark.parametrize("grid", ["grid_curve", "grid_curves"])
 def test_bad_grid_size_rejected(grid, n):
     curve = RawCurve("s", np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     call = {
         "grid_curve": lambda: grid_curve(curve, n),
         "grid_curves": lambda: grid_curves([curve], n),
-        "resample_to_grid": lambda: resample_to_grid(curve.strain, curve.stress, n),
     }[grid]
     with pytest.raises(DataValidationError, match="grid size must be"):
         call()
@@ -445,3 +464,11 @@ class TestSaveDataset:
         with pytest.raises(ValueError, match=match):
             save_dataset(dataset, out_dir)
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sample_id", ["../escaped", "a/b", "a\\b", "a\0b", ".", ".."])
+def test_dataset_rejects_sample_id_that_is_not_a_file_name(sample_id):
+    curve = RawCurve(sample_id, np.array([0.0, 0.01]), np.array([0.0, 1.0]))
+    with pytest.raises(DataValidationError) as raised:
+        Dataset("demo", "target", [], [curve])
+    assert "'demo'" in str(raised.value) and repr(sample_id) in str(raised.value)

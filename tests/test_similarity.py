@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from curvetransfer.curves import Dataset, ParamField, RawCurve, grid_curve
+from curvetransfer.curves import Dataset, ParamField, RawCurve, validate_curve
 from curvetransfer.errors import DataValidationError
 from curvetransfer.metrics import pearson
 from curvetransfer.similarity import (
@@ -19,7 +19,7 @@ from curvetransfer.similarity import (
     rank_sources,
 )
 
-from conftest import brute_force_dtw, euclidean_distance
+from conftest import brute_force_dtw, composition, euclidean_distance
 
 VALID_STEPS = {(1, 0), (0, 1), (1, 1)}
 
@@ -325,8 +325,8 @@ class TestRankSources:
 
 
 def oracle_rank_sources(sources, target_train, n):
-    means = oracle_means([[grid_curve(c, n) for c in ds.curves] for ds in sources],
-                         [grid_curve(c, n) for c in target_train])
+    means = oracle_means([[composition(c, n) for c in ds.curves] for ds in sources],
+                         [composition(c, n) for c in target_train])
     return sorted(zip([ds.name for ds in sources], means), key=lambda e: (e[1], e[0]))
 
 
@@ -372,8 +372,9 @@ class TestOneSweepRankingOracle:
     @settings(max_examples=50, deadline=None)
     @given(ranking_inputs(), st.randoms(use_true_random=False))
     def test_unsorted_raw_curves_equal_oracle_bitwise(self, inputs, random):
-        # A curve of 3+ points gets a repeated strain and the shuffle unsorts most others,
-        # so they take grid_curves' per-curve cleaning path.
+        # A curve of 3+ points gets a repeated strain and the shuffle unsorts most others.
+        # rank_sources takes them cleaned, as load_dataset returns them; the oracle cleans
+        # the raw shuffled curves itself.
         sources, target, n = inputs
 
         def shuffled(curve):
@@ -386,7 +387,8 @@ class TestOneSweepRankingOracle:
 
         sources = [Dataset(ds.name, "source", [], [shuffled(c) for c in ds.curves]) for ds in sources]
         target = [shuffled(c) for c in target]
-        ranking = rank_sources(sources, target, n)
+        cleaned = [Dataset(ds.name, "source", [], [validate_curve(c) for c in ds.curves]) for ds in sources]
+        ranking = rank_sources(cleaned, [validate_curve(c) for c in target], n)
         expected = oracle_rank_sources(sources, target, n)
         assert entry_bytes(ranking.entries) == entry_bytes(expected)
         assert ranking.selected == expected[0][0]
