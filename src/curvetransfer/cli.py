@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -267,7 +268,15 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.
+
+    Building it costs milliseconds (every ``add_argument`` makes a help
+    formatter), about a tenth of one ``evaluate``. Parsing never changes
+    it: each call fills a fresh namespace, and ``append`` flags copy their
+    list, so nothing carries over from one :func:`main` call to the next.
+    """
     parser = _Parser(prog="curvetransfer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -57,6 +57,13 @@ class ParamField:
     unit: str = "-"
 
 
+def _check_file_name(value: str, label: str) -> None:
+    if value in (".", "..") or any(c in value for c in "/\\\0"):
+        raise DataValidationError(
+            f"{label} cannot name a file: it must not be '.' or '..' or hold '/', '\\' or NUL"
+        )
+
+
 @dataclass
 class Dataset:
     """Named collection of curves sharing one process-parameter schema."""
@@ -67,6 +74,8 @@ class Dataset:
     curves: list[RawCurve]
 
     def __post_init__(self):
+        # The name prefixes the files rank --dump-dtw writes.
+        _check_file_name(self.name, f"dataset name {self.name!r}")
         if self.role not in ROLES:
             raise DataValidationError(
                 f"dataset {self.name!r}: role must be one of {ROLES}, got {self.role!r}"
@@ -77,11 +86,7 @@ class Dataset:
         seen: set[str] = set()
         for curve in self.curves:
             # The id names the sample's CSV file (save_dataset, pipeline predictions).
-            if curve.sample_id in (".", "..") or any(c in curve.sample_id for c in "/\\\0"):
-                raise DataValidationError(
-                    f"dataset {self.name!r}: sample_id {curve.sample_id!r} cannot name a file: "
-                    "it must not be '.' or '..' or hold '/', '\\' or NUL"
-                )
+            _check_file_name(curve.sample_id, f"dataset {self.name!r}: sample_id {curve.sample_id!r}")
             if curve.sample_id in seen:
                 raise DataValidationError(
                     f"dataset {self.name!r}: duplicate sample_id {curve.sample_id!r}"

@@ -34,6 +34,24 @@ def _as_pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     return actual, predicted
 
 
+# These functions call ndarray methods (``x.sum()``), which run the same
+# reductions as ``np.sum(x)`` without its dispatch wrapper.
+
+
+def _rmse(squared_error: np.ndarray) -> float:
+    return float(np.sqrt(squared_error.mean()))
+
+
+def _r2(actual: np.ndarray, squared_error: np.ndarray) -> float:
+    if actual.size < 2:
+        raise ValueError("r2 requires at least 2 points")
+    if (actual == actual[0]).all():
+        raise ValueError("r2 undefined for constant actual values (zero variance)")
+    ss_tot = float(((actual - actual.mean()) ** 2).sum())
+    ss_res = float(squared_error.sum())
+    return 1.0 - ss_res / ss_tot
+
+
 def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
     """Mean absolute percentage error, in percent.
 
@@ -42,34 +60,29 @@ def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
     every point is excluded.
     """
     actual, predicted = _as_pair(actual, predicted)
-    mask = np.abs(actual) >= epsilon
-    if not np.any(mask):
+    abs_actual = np.abs(actual)
+    mask = abs_actual >= epsilon
+    if not mask.any():
         raise ValueError(f"all {actual.size} points below epsilon={epsilon}, MAPE undefined")
-    return float(np.mean(np.abs(actual[mask] - predicted[mask]) / np.abs(actual[mask]))) * 100.0
+    return float((np.abs(actual[mask] - predicted[mask]) / abs_actual[mask]).mean()) * 100.0
 
 
 def mape_excluded_count(actual, epsilon: float = DEFAULT_MAPE_EPSILON) -> int:
     """Number of points the MAPE near-zero guard would drop."""
     actual = np.asarray(actual, dtype=float)
-    return int(np.sum(np.abs(actual) < epsilon))
+    return int((np.abs(actual) < epsilon).sum())
 
 
 def rmse(actual, predicted) -> float:
     """Root mean squared error."""
     actual, predicted = _as_pair(actual, predicted)
-    return float(np.sqrt(np.mean((actual - predicted) ** 2)))
+    return _rmse((actual - predicted) ** 2)
 
 
 def r2(actual, predicted) -> float:
     """Coefficient of determination, 1 - SS_res / SS_tot. May be negative."""
     actual, predicted = _as_pair(actual, predicted)
-    if actual.size < 2:
-        raise ValueError("r2 requires at least 2 points")
-    if np.all(actual == actual[0]):
-        raise ValueError("r2 undefined for constant actual values (zero variance)")
-    ss_tot = float(np.sum((actual - np.mean(actual)) ** 2))
-    ss_res = float(np.sum((actual - predicted) ** 2))
-    return 1.0 - ss_res / ss_tot
+    return _r2(actual, (actual - predicted) ** 2)
 
 
 def pearson(xs, ys) -> float:
@@ -90,15 +103,19 @@ def summarize(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> Metri
     """All three error metrics plus point counts for one prediction run.
 
     Raises ValueError if a prediction is not finite, so no metric reads
-    NaN or infinity.
+    NaN or infinity. Computes the squared error once, for the kernels of
+    :func:`rmse` and :func:`r2`; each value is bitwise the public
+    function's, and each bad input raises what those functions raise, in
+    the same order.
     """
     actual, predicted = _as_pair(actual, predicted)
-    if not np.all(np.isfinite(predicted)):
+    if not np.isfinite(predicted).all():
         raise ValueError(f"{int(np.sum(~np.isfinite(predicted)))} of {predicted.size} predictions are not finite")
+    squared_error = (actual - predicted) ** 2
     return MetricSummary(
         mape=mape(actual, predicted, epsilon),
-        rmse=rmse(actual, predicted),
-        r2=r2(actual, predicted),
+        rmse=_rmse(squared_error),
+        r2=_r2(actual, squared_error),
         n_points=int(actual.size),
         n_excluded=mape_excluded_count(actual, epsilon),
     )

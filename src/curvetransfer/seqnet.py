@@ -295,35 +295,60 @@ def predict_windows(params: ModelParams, windows: np.ndarray) -> np.ndarray:
     :func:`forward_sequence`'s BLAS calls: the hidden projection is one GEMV
     per window (a stacked matmul), not a ``(B, h) @ W_h.T`` GEMM, and the
     output is a dot per window. A GEMM sums in another order, so it would
-    move predictions in the last bit.
+    move predictions in the last bit. Every buffer is allocated once per
+    call and every ufunc writes into one, in :func:`_forward_into`'s call
+    form. Step 0 starts from the zero state, so it skips ``W_h @ 0`` and its
+    add and reads the input projection as the pre-activation: for finite
+    parameters that changes at most the sign of a zero in ``z``, which
+    never reaches the cell or hidden state. With a non-finite ``W_h`` it
+    would not be exact (``inf * 0`` is NaN), so parameters holding a
+    non-finite value raise ValueError, for every B.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3 or windows.shape[1] == 0:
         raise ValueError(f"windows must be a non-empty 3-D (B, n, d) stack, got shape {windows.shape}")
     if windows.shape[2] != params.input_dim:
         raise ValueError(f"window columns {windows.shape[2]} != input_dim {params.input_dim}")
+    if not np.isfinite(params.flat).all():
+        raise ValueError("parameters hold a non-finite value")
     (B, n, _), hd = windows.shape, params.hidden_dim
     if B == 1:
         # numpy runs a one-row product as a GEMV; the batch-1 kernel is the exact path.
         return np.array([_forward_into(_ForwardWorkspace(params, n), windows[0])])
+    add, multiply, tanh, matmul = np.add, np.multiply, np.tanh, np.matmul
+    h3 = 3 * hd
     W_h, W_x, b = params.W_h, params.W_x, params.b
-    h, c = np.zeros((B, hd)), np.zeros((B, hd))
+    # c starts as the zero state; h is first written at step 0, which never reads it.
+    h, c, tmp = np.empty((B, hd)), np.zeros((B, hd)), np.empty((B, hd))
     xz, z = np.empty((B, 4 * hd)), np.empty((B, 4 * hd))
+    # Contiguous gate blocks: exp and tanh run slower into strided outputs.
+    sig, den, g = np.empty((B, h3)), np.empty((B, h3)), np.empty((B, hd))
+    f, i, o = sig[:, :hd], sig[:, hd : 2 * hd], sig[:, 2 * hd :]
+    xz_col, z_col, h_col = xz[:, :, None], z[:, :, None], h[:, :, None]
     for t in range(n):
         x_t = windows[:, t]
         # forward_sequence projects a window's n input rows with one GEMM, or a
         # GEMV when n == 1; each step here makes the same call for all B rows.
         if n == 1:
-            np.matmul(W_x, x_t[:, :, None], out=xz[:, :, None])
+            matmul(W_x, x_t[:, :, None], xz_col)
         else:
-            np.matmul(x_t, W_x.T, out=xz)
-        xz += b
-        np.matmul(W_h, h[:, :, None], out=z[:, :, None])
-        z += xz
-        sig = _sigmoid(z[:, : 3 * hd])
-        f, i, o = sig[:, :hd], sig[:, hd : 2 * hd], sig[:, 2 * hd :]
-        c = f * c + i * np.tanh(z[:, 3 * hd :])
-        h = o * np.tanh(c)
+            matmul(x_t, W_x.T, xz)
+        add(xz, b, xz)
+        if t == 0:
+            z_t = xz  # W_h @ 0 adds only signed zeros
+        else:
+            matmul(W_h, h_col, z_col)
+            add(z, xz, z)
+            z_t = z
+        _sigmoid(z_t[:, :h3], sig, den)
+        tanh(z_t[:, h3:], g)
+        # c = f * c + i * g
+        multiply(f, c, c)
+        multiply(i, g, tmp)
+        add(c, tmp, c)
+        # h = o * tanh(c)
+        tanh(c, tmp)
+        multiply(o, tmp, h)
     return np.vecdot(h, params.W_out[0]) + params.b_out[0]
 
 
@@ -485,8 +510,9 @@ def train(
     squared error observed during the pass. Deterministic for a fixed seed.
     Raises ValueError for malformed or non-finite data, naming the first
     window that holds a non-finite value, and TrainingDivergenceError if the
-    loss goes non-finite. One forward and one backward workspace per call
-    (see ``_ForwardWorkspace`` and ``_BackwardWorkspace``) own every buffer
+    loss goes non-finite or the last update leaves a non-finite parameter.
+    One forward and one backward workspace per call (see
+    ``_ForwardWorkspace`` and ``_BackwardWorkspace``) own every buffer
     the step writes and bind every view it reads, so the per-window loop
     allocates nothing and slices nothing beyond taking the window itself;
     each ufunc of the step takes its output by position (see :func:`_forward_into`).
@@ -526,4 +552,10 @@ def train(
                 f"training diverged: non-finite loss {epoch_loss} at epoch {epoch + 1}"
             )
         loss_history.append(epoch_loss)
+    # The loss never sees the last update; a non-finite parameter there
+    # would reach predict_windows, which rejects it.
+    if not np.isfinite(params.flat).all():
+        raise TrainingDivergenceError(
+            f"training diverged: non-finite parameters after the last update of epoch {config.epochs}"
+        )
     return params, loss_history

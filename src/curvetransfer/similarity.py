@@ -93,7 +93,9 @@ def _dtw_many(a: np.ndarray, b_rev: np.ndarray) -> np.ndarray:
     n = len(a)
     before, last, cur = (np.full((n + 1,) + a.shape[1:], np.inf) for _ in range(3))
     square = np.empty_like(a)
-    last[1] = (a[0] - b_rev[n - 1]) ** 2
+    # np.square, not ``** 2``: on the scalars of a 1-D pair ``** 2`` is libm's
+    # pow, which can differ from the exact product in the last bit.
+    last[1] = np.square(a[0] - b_rev[n - 1])
     for d in range(1, 2 * n - 1):
         k0, k1 = max(0, d - n + 1), min(d, n - 1) + 1
         out, sq = cur[k0 + 1 : k1 + 1], square[: k1 - k0]

@@ -92,7 +92,15 @@ class SampleEval:
 
     def to_dict(self) -> dict:
         """The metrics as JSON values; the predicted tail is left out."""
-        return {"sample_id": self.sample_id, **asdict(self.metrics)}
+        m = self.metrics
+        return {
+            "sample_id": self.sample_id,
+            "mape": m.mape,
+            "rmse": m.rmse,
+            "r2": m.r2,
+            "n_points": m.n_points,
+            "n_excluded": m.n_excluded,
+        }
 
 
 @dataclass
@@ -150,7 +158,10 @@ def _curve_windows(
     features = np.empty((len(strain), scalers.input_dim))
     features[:, 0] = strain
     features[:, 1:] = scaled_params
-    windows = np.lib.stride_tricks.sliding_window_view(features, n, axis=0)[:-1].transpose(0, 2, 1)
+    s_row, s_col = features.strides
+    windows = np.lib.stride_tricks.as_strided(
+        features, (len(strain) - n, n, scalers.input_dim), (s_row, s_row, s_col), writeable=False
+    )
     return windows, scalers.stress.scale(curve.stress)[n:]
 
 

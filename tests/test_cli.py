@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from curvetransfer.cli import _write_json, main
+from curvetransfer.cli import _write_json, build_parser, main
 from curvetransfer.curves import Dataset, RawCurve, load_dataset, save_dataset
 
 from conftest import write_manifest
@@ -529,6 +529,34 @@ class TestWriteJson:
         assert not path.exists()
 
 
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_sources_do_not_carry_over(self, suite_dir, tmp_path):
+        target = ["--target", manifest_of(suite_dir, "metal_plateau"), "--seed", "1"]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["rank", *source_args(suite_dir), *target, "--out", str(first)]) == 0
+        assert main(["rank", "--sources", manifest_of(suite_dir, "poly_brittle"), *target,
+                     "--out", str(second)]) == 0
+        assert len(json.loads(first.read_text())["entries"]) == 4
+        assert [e["source"] for e in json.loads(second.read_text())["entries"]] == ["poly_brittle"]
+
+    def test_seed_fallback_is_read_per_call(self, suite_dir, tmp_path, monkeypatch):
+        rank = ["rank", "--sources", manifest_of(suite_dir, "poly_plateau"),
+                "--target", manifest_of(suite_dir, "metal_plateau")]
+        seeds = []
+        for env, flag in (("42", []), ("42", ["--seed", "7"]), ("5", []), (None, [])):
+            if env is None:
+                monkeypatch.delenv("CURVETRANSFER_SEED", raising=False)
+            else:
+                monkeypatch.setenv("CURVETRANSFER_SEED", env)
+            out = tmp_path / f"ranking{len(seeds)}.json"
+            assert main([*rank, *flag, "--out", str(out)]) == 0
+            seeds.append(json.loads(out.read_text())["seed"])
+        assert seeds == [42, 7, 5, 0]
+
+
 class TestManifestValidationThroughCli:
     def test_schema_mismatch_exits_2(self, tmp_path, capsys):
         path = write_manifest(
@@ -569,6 +597,27 @@ class TestManifestValidationThroughCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "'metal_plateau'" in err and repr(sample_id) in err
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["data", "data/manifest.json"]
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b", ".", ".."])
+    @pytest.mark.parametrize("command", ["ingest", "rank"])
+    def test_dataset_name_that_is_not_a_file_name_exits_2(self, suite_dir, tmp_path, capsys, command, name):
+        # The name prefixes rank --dump-dtw's <name>_{local,cumulative,path}.csv.
+        manifest = json.loads((suite_dir / "poly_plateau" / "manifest.json").read_text(encoding="utf-8"))
+        for sample in manifest["samples"]:
+            sample["file"] = str(suite_dir / "poly_plateau" / sample["file"])
+        manifest["name"] = name
+        path = tmp_path / "data" / "manifest.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        argv = {
+            "ingest": ["ingest", "--manifest", str(path)],
+            "rank": ["rank", "--sources", str(path), "--target", manifest_of(suite_dir, "metal_plateau"),
+                     "--grid-n", "8", "--dump-dtw", str(tmp_path / "out" / "dump")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"dataset name {name!r} cannot name a file" in err
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["data", "data/manifest.json"]
 
     def test_nan_parameter_exits_2(self, tmp_path, capsys):

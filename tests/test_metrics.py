@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curvetransfer.metrics import mape, pearson, r2, rmse, summarize
+from curvetransfer.metrics import mape, mape_excluded_count, pearson, r2, rmse, summarize
 
 
 class TestMape:
@@ -113,3 +114,79 @@ class TestSummarize:
     def test_non_finite_prediction_rejected(self, bad):
         with pytest.raises(ValueError, match="1 of 3 predictions are not finite"):
             summarize(np.array([10.0, 20.0, 35.0]), np.array([10.0, bad, 35.0]))
+
+
+def reference_summary(actual, predicted, epsilon):
+    """``summarize``'s checks and formulas written out in full, each metric on its own.
+
+    Returns ``(mape, rmse, r2)`` as bytes, the point count and the excluded
+    count, or raises what ``summarize`` must raise, in its order.
+    """
+    actual = np.asarray(actual, dtype=float)
+    predicted = np.asarray(predicted, dtype=float)
+    if actual.shape != predicted.shape:
+        raise ValueError(f"length mismatch: {actual.shape} vs {predicted.shape}")
+    if actual.size == 0:
+        raise ValueError("empty input")
+    if not np.all(np.isfinite(predicted)):
+        raise ValueError(f"{int(np.sum(~np.isfinite(predicted)))} of {predicted.size} predictions are not finite")
+    mask = np.abs(actual) >= epsilon
+    if not np.any(mask):
+        raise ValueError(f"all {actual.size} points below epsilon={epsilon}, MAPE undefined")
+    mape_value = float(np.mean(np.abs(actual[mask] - predicted[mask]) / np.abs(actual[mask]))) * 100.0
+    rmse_value = float(np.sqrt(np.mean((actual - predicted) ** 2)))
+    if actual.size < 2:
+        raise ValueError("r2 requires at least 2 points")
+    if np.all(actual == actual[0]):
+        raise ValueError("r2 undefined for constant actual values (zero variance)")
+    ss_tot = float(np.sum((actual - np.mean(actual)) ** 2))
+    r2_value = 1.0 - float(np.sum((actual - predicted) ** 2)) / ss_tot
+    excluded = int(np.sum(np.abs(actual) < epsilon))
+    return np.array([mape_value, rmse_value, r2_value]).tobytes(), actual.size, excluded
+
+
+# Few distinct values, zeros and near-zeros among them, so ties, constant
+# inputs and all-excluded inputs come up often.
+metric_values = st.sampled_from([0.0, -0.0, 1e-9, -1e-7, 0.5, 3.0, -250.0]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def metric_inputs(draw):
+    size = draw(st.integers(0, 12))
+    actual = draw(st.lists(metric_values | st.just(np.nan), min_size=size, max_size=size))
+    other = draw(st.sampled_from([size, size, size, size + 1, max(size - 1, 0)]))
+    predicted = draw(st.lists(metric_values | st.sampled_from([np.nan, np.inf]), min_size=other, max_size=other))
+    return actual, predicted, draw(st.sampled_from([1e-6, 1e-3, 1.0]))
+
+
+class TestSummarizeOnePass:
+    @settings(max_examples=400, deadline=None)
+    @given(metric_inputs())
+    def test_equals_reference_and_public_functions_bitwise(self, case):
+        actual, predicted, epsilon = case
+        try:
+            expected = reference_summary(actual, predicted, epsilon)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as raised:
+                summarize(actual, predicted, epsilon)
+            assert str(raised.value) == str(exc)
+            return
+        s = summarize(actual, predicted, epsilon)
+        assert (np.array([s.mape, s.rmse, s.r2]).tobytes(), s.n_points, s.n_excluded) == expected
+        assert type(s.n_points) is int and type(s.n_excluded) is int
+        public = [mape(actual, predicted, epsilon), rmse(actual, predicted), r2(actual, predicted)]
+        assert np.array(public).tobytes() == expected[0]
+        assert mape_excluded_count(actual, epsilon) == expected[2]
+
+    @pytest.mark.parametrize("actual, predicted, message", [
+        ([1.0, 2.0], [1.0], "length mismatch"),
+        ([], [], "empty input"),
+        ([1.0, 2.0], [np.nan, 1.0], "1 of 2 predictions are not finite"),
+        ([0.0, 0.0], [np.inf, 1.0], "1 of 2 predictions are not finite"),
+        ([0.0, 1e-9], [1.0, 1.0], "below epsilon"),
+        ([2.0], [1.0], "r2 requires at least 2 points"),
+        ([0.4, 0.4], [1.0, 2.0], "constant actual"),
+    ])
+    def test_first_failing_check_wins(self, actual, predicted, message):
+        with pytest.raises(ValueError, match=message):
+            summarize(actual, predicted)

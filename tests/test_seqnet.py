@@ -11,6 +11,7 @@ from curvetransfer import transfer
 from curvetransfer.errors import TrainingDivergenceError
 from curvetransfer.scaling import fit_scalers
 from curvetransfer.seqnet import (
+    HIDDEN_DIM,
     PARAM_NAMES,
     ModelParams,
     TrainConfig,
@@ -258,6 +259,53 @@ class TestPredictWindows:
         assert predictions.shape == (batch,) and predictions.dtype == np.float64
         assert predictions.tobytes() == per_window_predictions(params, windows).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.integers(2, 300),
+        st.sampled_from([1.0, 4.0, 40.0]),
+    )
+    def test_large_batches_bitwise_equal(self, seed, input_dim, n, batch, scale):
+        # The pipeline's hidden size, with batches past one curve's windows.
+        params, windows, _ = random_lstm_case(seed, HIDDEN_DIM, input_dim, n, batch, scale)
+        assert predict_windows(params, windows).tobytes() == per_window_predictions(params, windows).tobytes()
+
+    # Step 0 of predict_windows skips W_h @ 0 and reads the input projection
+    # as its pre-activation, so a step-0 zero may differ in sign from
+    # forward_sequence's; the cases below feed it zeros of both signs.
+    @pytest.mark.parametrize("input_dim", [1, 3])
+    @pytest.mark.parametrize("batch", [2, 7])
+    def test_zero_inputs_and_negative_zero_bias_bitwise_equal(self, input_dim, batch):
+        params, _, _ = random_lstm_case(7, HIDDEN_DIM, input_dim, 4, batch, 1.0)
+        params.b[:] = -0.0
+        windows = np.zeros((batch, 4, input_dim))
+        predictions = predict_windows(params, windows)
+        assert predictions.tobytes() == per_window_predictions(params, windows).tobytes()
+        # Every gate pre-activation is a zero, so h stays zero and only b_out is left.
+        assert predictions.tobytes() == np.full(batch, params.b_out[0]).tobytes()
+
+    @pytest.mark.parametrize("batch", [2, 7])
+    def test_negative_zero_input_projection_bitwise_equal(self, batch):
+        # Inputs of -5e-324 make every product with W_x underflow to a zero;
+        # forward_sequence's projection then holds exact -0.0 entries.
+        params, _, _ = random_lstm_case(7, HIDDEN_DIM, 1, 4, batch, 1.0)
+        params.b[:] = -0.0
+        windows = np.full((batch, 4, 1), -5e-324)
+        xz = np.dot(params.W_x, windows[0].T) + params.b[:, None]
+        assert ((xz[:, 0] == 0) & np.signbit(xz[:, 0])).any()
+        assert predict_windows(params, windows).tobytes() == per_window_predictions(params, windows).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["W_h", "W_x", "b", "W_out", "b_out"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_non_finite_parameters_rejected(self, bad, where, batch):
+        params = init_params(0, 2, 4)
+        getattr(params, where).flat[0] = bad
+        with pytest.raises(ValueError, match="parameters hold a non-finite value"):
+            predict_windows(params, np.zeros((batch, 3, 2)))
+
     def test_whole_suite_bitwise_equal(self):
         sources, targets, _ = standard_suite(0)
         plateau = next(ds for ds in sources if ds.name == "poly_plateau")
@@ -440,6 +488,13 @@ class TestTrain:
         config = TrainConfig(epochs=50, learning_rate=1e12, optimizer="sgd", seed=0)
         with pytest.raises(TrainingDivergenceError, match="epoch"):
             train(params, windows, targets, config)
+
+    def test_non_finite_last_update_aborts(self):
+        # One window: the only update comes after the only loss, and overflows.
+        window = np.random.default_rng(0).normal(size=(1, 5, 3))
+        config = TrainConfig(epochs=1, learning_rate=1e308, optimizer="sgd")
+        with pytest.raises(TrainingDivergenceError, match="non-finite parameters after the last update of epoch 1"):
+            train(init_params(0, 3), window, np.array([5.0]), config)
 
     def test_column_targets_rejected(self):
         windows, targets = line_task(10)

@@ -147,6 +147,14 @@ class TestDistanceOnlyFastPath:
         assert type(distance) is float
         assert distance == float(cumulative_cost(local_distance_matrix(a, b))[-1, -1])
 
+    def test_first_cell_squares_like_the_dp(self):
+        # Squared through libm's pow (``** 2`` on a numpy scalar), this
+        # difference rounds one ulp away from np.square's exact product.
+        a, b = np.array([0.0, 0.0]), np.array([0.42672114373024106, 0.0])
+        corner = float(cumulative_cost(local_distance_matrix(a, b))[-1, -1])
+        assert corner == 0.18209093450644503
+        assert dtw_distance(a, b) == corner
+
     @settings(max_examples=200, deadline=None)
     @given(gridded_pairs())
     def test_path_is_valid_and_realizes_distance(self, pair):
