@@ -26,7 +26,6 @@ from .seqnet import (
 )
 from .similarity import (
     SourceRanking,
-    average_dtw,
     cumulative_cost,
     dtw_distance,
     dtw_path,
@@ -36,8 +35,10 @@ from .similarity import (
 from .synthgen import FamilySpec, generate_dataset, standard_suite
 from .transfer import (
     EvalReport,
+    Evaluation,
     ExperimentPlan,
     concat_shuffle_sources,
+    evaluate,
     finetune,
     predict_curve,
     pretrain,

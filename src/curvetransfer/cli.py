@@ -23,10 +23,10 @@ from .seqnet import TrainConfig
 from .similarity import cumulative_cost, dtw_path, local_distance_matrix, rank_sources
 from .synthgen import standard_suite
 from .transfer import (
+    Evaluation,
     ExperimentPlan,
-    _aggregate,
-    _evaluate,
     concat_shuffle_sources,
+    evaluate,
     finetune,
     pretrain,
     run_variant,
@@ -105,10 +105,6 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=_positive_int, default=100, help="training epochs (default 100)")
     parser.add_argument("--lr", type=_positive_float, default=1e-3, help="learning rate (default 1e-3)")
     parser.add_argument("--optimizer", choices=["sgd", "adam"], default="adam")
-    parser.add_argument(
-        "--pretrain-epochs", type=_positive_int, default=None,
-        help="epoch cap for the pre-training stage (default: same as --epochs)",
-    )
 
 
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:
@@ -117,6 +113,11 @@ def _add_split_flags(parser: argparse.ArgumentParser) -> None:
         help="comma-separated target training sample ids (default: the two DOE-corner samples, "
         "the scaled-parameter-sum extremes)",
     )
+
+
+def _print_summary(evaluation: Evaluation) -> None:
+    print(f"MAPE: {evaluation.aggregate_mape:.2f}%  RMSE: {evaluation.aggregate_rmse:.2f}  "
+          f"R2: {evaluation.aggregate_r2:.4f}")
 
 
 def cmd_ingest(args) -> int:
@@ -205,12 +206,10 @@ def cmd_evaluate(args) -> int:
     target = load_dataset(args.target)
     test_ids = _parse_ids(args.test_ids) if args.test_ids else target.sample_ids()
     test_curves = [target.curve_by_id(sid) for sid in test_ids]
-    per_sample = _evaluate(checkpoint, test_curves, DEFAULT_MAPE_EPSILON, args.pad_params)
-    agg = _aggregate(per_sample)
+    evaluation = evaluate(checkpoint, test_curves, pad=args.pad_params)
     if args.out:
-        doc = {"dataset": target.name, "per_sample": [s.to_dict() for s in per_sample], "aggregate": agg}
-        _write_json(doc, Path(args.out))
-    print(f"MAPE: {agg['mape']:.2f}%  RMSE: {agg['rmse']:.2f}  R2: {agg['r2']:.4f}")
+        _write_json({"dataset": target.name, **evaluation.to_dict(with_predicted=False)}, Path(args.out))
+    _print_summary(evaluation)
     return EXIT_OK
 
 
@@ -253,8 +252,7 @@ def cmd_pipeline(args) -> int:
     print(f"variant: {report.plan.variant}")
     if report.selected_source:
         print(f"selected source: {report.selected_source}")
-    print(f"MAPE: {report.aggregate_mape:.2f}%  RMSE: {report.aggregate_rmse:.2f}  "
-          f"R2: {report.aggregate_r2:.4f}")
+    _print_summary(report)
     return EXIT_OK
 
 
@@ -328,10 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=_grid_size, default=DEFAULT_GRID_N)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--pad-params", action="store_true")
-    p.add_argument("--mape-epsilon", type=_positive_float, default=1e-6,
-                   help="|stress| below this (MPa) is excluded from MAPE (default 1e-6)")
+    p.add_argument("--mape-epsilon", type=_positive_float, default=DEFAULT_MAPE_EPSILON,
+                   help="|stress| below this (MPa) is excluded from MAPE (default %(default)g)")
     p.add_argument("--out", required=True, help="output directory")
     _add_train_flags(p)
+    p.add_argument(
+        "--pretrain-epochs", type=_positive_int, default=None,
+        help="epoch cap for the pre-training stage (default: same as --epochs)",
+    )
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("synth", help="generate the synthetic source/target suite")

@@ -165,16 +165,6 @@ def _mean_dtws(sources: list[np.ndarray], target: np.ndarray) -> list[float]:
     return means
 
 
-def average_dtw(source: list[np.ndarray], target: list[np.ndarray]) -> float:
-    """Mean DTW distance over all source x target curve pairs: the one-source case of :func:`_mean_dtws`."""
-    if not source or not target:
-        raise ValueError("average_dtw requires non-empty curve lists")
-    for p in source:
-        for m in target:
-            _check_same_length(p, m)
-    return _mean_dtws([np.stack(source)], np.stack(target))[0]
-
-
 def rank_sources(
     sources: list[Dataset],
     target_train: list[RawCurve],

@@ -1,4 +1,4 @@
-"""Transfer-learning pipeline: windowing, training-set selection, pre-train / fine-tune, experiments.
+"""Transfer-learning pipeline: windowing, training-set selection, pre-train / fine-tune, evaluation, experiments.
 
 Windows hold n consecutive rows of [scaled strain, scaled process parameters]
 and predict the scaled stress at the following point. Parameters enter every
@@ -104,30 +104,39 @@ class SampleEval:
 
 
 @dataclass
-class EvalReport:
-    """Full result of one experiment run; the variant is ``plan.variant``."""
+class Evaluation:
+    """A checkpoint's per-sample results on some curves, and their means."""
 
-    plan: ExperimentPlan
     per_sample: list[SampleEval]
     aggregate_mape: float
     aggregate_rmse: float
     aggregate_r2: float
+
+    def to_dict(self, with_predicted: bool = True) -> dict:
+        """``per_sample`` and ``aggregate``; each sample's predicted tail unless ``with_predicted`` is false."""
+        return {
+            "per_sample": [
+                {**s.to_dict(), "predicted": s.predicted.tolist()} if with_predicted else s.to_dict()
+                for s in self.per_sample
+            ],
+            "aggregate": {"mape": self.aggregate_mape, "rmse": self.aggregate_rmse, "r2": self.aggregate_r2},
+        }
+
+
+@dataclass
+class EvalReport(Evaluation):
+    """Full result of one experiment run: the evaluation plus the plan; the variant is ``plan.variant``."""
+
+    plan: ExperimentPlan
     selected_source: str | None = None
     dtw_ranking: SourceRanking | None = None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, with_predicted: bool = True) -> dict:
         doc = {
             "variant": self.plan.variant,
             "plan": self.plan.to_dict(),
             "seed": self.plan.config.seed,
-            "per_sample": [
-                {**s.to_dict(), "predicted": [float(v) for v in s.predicted]} for s in self.per_sample
-            ],
-            "aggregate": {
-                "mape": float(self.aggregate_mape),
-                "rmse": float(self.aggregate_rmse),
-                "r2": float(self.aggregate_r2),
-            },
+            **super().to_dict(with_predicted),
         }
         if self.selected_source is not None:
             doc["selected_source"] = self.selected_source
@@ -387,24 +396,23 @@ def _summarize_sample(
         raise DataValidationError(f"sample {curve.sample_id!r}: {exc}") from exc
 
 
-def _evaluate(
-    checkpoint: ModelCheckpoint, test_curves: list[RawCurve], epsilon: float, pad: bool
-) -> list[SampleEval]:
+def evaluate(
+    checkpoint: ModelCheckpoint,
+    curves: list[RawCurve],
+    epsilon: float = DEFAULT_MAPE_EPSILON,
+    pad: bool = False,
+) -> Evaluation:
+    """Predict each curve's stress tail, score it, and average MAPE, RMSE and R2 over the curves."""
+    if not curves:
+        raise DataValidationError("evaluate requires at least one curve")
     n = checkpoint.sequence_length
-    evals = []
-    for curve in test_curves:
+    per_sample = []
+    for curve in curves:
         predicted = predict_curve(checkpoint, curve, pad)
         summary = _summarize_sample(curve, n, predicted, epsilon)
-        evals.append(SampleEval(curve.sample_id, summary, predicted))
-    return evals
-
-
-def _aggregate(per_sample: list[SampleEval]) -> dict[str, float]:
-    """Mean MAPE, RMSE and R2 over the evaluated samples."""
-    return {
-        key: float(np.mean([getattr(s.metrics, key) for s in per_sample]))
-        for key in ("mape", "rmse", "r2")
-    }
+        per_sample.append(SampleEval(curve.sample_id, summary, predicted))
+    means = [float(np.mean([getattr(s.metrics, key) for s in per_sample])) for key in ("mape", "rmse", "r2")]
+    return Evaluation(per_sample, *means)
 
 
 def _prepare(plan: ExperimentPlan, datasets):
@@ -442,11 +450,11 @@ def _finetune_and_evaluate(
     train_curves: list[RawCurve],
     test_curves: list[RawCurve],
     arity: int,
-) -> list[SampleEval]:
+) -> Evaluation:
     checkpoint = finetune(
         params0, train_curves, plan.config, target.name, param_arity=arity, pad=plan.pad_params
     )
-    return _evaluate(checkpoint, test_curves, plan.mape_epsilon, plan.pad_params)
+    return evaluate(checkpoint, test_curves, plan.mape_epsilon, plan.pad_params)
 
 
 def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
@@ -476,17 +484,8 @@ def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
         source_ckpt = pretrain(pool, pre_config, pool_name, param_arity=arity, pad=plan.pad_params)
         params0 = transfer_init(source_ckpt)
 
-    per_sample = _finetune_and_evaluate(plan, params0, target, train_curves, test_curves, arity)
-    aggregate = _aggregate(per_sample)
-    return EvalReport(
-        plan=plan,
-        per_sample=per_sample,
-        aggregate_mape=aggregate["mape"],
-        aggregate_rmse=aggregate["rmse"],
-        aggregate_r2=aggregate["r2"],
-        selected_source=selected_source,
-        dtw_ranking=ranking,
-    )
+    evaluation = _finetune_and_evaluate(plan, params0, target, train_curves, test_curves, arity)
+    return EvalReport(**vars(evaluation), plan=plan, selected_source=selected_source, dtw_ranking=ranking)
 
 
 def run_source_sweep(plan: ExperimentPlan, datasets) -> tuple[list[tuple[str, float, float]], float]:
@@ -504,7 +503,7 @@ def run_source_sweep(plan: ExperimentPlan, datasets) -> tuple[list[tuple[str, fl
     for ds in sources:
         source_ckpt = pretrain(ds.curves, pre_config, ds.name, param_arity=arity, pad=plan.pad_params)
         params0 = transfer_init(source_ckpt)
-        per_sample = _finetune_and_evaluate(plan, params0, target, train_curves, test_curves, arity)
-        entries.append((ds.name, avg_dtw[ds.name], _aggregate(per_sample)["mape"]))
+        evaluation = _finetune_and_evaluate(plan, params0, target, train_curves, test_curves, arity)
+        entries.append((ds.name, avg_dtw[ds.name], evaluation.aggregate_mape))
     correlation = pearson([e[1] for e in entries], [e[2] for e in entries])
     return entries, correlation

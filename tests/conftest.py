@@ -101,6 +101,22 @@ def euclidean_distance(a, b):
     return float(np.sum((a - b) ** 2))
 
 
+def average_dtw(source, target) -> float:
+    """Mean DTW distance over all source x target curve pairs of gridded (N,) arrays.
+
+    The one-source case of :func:`curvetransfer.similarity._mean_dtws`; it
+    checks every pair's length before it stacks the lists.
+    """
+    from curvetransfer.similarity import _check_same_length, _mean_dtws
+
+    if not source or not target:
+        raise ValueError("average_dtw requires non-empty curve lists")
+    for p in source:
+        for m in target:
+            _check_same_length(p, m)
+    return _mean_dtws([np.stack(source)], np.stack(target))[0]
+
+
 BRUTE_FORCE_MAX_LEN = 10
 
 

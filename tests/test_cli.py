@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, exit codes, determinism, round trips."""
 
+import csv
 import hashlib
 import json
 import random
@@ -233,13 +234,21 @@ class TestUsageErrors:
         )
         assert rc == 1
 
-    @pytest.mark.parametrize("command", ["pretrain", "pipeline"])
     @pytest.mark.parametrize(
-        "flag", ["--epochs=0", "--pretrain-epochs=0", "--seq-len=0", "--lr=0", "--lr=-1e-3", "--lr=nan"]
+        "flag, command",
+        [(flag, command)
+         for flag in ["--epochs=0", "--pretrain-epochs=0", "--seq-len=0", "--lr=0", "--lr=-1e-3", "--lr=nan"]
+         for command in ["pretrain", "pipeline"]
+         if (flag, command) != ("--pretrain-epochs=0", "pretrain")],  # pipeline-only flag
     )
-    def test_non_positive_train_flag_exits_1(self, command, flag, capsys):
+    def test_non_positive_train_flag_exits_1(self, flag, command, capsys):
         assert main([command, *REQUIRED_FLAGS[command], flag]) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_pretrain_epochs_is_pipeline_only(self, command, capsys):
+        assert main([command, *REQUIRED_FLAGS[command], "--pretrain-epochs", "1"]) == 1
+        assert "unrecognized arguments: --pretrain-epochs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["rank", "pipeline"])
     @pytest.mark.parametrize("value", ["0", "1", "-1", "abc"])
@@ -302,6 +311,20 @@ class TestPipeline:
         ranking = json.loads((out / "ranking.json").read_text())
         report = json.loads((out / "report.json").read_text())
         assert report["selected_source"] == ranking["selected"]
+
+    def test_prediction_csvs_match_report(self, suite_dir, tmp_path):
+        out = tmp_path / "run"
+        rc = main(
+            ["pipeline", "--variant", "vanilla",
+             "--target", manifest_of(suite_dir, "metal_plateau"),
+             "--seed", "1", "--out", str(out), *FAST_TRAIN]
+        )
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        for sample in report["per_sample"]:
+            with open(out / "predictions" / f"{sample['sample_id']}.csv", newline="", encoding="utf-8") as fh:
+                column = [float(row["stress_predicted"]) for row in csv.DictReader(fh)]
+            assert column == sample["predicted"]
 
     def test_byte_identical_reports(self, suite_dir, tmp_path):
         args = [

@@ -11,7 +11,6 @@ from curvetransfer.metrics import pearson
 from curvetransfer.similarity import (
     _dtw_many,
     _mean_dtws,
-    average_dtw,
     cumulative_cost,
     dtw_distance,
     dtw_path,
@@ -19,7 +18,7 @@ from curvetransfer.similarity import (
     rank_sources,
 )
 
-from conftest import brute_force_dtw, composition, euclidean_distance
+from conftest import average_dtw, brute_force_dtw, composition, euclidean_distance
 
 VALID_STEPS = {(1, 0), (0, 1), (1, 1)}
 

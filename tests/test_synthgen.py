@@ -5,9 +5,11 @@ import pytest
 
 from curvetransfer.curves import load_dataset, save_dataset, validate_curve, grid_curve
 from curvetransfer.errors import DataValidationError
-from curvetransfer.similarity import average_dtw, rank_sources
+from curvetransfer.similarity import rank_sources
 from curvetransfer.synthgen import FamilySpec, generate_dataset, standard_suite
 from curvetransfer.transfer import select_extreme_training_samples
+
+from conftest import average_dtw
 
 
 def brittle_spec(**kw):

@@ -451,9 +451,24 @@ class TestRunVariant:
 
     def test_aggregate_is_mean_of_per_sample(self, suite):
         sources, targets, _ = suite
-        plan = suite_plan("vanilla", sources, targets[1])
-        report = run_variant(plan, sources + [targets[1]])
-        assert abs(report.aggregate_mape - np.mean([s.metrics.mape for s in report.per_sample])) < 1e-12
+        target = targets[1]
+        plan = suite_plan("vanilla", sources, target)
+        report = run_variant(plan, sources + [target])
+        checkpoint = pretrain([target.curve_by_id(sid) for sid in plan.target_train_ids],
+                              small_config(), target.name)
+        evaluation = transfer.evaluate(checkpoint, [target.curve_by_id(sid) for sid in plan.target_test_ids])
+        for result in (report, evaluation):
+            doc = result.to_dict()
+            for key in ("mape", "rmse", "r2"):
+                mean = np.mean([getattr(s.metrics, key) for s in result.per_sample])
+                assert abs(getattr(result, f"aggregate_{key}") - mean) <= 1e-12 * abs(mean)
+                assert doc["aggregate"][key] == getattr(result, f"aggregate_{key}")
+        assert all("predicted" not in s for s in evaluation.to_dict(with_predicted=False)["per_sample"])
+
+    def test_evaluate_without_curves_rejected(self):
+        checkpoint = pretrain(small_source().curves, small_config(epochs=1), "src")
+        with pytest.raises(DataValidationError, match="at least one curve"):
+            transfer.evaluate(checkpoint, [])
 
     def test_deterministic_reports(self, suite):
         sources, targets, _ = suite
