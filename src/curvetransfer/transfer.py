@@ -123,20 +123,23 @@ class Evaluation:
         }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EvalReport(Evaluation):
-    """Full result of one experiment run: the evaluation plus the plan; the variant is ``plan.variant``."""
+    """Full result of one experiment run: the evaluation plus the plan; the variant is ``plan.variant``.
+
+    The fields it adds are keyword-only, so a positional call that puts ``plan`` first raises.
+    """
 
     plan: ExperimentPlan
     selected_source: str | None = None
     dtw_ranking: SourceRanking | None = None
 
-    def to_dict(self, with_predicted: bool = True) -> dict:
+    def to_dict(self) -> dict:
         doc = {
             "variant": self.plan.variant,
             "plan": self.plan.to_dict(),
             "seed": self.plan.config.seed,
-            **super().to_dict(with_predicted),
+            **super().to_dict(),
         }
         if self.selected_source is not None:
             doc["selected_source"] = self.selected_source

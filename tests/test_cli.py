@@ -234,16 +234,15 @@ class TestUsageErrors:
         )
         assert rc == 1
 
-    @pytest.mark.parametrize(
-        "flag, command",
-        [(flag, command)
-         for flag in ["--epochs=0", "--pretrain-epochs=0", "--seq-len=0", "--lr=0", "--lr=-1e-3", "--lr=nan"]
-         for command in ["pretrain", "pipeline"]
-         if (flag, command) != ("--pretrain-epochs=0", "pretrain")],  # pipeline-only flag
-    )
-    def test_non_positive_train_flag_exits_1(self, flag, command, capsys):
+    @pytest.mark.parametrize("command", ["pretrain", "pipeline"])
+    @pytest.mark.parametrize("flag", ["--epochs=0", "--seq-len=0", "--lr=0", "--lr=-1e-3", "--lr=nan"])
+    def test_non_positive_train_flag_exits_1(self, command, flag, capsys):
         assert main([command, *REQUIRED_FLAGS[command], flag]) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
+
+    def test_non_positive_pretrain_epochs_exits_1(self, capsys):
+        assert main(["pipeline", *REQUIRED_FLAGS["pipeline"], "--pretrain-epochs=0"]) == 1
+        assert "--pretrain-epochs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_pretrain_epochs_is_pipeline_only(self, command, capsys):

@@ -461,9 +461,13 @@ class TestRunVariant:
             doc = result.to_dict()
             for key in ("mape", "rmse", "r2"):
                 mean = np.mean([getattr(s.metrics, key) for s in result.per_sample])
-                assert abs(getattr(result, f"aggregate_{key}") - mean) <= 1e-12 * abs(mean)
+                assert getattr(result, f"aggregate_{key}") == float(mean)
                 assert doc["aggregate"][key] == getattr(result, f"aggregate_{key}")
         assert all("predicted" not in s for s in evaluation.to_dict(with_predicted=False)["per_sample"])
+
+    def test_report_fields_are_keyword_only(self):
+        with pytest.raises(TypeError, match="positional"):
+            transfer.EvalReport(None, [], 0.0, 0.0, 0.0)
 
     def test_evaluate_without_curves_rejected(self):
         checkpoint = pretrain(small_source().curves, small_config(epochs=1), "src")
