@@ -21,7 +21,7 @@ from .seqnet import (
     forward_sequence,
     init_params,
     optimizer_step,
-    predict_windows,
+    predict_series,
     train,
 )
 from .similarity import (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,12 @@ def _as_pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     return actual, predicted
 
 
+def _check_epsilon(epsilon) -> None:
+    """Raise ValueError unless ``epsilon`` is an int or float, finite and > 0 (a bool is not one)."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)) or not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError(f"MAPE epsilon must be a finite number > 0, got {epsilon!r}")
+
+
 # These functions call ndarray methods (``x.sum()``), which run the same
 # reductions as ``np.sum(x)`` without its dispatch wrapper.
 
@@ -57,8 +64,10 @@ def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
 
     Points with |actual| < epsilon are excluded from the mean: tensile curves
     start at stress ~0 and the relative error is undefined there. Raises if
-    every point is excluded.
+    every point is excluded, and first if ``epsilon`` is not a finite
+    number > 0.
     """
+    _check_epsilon(epsilon)
     actual, predicted = _as_pair(actual, predicted)
     abs_actual = np.abs(actual)
     mask = abs_actual >= epsilon
@@ -69,6 +78,7 @@ def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
 
 def mape_excluded_count(actual, epsilon: float = DEFAULT_MAPE_EPSILON) -> int:
     """Number of points the MAPE near-zero guard would drop."""
+    _check_epsilon(epsilon)
     actual = np.asarray(actual, dtype=float)
     return int((np.abs(actual) < epsilon).sum())
 
@@ -106,8 +116,9 @@ def summarize(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> Metri
     NaN or infinity. Computes the squared error once, for the kernels of
     :func:`rmse` and :func:`r2`; each value is bitwise the public
     function's, and each bad input raises what those functions raise, in
-    the same order.
+    the same order, after the epsilon check.
     """
+    _check_epsilon(epsilon)
     actual, predicted = _as_pair(actual, predicted)
     if not np.isfinite(predicted).all():
         raise ValueError(f"{int(np.sum(~np.isfinite(predicted)))} of {predicted.size} predictions are not finite")

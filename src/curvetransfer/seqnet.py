@@ -166,8 +166,8 @@ class _ForwardWorkspace:
     ``forward_steps``, each time step's views in the order t = 0..n-1. The
     parameter block views are bound to ``params.flat``, which the optimizer
     updates in place. So :func:`_forward_into` neither slices nor allocates.
-    Each call of :func:`train`, :func:`forward_sequence` and
-    :func:`predict_windows` builds its own; none is shared between calls.
+    Each call of :func:`train` and :func:`forward_sequence` builds its own;
+    none is shared between calls.
     """
 
     def __init__(self, params: ModelParams, n: int):
@@ -240,8 +240,7 @@ def _forward_into(ws: _ForwardWorkspace, window: np.ndarray) -> float:
     ``out=`` each cost about 0.1-0.5 us more), and every BLAS product is an
     ``np.dot``, which dispatches faster than ``np.matmul`` and gives its
     bytes. This is the only copy of the batch-1 forward arithmetic:
-    :func:`forward_sequence`, :func:`train` and the one-window path of
-    :func:`predict_windows` all run it.
+    :func:`forward_sequence` and :func:`train` both run it.
     """
     add, multiply, tanh, dot = np.add, np.multiply, np.tanh, np.dot
     xz = ws.xz
@@ -287,58 +286,67 @@ def forward_sequence(
     return prediction, ws.activations
 
 
-def predict_windows(params: ModelParams, windows: np.ndarray) -> np.ndarray:
-    """Predictions for a (B, n, d) stack of independent windows, all B stepped together.
+def predict_series(params: ModelParams, rows: np.ndarray, n: int) -> np.ndarray:
+    """Predictions for every length-n window of an (R, d) row series, all windows stepped together.
 
-    Returns the (B,) predictions, bitwise equal to
-    ``[forward_sequence(params, w)[0] for w in windows]``. Each step keeps
-    :func:`forward_sequence`'s BLAS calls: the hidden projection is one GEMV
-    per window (a stacked matmul), not a ``(B, h) @ W_h.T`` GEMM, and the
-    output is a dot per window. A GEMM sums in another order, so it would
-    move predictions in the last bit. Every buffer is allocated once per
-    call and every ufunc writes into one, in :func:`_forward_into`'s call
-    form. Step 0 starts from the zero state, so it skips ``W_h @ 0`` and its
-    add and reads the input projection as the pre-activation: for finite
-    parameters that changes at most the sign of a zero in ``z``, which
-    never reaches the cell or hidden state. With a non-finite ``W_h`` it
-    would not be exact (``inf * 0`` is NaN), so parameters holding a
-    non-finite value raise ValueError, for every B.
+    Window j is rows j..j+n-1. Returns the (R - n + 1,) predictions, bitwise
+    equal to ``[forward_sequence(params, rows[j : j + n])[0] for j in
+    range(R - n + 1)]``. Overlapping windows share rows, so each row is
+    projected once: one ``rows @ W_x.T`` GEMM and one bias add for the whole
+    series (a stacked GEMV per row when n == 1, as :func:`forward_sequence`
+    makes then), and step t of all B = R - n + 1 windows reads the contiguous
+    block of projected rows t..t+B-1. Each step keeps
+    :func:`forward_sequence`'s hidden projection, one GEMV per window (a
+    stacked matmul), not a ``(B, h) @ W_h.T`` GEMM, and the output is a dot
+    per window; a GEMM sums in another order, so it would move predictions
+    in the last bit. Every buffer is allocated once per call and every ufunc
+    writes into one, in :func:`_forward_into`'s call form. Step 0 starts
+    from the zero state, so it skips ``W_h @ 0`` and its add and reads the
+    input projection as the pre-activation: for finite parameters that
+    changes at most the sign of a zero in ``z``, which never reaches the cell
+    or hidden state. With a non-finite ``W_h`` it would not be exact
+    (``inf * 0`` is NaN), so parameters holding a non-finite value raise
+    ValueError.
     """
-    windows = np.asarray(windows, dtype=float)
-    if windows.ndim != 3 or windows.shape[1] == 0:
-        raise ValueError(f"windows must be a non-empty 3-D (B, n, d) stack, got shape {windows.shape}")
-    if windows.shape[2] != params.input_dim:
-        raise ValueError(f"window columns {windows.shape[2]} != input_dim {params.input_dim}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"window length n must be an int >= 1, got {n!r}")
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"rows must be a 2-D (R, d) matrix, got shape {rows.shape}")
+    if rows.shape[1] != params.input_dim:
+        raise ValueError(f"row columns {rows.shape[1]} != input_dim {params.input_dim}")
+    if rows.shape[0] < n:
+        raise ValueError(f"{rows.shape[0]} rows hold no window of length {n}")
     if not np.isfinite(params.flat).all():
         raise ValueError("parameters hold a non-finite value")
-    (B, n, _), hd = windows.shape, params.hidden_dim
-    if B == 1:
-        # numpy runs a one-row product as a GEMV; the batch-1 kernel is the exact path.
-        return np.array([_forward_into(_ForwardWorkspace(params, n), windows[0])])
+    R, hd = len(rows), params.hidden_dim
+    B, h3 = R - n + 1, 3 * hd
     add, multiply, tanh, matmul = np.add, np.multiply, np.tanh, np.matmul
-    h3 = 3 * hd
-    W_h, W_x, b = params.W_h, params.W_x, params.b
+    W_h, W_x = params.W_h, params.W_x
+    # Every row's input contribution, once; forward_sequence makes the same
+    # call per window: a GEMM over its n rows, or a GEMV when n == 1. The
+    # transposed product W_x @ rows.T is not bitwise equal to it from about
+    # R = 200 rows on.
+    xz = np.empty((R, 4 * hd))
+    if n == 1:
+        matmul(W_x, rows[:, :, None], xz[:, :, None])
+    else:
+        matmul(rows, W_x.T, xz)
+    add(xz, params.b, xz)
     # c starts as the zero state; h is first written at step 0, which never reads it.
     h, c, tmp = np.empty((B, hd)), np.zeros((B, hd)), np.empty((B, hd))
-    xz, z = np.empty((B, 4 * hd)), np.empty((B, 4 * hd))
+    z = np.empty((B, 4 * hd))
     # Contiguous gate blocks: exp and tanh run slower into strided outputs.
     sig, den, g = np.empty((B, h3)), np.empty((B, h3)), np.empty((B, hd))
     f, i, o = sig[:, :hd], sig[:, hd : 2 * hd], sig[:, 2 * hd :]
-    xz_col, z_col, h_col = xz[:, :, None], z[:, :, None], h[:, :, None]
+    z_col, h_col = z[:, :, None], h[:, :, None]
     for t in range(n):
-        x_t = windows[:, t]
-        # forward_sequence projects a window's n input rows with one GEMM, or a
-        # GEMV when n == 1; each step here makes the same call for all B rows.
-        if n == 1:
-            matmul(W_x, x_t[:, :, None], xz_col)
-        else:
-            matmul(x_t, W_x.T, xz)
-        add(xz, b, xz)
+        xz_t = xz[t : t + B]
         if t == 0:
-            z_t = xz  # W_h @ 0 adds only signed zeros
+            z_t = xz_t  # W_h @ 0 adds only signed zeros
         else:
             matmul(W_h, h_col, z_col)
-            add(z, xz, z)
+            add(z, xz_t, z)
             z_t = z
         _sigmoid(z_t[:, :h3], sig, den)
         tanh(z_t[:, h3:], g)
@@ -553,7 +561,7 @@ def train(
             )
         loss_history.append(epoch_loss)
     # The loss never sees the last update; a non-finite parameter there
-    # would reach predict_windows, which rejects it.
+    # would reach predict_series, which rejects it.
     if not np.isfinite(params.flat).all():
         raise TrainingDivergenceError(
             f"training diverged: non-finite parameters after the last update of epoch {config.epochs}"

@@ -18,12 +18,19 @@ import numpy as np
 from .checkpoint import ModelCheckpoint
 from .curves import DEFAULT_GRID_N, Dataset, RawCurve
 from .errors import DataValidationError, TrainingDivergenceError
-from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, pearson, summarize
+from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, _check_epsilon, pearson, summarize
 from .scaling import CurveScalers, fit_scalers, padded_param_values
-from .seqnet import ModelParams, TrainConfig, init_params, predict_windows, train
+from .seqnet import ModelParams, TrainConfig, init_params, predict_series, train
 from .similarity import SourceRanking, rank_sources
 
 VARIANTS = ("vanilla", "tl_all", "dtw_tl")
+
+
+def _check_mape_epsilon(epsilon, label: str) -> None:
+    try:
+        _check_epsilon(epsilon)
+    except ValueError as exc:
+        raise DataValidationError(f"{label}: {exc}") from None
 
 
 @dataclass
@@ -60,9 +67,7 @@ class ExperimentPlan:
             raise DataValidationError(f"grid_n must be >= 2 and an int, got {self.grid_n!r}")
         if self.variant != "vanilla" and not self.source_datasets:
             raise DataValidationError(f"variant {self.variant!r} requires source datasets")
-        eps = self.mape_epsilon
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not (eps > 0 and np.isfinite(eps)):
-            raise DataValidationError(f"mape_epsilon must be a positive finite number, got {eps!r}")
+        _check_mape_epsilon(self.mape_epsilon, "mape_epsilon")
         epochs = self.pretrain_epochs
         if epochs is not None and (isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 1):
             raise DataValidationError(f"pretrain_epochs must be None or an int >= 1, got {epochs!r}")
@@ -156,23 +161,29 @@ def _check_predictable(curve: RawCurve, n: int) -> None:
         )
 
 
-def _curve_windows(
-    curve: RawCurve, scalers: CurveScalers, n: int, pad: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The curve's L - n windows as one (L - n, n, d) view, and the scaled stress each predicts.
-
-    Rows are [scaled strain, scaled params...]; window t is rows t..t+n-1 and
-    predicts the stress at point t + n. Needs L > n.
-    """
+def _curve_features(curve: RawCurve, scalers: CurveScalers, pad: bool) -> np.ndarray:
+    """The curve's (L, d) feature rows [scaled strain, scaled params...], one per point."""
     strain = scalers.strain.scale(curve.strain)
     raw_params = padded_param_values(curve, scalers.arity, pad)
     scaled_params = np.array([s.scale(v) for s, v in zip(scalers.params, raw_params)])
     features = np.empty((len(strain), scalers.input_dim))
     features[:, 0] = strain
     features[:, 1:] = scaled_params
+    return features
+
+
+def _curve_windows(
+    curve: RawCurve, scalers: CurveScalers, n: int, pad: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The curve's L - n windows as one (L - n, n, d) view, and the scaled stress each predicts.
+
+    Window t is feature rows t..t+n-1 and predicts the stress at point
+    t + n. Needs L > n.
+    """
+    features = _curve_features(curve, scalers, pad)
     s_row, s_col = features.strides
     windows = np.lib.stride_tricks.as_strided(
-        features, (len(strain) - n, n, scalers.input_dim), (s_row, s_row, s_col), writeable=False
+        features, (len(features) - n, n, scalers.input_dim), (s_row, s_row, s_col), writeable=False
     )
     return windows, scalers.stress.scale(curve.stress)[n:]
 
@@ -338,15 +349,17 @@ def predict_curve(checkpoint: ModelCheckpoint, curve: RawCurve, pad: bool = Fals
     """Predicted stress (MPa) at positions n..len-1 of the curve.
 
     The first n points seed the first window and receive no prediction. The
-    curve's L - n windows run through the LSTM in one batched pass. Features
-    are scaled with the checkpoint's scalers; values outside the training
-    range simply scale outside [0, 1]. A curve with fewer parameters than the
-    checkpoint is rejected unless ``pad`` zero-pads it.
+    curve's L - n windows are the length-n windows of its first L - 1
+    feature rows, the windows training reads (see ``_curve_windows``), and
+    run through the LSTM in one batched pass. Features are scaled with the
+    checkpoint's scalers; values outside the training range simply scale
+    outside [0, 1]. A curve with fewer parameters than the checkpoint is
+    rejected unless ``pad`` zero-pads it.
     """
     n = checkpoint.sequence_length
     _check_predictable(curve, n)
-    windows, _ = _curve_windows(curve, checkpoint.scalers, n, pad)
-    return checkpoint.scalers.stress.unscale(predict_windows(checkpoint.params, windows))
+    rows = _curve_features(curve, checkpoint.scalers, pad)[:-1]
+    return checkpoint.scalers.stress.unscale(predict_series(checkpoint.params, rows, n))
 
 
 def _dataset_map(datasets: list[Dataset]) -> dict[str, Dataset]:
@@ -408,6 +421,7 @@ def evaluate(
     """Predict each curve's stress tail, score it, and average MAPE, RMSE and R2 over the curves."""
     if not curves:
         raise DataValidationError("evaluate requires at least one curve")
+    _check_mape_epsilon(epsilon, "evaluate")
     n = checkpoint.sequence_length
     per_sample = []
     for curve in curves:

@@ -7,6 +7,32 @@ from hypothesis import given, settings, strategies as st
 from curvetransfer.metrics import mape, mape_excluded_count, pearson, r2, rmse, summarize
 
 
+BAD_EPSILONS = [0.0, -0.0, -1e-6, np.nan, np.inf, -np.inf, True, False, "1e-6", None, np.float32(1e-6)]
+EPSILON_CALLS = {
+    "mape": lambda actual, predicted, epsilon: mape(actual, predicted, epsilon),
+    "mape_excluded_count": lambda actual, predicted, epsilon: mape_excluded_count(actual, epsilon),
+    "summarize": lambda actual, predicted, epsilon: summarize(actual, predicted, epsilon),
+}
+
+
+class TestEpsilonValidation:
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS, ids=repr)
+    @pytest.mark.parametrize("call", list(EPSILON_CALLS))
+    def test_bad_epsilon_rejected(self, call, epsilon):
+        with pytest.raises(ValueError, match="MAPE epsilon must be a finite number > 0"):
+            EPSILON_CALLS[call]([0.0, 1.0], [1.0, 1.0], epsilon)
+
+    @pytest.mark.parametrize("call", list(EPSILON_CALLS))
+    def test_epsilon_checked_before_the_data(self, call):
+        with pytest.raises(ValueError, match="MAPE epsilon must be a finite number > 0, got nan"):
+            EPSILON_CALLS[call]([], [1.0], float("nan"))
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-6, 1, np.float64(0.5), 3.0], ids=repr)
+    def test_finite_positive_epsilon_accepted(self, epsilon):
+        assert mape([2.0, 4.0], [1.0, 4.0], epsilon) == (25.0 if epsilon <= 2.0 else 0.0)
+        assert mape_excluded_count([2.0, 4.0], epsilon) == (0 if epsilon <= 2.0 else 1)
+
+
 class TestMape:
     def test_ten_percent_each(self):
         assert abs(mape([100.0, 200.0], [110.0, 180.0]) - 10.0) < 1e-12

@@ -20,7 +20,7 @@ from curvetransfer.seqnet import (
     init_params,
     optimizer_step,
     init_optimizer_state,
-    predict_windows,
+    predict_series,
     train,
     _BackwardWorkspace,
     _ForwardWorkspace,
@@ -239,25 +239,36 @@ def random_lstm_case(seed, hidden_dim, input_dim, n, batch, scale):
     return params, rng.normal(size=(batch, n, input_dim)), rng.normal(size=batch)
 
 
-def per_window_predictions(params, windows):
-    return np.array([forward_sequence(params, w)[0] for w in windows])
+def random_series_case(seed, hidden_dim, input_dim, n, n_windows, scale):
+    """``random_lstm_case``'s parameters and an (n_windows + n - 1, d) row series holding n_windows windows."""
+    params, rows, _ = random_lstm_case(seed, hidden_dim, input_dim, 1, n_windows + n - 1, scale)
+    return params, rows[:, 0]
 
 
-class TestPredictWindows:
+def per_window_predictions(params, rows, n):
+    """``forward_sequence`` over each length-n window of ``rows``, one window at a time."""
+    return np.array([forward_sequence(params, rows[j : j + n])[0] for j in range(len(rows) - n + 1)])
+
+
+def assert_series_bitwise_equal(params, rows, n):
+    predictions = predict_series(params, rows, n)
+    assert predictions.shape == (len(rows) - n + 1,) and predictions.dtype == np.float64
+    assert predictions.tobytes() == per_window_predictions(params, rows, n).tobytes()
+
+
+class TestPredictSeries:
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
-        st.sampled_from([1, 2, 3, 5, 8, 16, 32, 33]),
+        st.integers(1, 33),
         st.integers(1, 4),
         st.integers(1, 8),
-        st.integers(1, 130),
+        st.integers(1, 300),
         st.sampled_from([1.0, 4.0, 40.0]),
     )
-    def test_bitwise_equal_to_forward_sequence(self, seed, hidden_dim, input_dim, n, batch, scale):
-        params, windows, _ = random_lstm_case(seed, hidden_dim, input_dim, n, batch, scale)
-        predictions = predict_windows(params, windows)
-        assert predictions.shape == (batch,) and predictions.dtype == np.float64
-        assert predictions.tobytes() == per_window_predictions(params, windows).tobytes()
+    def test_bitwise_equal_to_forward_sequence(self, seed, hidden_dim, input_dim, n, n_windows, scale):
+        params, rows = random_series_case(seed, hidden_dim, input_dim, n, n_windows, scale)
+        assert_series_bitwise_equal(params, rows, n)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -267,44 +278,64 @@ class TestPredictWindows:
         st.integers(2, 300),
         st.sampled_from([1.0, 4.0, 40.0]),
     )
-    def test_large_batches_bitwise_equal(self, seed, input_dim, n, batch, scale):
-        # The pipeline's hidden size, with batches past one curve's windows.
-        params, windows, _ = random_lstm_case(seed, HIDDEN_DIM, input_dim, n, batch, scale)
-        assert predict_windows(params, windows).tobytes() == per_window_predictions(params, windows).tobytes()
+    def test_large_batches_bitwise_equal(self, seed, input_dim, n, n_windows, scale):
+        # The pipeline's hidden size, with series past one curve's windows.
+        params, rows = random_series_case(seed, HIDDEN_DIM, input_dim, n, n_windows, scale)
+        assert_series_bitwise_equal(params, rows, n)
 
-    # Step 0 of predict_windows skips W_h @ 0 and reads the input projection
-    # as its pre-activation, so a step-0 zero may differ in sign from
+    # One window: R == n rows, so the input projection is a GEMM over n rows
+    # (a GEMV when n == 1), the call forward_sequence makes.
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    @pytest.mark.parametrize("input_dim", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_one_window_bitwise_equal(self, n, input_dim, scale):
+        params, rows = random_series_case(3, HIDDEN_DIM, input_dim, n, 1, scale)
+        assert_series_bitwise_equal(params, rows, n)
+
+    @pytest.mark.parametrize("input_dim", [1, 3])
+    @pytest.mark.parametrize("n_windows", [1, 2, 45, 300])
+    def test_window_length_one_bitwise_equal(self, n_windows, input_dim):
+        params, rows = random_series_case(5, HIDDEN_DIM, input_dim, 1, n_windows, 4.0)
+        assert_series_bitwise_equal(params, rows, 1)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_long_series_bitwise_equal(self, n):
+        params, rows = random_series_case(11, HIDDEN_DIM, 3, n, 5000, 1.0)
+        assert_series_bitwise_equal(params, rows, n)
+
+    # Step 0 skips W_h @ 0 and reads the input projection as its
+    # pre-activation, so a step-0 zero may differ in sign from
     # forward_sequence's; the cases below feed it zeros of both signs.
     @pytest.mark.parametrize("input_dim", [1, 3])
-    @pytest.mark.parametrize("batch", [2, 7])
-    def test_zero_inputs_and_negative_zero_bias_bitwise_equal(self, input_dim, batch):
-        params, _, _ = random_lstm_case(7, HIDDEN_DIM, input_dim, 4, batch, 1.0)
+    @pytest.mark.parametrize("n_windows", [1, 2, 7])
+    def test_zero_inputs_and_negative_zero_bias_bitwise_equal(self, input_dim, n_windows):
+        params, _ = random_series_case(7, HIDDEN_DIM, input_dim, 4, n_windows, 1.0)
         params.b[:] = -0.0
-        windows = np.zeros((batch, 4, input_dim))
-        predictions = predict_windows(params, windows)
-        assert predictions.tobytes() == per_window_predictions(params, windows).tobytes()
+        rows = np.zeros((n_windows + 3, input_dim))
+        predictions = predict_series(params, rows, 4)
+        assert predictions.tobytes() == per_window_predictions(params, rows, 4).tobytes()
         # Every gate pre-activation is a zero, so h stays zero and only b_out is left.
-        assert predictions.tobytes() == np.full(batch, params.b_out[0]).tobytes()
+        assert predictions.tobytes() == np.full(n_windows, params.b_out[0]).tobytes()
 
-    @pytest.mark.parametrize("batch", [2, 7])
-    def test_negative_zero_input_projection_bitwise_equal(self, batch):
+    @pytest.mark.parametrize("n_windows", [1, 2, 7])
+    def test_negative_zero_input_projection_bitwise_equal(self, n_windows):
         # Inputs of -5e-324 make every product with W_x underflow to a zero;
         # forward_sequence's projection then holds exact -0.0 entries.
-        params, _, _ = random_lstm_case(7, HIDDEN_DIM, 1, 4, batch, 1.0)
+        params, _ = random_series_case(7, HIDDEN_DIM, 1, 4, n_windows, 1.0)
         params.b[:] = -0.0
-        windows = np.full((batch, 4, 1), -5e-324)
-        xz = np.dot(params.W_x, windows[0].T) + params.b[:, None]
+        rows = np.full((n_windows + 3, 1), -5e-324)
+        xz = np.dot(params.W_x, rows[:4].T) + params.b[:, None]
         assert ((xz[:, 0] == 0) & np.signbit(xz[:, 0])).any()
-        assert predict_windows(params, windows).tobytes() == per_window_predictions(params, windows).tobytes()
+        assert_series_bitwise_equal(params, rows, 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["W_h", "W_x", "b", "W_out", "b_out"])
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_non_finite_parameters_rejected(self, bad, where, batch):
+    @pytest.mark.parametrize("n_windows", [1, 3])
+    def test_non_finite_parameters_rejected(self, bad, where, n_windows):
         params = init_params(0, 2, 4)
         getattr(params, where).flat[0] = bad
         with pytest.raises(ValueError, match="parameters hold a non-finite value"):
-            predict_windows(params, np.zeros((batch, 3, 2)))
+            predict_series(params, np.zeros((n_windows + 2, 2)), 3)
 
     def test_whole_suite_bitwise_equal(self):
         sources, targets, _ = standard_suite(0)
@@ -314,22 +345,27 @@ class TestPredictWindows:
         curves = [curve for ds in sources + targets for curve in ds.curves]
         assert len(curves) == 127
         for curve in curves:
-            windows, _ = transfer._curve_windows(curve, ckpt.scalers, n, pad=True)
-            expected = per_window_predictions(ckpt.params, windows)
-            assert predict_windows(ckpt.params, windows).tobytes() == expected.tobytes()
+            rows = transfer._curve_features(curve, ckpt.scalers, pad=True)[:-1]
+            assert_series_bitwise_equal(ckpt.params, rows, n)
 
-    @pytest.mark.parametrize("shape", [(4, 2), (2, 3, 4, 2), (2,)])
-    def test_not_3d_rejected(self, shape):
-        with pytest.raises(ValueError, match="non-empty 3-D"):
-            predict_windows(zero_params(), np.zeros(shape))
-
-    def test_zero_steps_rejected(self):
-        with pytest.raises(ValueError, match="non-empty 3-D"):
-            predict_windows(zero_params(), np.zeros((3, 0, 2)))
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 2), ()])
+    def test_not_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            predict_series(zero_params(), np.zeros(shape), 1)
 
     def test_wrong_column_count_rejected(self):
-        with pytest.raises(ValueError, match="window columns 3 != input_dim 2"):
-            predict_windows(zero_params(), np.zeros((3, 4, 3)))
+        with pytest.raises(ValueError, match="row columns 3 != input_dim 2"):
+            predict_series(zero_params(), np.zeros((6, 3)), 4)
+
+    @pytest.mark.parametrize("rows, n", [(0, 1), (3, 4), (4, 8)])
+    def test_fewer_rows_than_window_rejected(self, rows, n):
+        with pytest.raises(ValueError, match=f"{rows} rows hold no window of length {n}"):
+            predict_series(zero_params(), np.zeros((rows, 2)), n)
+
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0, "2", None])
+    def test_bad_window_length_rejected(self, n):
+        with pytest.raises(ValueError, match="window length n must be an int >= 1"):
+            predict_series(zero_params(), np.zeros((6, 2)), n)
 
 
 class TestLossMse:

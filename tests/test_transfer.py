@@ -213,6 +213,22 @@ class TestCurveWindows:
         )
         assert np.array_equal(predict_curve(ckpt, curve), reference)
 
+    @settings(max_examples=30, deadline=None)
+    @given(**window_cases)
+    def test_predict_curve_reads_the_training_windows(self, seed, n, extra, n_params):
+        # Training and inference must see the same features: predict_curve
+        # unscales forward_sequence over the windows _curve_windows builds.
+        curve = random_curve(seed, n + extra, n_params)
+        scalers = fit_scalers([curve])
+        params = init_params(seed, 1 + n_params, 4)
+        params.b[:] = np.random.default_rng(seed).normal(size=params.b.shape)
+        ckpt = ModelCheckpoint(params, scalers, n, 0, "r", "pretrained")
+        windows, _ = transfer._curve_windows(curve, scalers, n, pad=False)
+        expected = np.array([forward_sequence(params, w)[0] for w in windows])
+        predicted = predict_curve(ckpt, curve)
+        assert predicted.shape == (extra,)
+        assert predicted.tobytes() == scalers.stress.unscale(expected).tobytes()
+
 
 class TestSelectExtremeTrainingSamples:
     def test_doe_grid_corners(self):
@@ -473,6 +489,17 @@ class TestRunVariant:
         checkpoint = pretrain(small_source().curves, small_config(epochs=1), "src")
         with pytest.raises(DataValidationError, match="at least one curve"):
             transfer.evaluate(checkpoint, [])
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf"), True, "1e-6"], ids=repr)
+    def test_evaluate_rejects_bad_epsilon_before_predicting(self, monkeypatch, epsilon):
+        checkpoint = pretrain(small_source().curves, small_config(epochs=1), "src")
+
+        def no_prediction(*args, **kwargs):
+            raise AssertionError("predict_curve ran")
+
+        monkeypatch.setattr(transfer, "predict_curve", no_prediction)
+        with pytest.raises(DataValidationError, match="evaluate: MAPE epsilon must be a finite number > 0"):
+            transfer.evaluate(checkpoint, small_source().curves, epsilon)
 
     def test_deterministic_reports(self, suite):
         sources, targets, _ = suite
