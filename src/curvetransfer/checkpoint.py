@@ -1,26 +1,41 @@
 """Model checkpoint: weights, scalers, dimensions, and provenance, as JSON.
 
-Floats are emitted with Python's shortest-round-trip repr, so a load/save
-cycle preserves every weight bit-exactly. Loading is strict: the dimensions,
-sequence length and seed must be JSON integers, the sequence length at least
-1, every scaler bound a finite number, and input_dim one more than the number
-of parameter scalers.
+Format version 2 (written): the header holds the dimensions, sequence length,
+seed, provenance and feature scalers as JSON; ``"weights"`` is one base64
+string holding ``ModelParams.flat`` as little-endian float64, in the layout
+the ``ModelParams`` docstring fixes. The raw block makes a load/save cycle
+bit-exact by construction, and loading decodes no decimal floats.
+
+Format version 1 (still read): ``"weights"`` maps each name in PARAM_NAMES to
+a nested list of shortest-round-trip decimal floats.
+
+Loading is strict: the dimensions, sequence length and seed must be JSON
+integers, the hidden size and sequence length at least 1, every scaler bound a
+finite number, input_dim one more than the number of parameter scalers, and
+every weight finite and of its expected size.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .curves import _write_json
 from .errors import DataValidationError
 from .scaling import CurveScalers
-from .seqnet import PARAM_NAMES, ModelParams
+from .seqnet import ModelParams
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READ_VERSIONS = (1, 2)
 
 INTEGER_FIELDS = ("input_dim", "hidden_dim", "sequence_length", "seed")
+
+# Byte order of the version-2 weight block, fixed so a file reads the same on any machine.
+WEIGHT_DTYPE = np.dtype("<f8")
 
 
 @dataclass
@@ -35,6 +50,10 @@ class ModelCheckpoint:
     stage: str
 
     def to_dict(self) -> dict:
+        """The version-2 document; a non-finite weight raises ValueError."""
+        flat = self.params.flat
+        if not np.isfinite(flat).all():
+            raise ValueError("cannot save checkpoint: non-finite weight value")
         return {
             "format_version": FORMAT_VERSION,
             "input_dim": self.params.input_dim,
@@ -43,25 +62,29 @@ class ModelCheckpoint:
             "seed": self.seed,
             "provenance": {"source_dataset": self.source_dataset, "stage": self.stage},
             "feature_scalers": self.scalers.to_dict(),
-            "weights": {name: getattr(self.params, name).tolist() for name in PARAM_NAMES},
+            "weights": base64.b64encode(flat.astype(WEIGHT_DTYPE, copy=False).tobytes()).decode("ascii"),
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelCheckpoint":
         version = doc.get("format_version")
-        if isinstance(version, bool) or version != FORMAT_VERSION:
+        if type(version) is not int or version not in READ_VERSIONS:  # a bool is not an int here
             raise DataValidationError(f"unsupported checkpoint format_version: {version}")
         for key in INTEGER_FIELDS:
             if isinstance(doc[key], bool) or not isinstance(doc[key], int):
                 raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
-        if doc["sequence_length"] < 1:
-            raise ValueError(f"sequence_length must be >= 1, got {doc['sequence_length']}")
+        for key in ("hidden_dim", "sequence_length"):
+            if doc[key] < 1:
+                raise ValueError(f"{key} must be >= 1, got {doc[key]}")
         scalers = CurveScalers.from_dict(doc["feature_scalers"])
         if doc["input_dim"] != scalers.input_dim:
             raise ValueError(
                 f"input_dim {doc['input_dim']} does not match 1 + {scalers.arity} parameter scalers"
             )
-        params = ModelParams.from_named(doc["input_dim"], doc["hidden_dim"], doc["weights"])
+        if version == 1:
+            params = ModelParams.from_named(doc["input_dim"], doc["hidden_dim"], doc["weights"])
+        else:
+            params = ModelParams(doc["input_dim"], doc["hidden_dim"], _decode_weights(doc["weights"]))
         provenance = doc.get("provenance", {})
         return ModelCheckpoint(
             params=params,
@@ -71,6 +94,26 @@ class ModelCheckpoint:
             source_dataset=str(provenance.get("source_dataset", "")),
             stage=str(provenance.get("stage", "")),
         )
+
+
+def _decode_weights(weights) -> np.ndarray:
+    """The version-2 weight block as a writable native float64 vector.
+
+    Rejects a non-string, invalid base64, a partial float64 and a non-finite
+    value; ``ModelParams`` then checks the length against the dimensions.
+    """
+    if not isinstance(weights, str):
+        raise ValueError(f"weights must be a base64 string, got {type(weights).__name__}")
+    try:
+        raw = base64.b64decode(weights, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+        raise ValueError(f"weights: invalid base64: {exc}") from None
+    if len(raw) % WEIGHT_DTYPE.itemsize:
+        raise ValueError(f"weights: {len(raw)} bytes is not a whole number of float64 values")
+    flat = np.frombuffer(raw, dtype=WEIGHT_DTYPE).astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise ValueError("weights: non-finite values")
+    return flat
 
 
 def save_checkpoint(checkpoint: ModelCheckpoint, path: str | Path) -> None:
@@ -84,7 +127,7 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
             doc = json.load(fh)
     except OSError as exc:
         raise DataValidationError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or bytes that are not UTF-8
         raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return ModelCheckpoint.from_dict(doc)

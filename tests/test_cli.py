@@ -1,16 +1,19 @@
 """End-to-end CLI behavior: commands, exit codes, determinism, round trips."""
 
+import base64
 import csv
 import hashlib
 import json
 import random
+import struct
 
 import pytest
 
+from curvetransfer.checkpoint import load_checkpoint
 from curvetransfer.cli import _write_json, build_parser, main
 from curvetransfer.curves import Dataset, RawCurve, load_dataset, save_dataset
 
-from conftest import write_manifest
+from conftest import checkpoint_v1_doc, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +210,18 @@ class TestTrainGolden:
         assert main(["evaluate", "--checkpoint", str(ckpt),
                      "--target", manifest_of(golden_suite, "metal_hardening"), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == EVALUATE_GOLDEN
+
+    def test_v1_checkpoint_evaluates_to_the_same_bytes(self, golden_suite, tmp_path):
+        ckpt = tmp_path / "pre.json"
+        assert main(["pretrain", "--sources", manifest_of(golden_suite, "poly_plateau"),
+                     "--out", str(ckpt), "--seed", "0", "--epochs", "1"]) == 0
+        v1 = tmp_path / "v1.json"
+        _write_json(checkpoint_v1_doc(load_checkpoint(ckpt)), v1)
+        for path in (ckpt, v1):
+            assert main(["evaluate", "--checkpoint", str(path), "--target",
+                         manifest_of(golden_suite, "metal_hardening"), "--out", str(path.with_suffix(".out"))]) == 0
+        assert (tmp_path / "pre.out").read_bytes() == (tmp_path / "v1.out").read_bytes()
+        assert hashlib.sha256((tmp_path / "v1.out").read_bytes()).hexdigest() == EVALUATE_GOLDEN
 
 
 # Every command that takes --seed, with its other required flags. The files
@@ -502,7 +517,9 @@ class TestCheckpointCommands:
         assert "repeated" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tamper", ["sequence_length=0", "sequence_length=2.7",
-                                        "scaler_min=NaN", "extra_scaler", "stress_span=inf"])
+                                        "scaler_min=NaN", "extra_scaler", "stress_span=inf",
+                                        "weights=missing", "weights=list", "weights=bad_base64",
+                                        "weights=one_byte_short", "weights=nan"])
     def test_tampered_checkpoint_exits_2(self, suite_dir, tmp_path, capsys, tamper):
         ckpt = tmp_path / "pre.json"
         assert main(
@@ -520,8 +537,18 @@ class TestCheckpointCommands:
         elif tamper == "stress_span=inf":
             # Each bound is finite, but max - min overflows: unscaled predictions and metrics would be infinite.
             doc["feature_scalers"]["stress"].update({"min": -1.7e308, "max": 1.7e308})
-        else:
+        elif tamper == "extra_scaler":
             param_scalers.append(dict(param_scalers[0]))
+        elif tamper == "weights=missing":
+            del doc["weights"]
+        elif tamper == "weights=list":
+            doc["weights"] = [0.0] * 4641
+        elif tamper == "weights=bad_base64":
+            doc["weights"] = doc["weights"][:-4] + "@@@="
+        else:
+            raw = base64.b64decode(doc["weights"])
+            raw = struct.pack("<d", float("nan")) + raw[8:] if tamper == "weights=nan" else raw[:-1]
+            doc["weights"] = base64.b64encode(raw).decode("ascii")
         ckpt.write_text(json.dumps(doc), encoding="utf-8")
         rc = main(["evaluate", "--checkpoint", str(ckpt),
                    "--target", manifest_of(suite_dir, "metal_plateau")])
@@ -530,6 +557,14 @@ class TestCheckpointCommands:
         assert "malformed checkpoint" in err
         if tamper == "stress_span=inf":
             assert "scaler 'stress'" in err
+
+    def test_non_utf8_checkpoint_exits_2(self, suite_dir, tmp_path, capsys):
+        ckpt = tmp_path / "pre.json"
+        ckpt.write_bytes(b"\xff\xfe" + '{"format_version": 2}'.encode("utf-16-le"))
+        rc = main(["evaluate", "--checkpoint", str(ckpt),
+                   "--target", manifest_of(suite_dir, "metal_plateau")])
+        assert rc == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_env_seed_fallback(self, suite_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CURVETRANSFER_SEED", "42")

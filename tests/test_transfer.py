@@ -1,5 +1,6 @@
 """Scaling, windowing, training-set selection, transfer, and the experiment runner."""
 
+import base64
 import dataclasses
 import json
 
@@ -27,7 +28,7 @@ from curvetransfer.transfer import (
     window_dataset,
 )
 
-from conftest import evaluate_loss, linear_curve
+from conftest import checkpoint_v1_doc, evaluate_loss, linear_curve
 
 
 # Laser power (W) x scanning speed (mm/s) for the 32-sample L-PBF aluminum
@@ -607,7 +608,7 @@ class TestCheckpointErrors:
         ckpt = pretrain(ds.curves, small_config(), ds.name)
         ckpt.params.W_fh[0, 0] = float("nan")
         path = tmp_path / "out" / "ckpt.json"
-        with pytest.raises(ValueError, match="not JSON compliant"):
+        with pytest.raises(ValueError, match="non-finite weight"):
             save_checkpoint(ckpt, path)
         assert not path.exists()
 
@@ -624,7 +625,7 @@ class TestCheckpointErrors:
     def test_unsupported_version(self, tmp_path):
         ds = small_source()
         ckpt = pretrain(ds.curves, small_config(), ds.name)
-        doc = ckpt.to_dict()
+        doc = checkpoint_v1_doc(ckpt)
         doc["format_version"] = 99
         path = tmp_path / "v99.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -634,7 +635,7 @@ class TestCheckpointErrors:
     def test_missing_weight_key(self, tmp_path):
         ds = small_source()
         ckpt = pretrain(ds.curves, small_config(), ds.name)
-        doc = ckpt.to_dict()
+        doc = checkpoint_v1_doc(ckpt)
         del doc["weights"]["W_fh"]
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -651,12 +652,15 @@ class TestCheckpointErrors:
             ("sequence_length", "5", "integer"),
             ("input_dim", 2.0, "integer"),
             ("hidden_dim", "32", "integer"),
+            ("hidden_dim", 0, ">= 1"),
+            ("hidden_dim", -1, ">= 1"),
             ("seed", None, "integer"),
             ("scaler_min", "NaN", "finite number"),
             ("scaler_min", float("inf"), "finite number"),
             ("scaler_max", False, "finite number"),
             ("scaler_arity", None, "parameter scalers"),
             ("format_version", True, "format_version"),
+            ("format_version", 2.0, "format_version"),
             ("provenance", "junk", "malformed"),
         ],
     )
@@ -683,11 +687,59 @@ class TestCheckpointErrors:
     def test_bad_weight_values(self, tmp_path, weight, match):
         ds = small_source()
         ckpt = pretrain(ds.curves, small_config(), ds.name)
-        doc = ckpt.to_dict()
+        doc = checkpoint_v1_doc(ckpt)
         doc["weights"]["b_out"] = weight
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataValidationError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "tamper, match",
+        [
+            ("missing", "weights"),
+            ("list", "base64 string"),
+            ("bad_base64", "invalid base64"),
+            ("non_ascii", "invalid base64"),
+            ("one_byte_short", "whole number of float64"),
+            ("one_value_short", "expected float64 shape"),
+            ("one_value_long", "expected float64 shape"),
+            ("nan", "non-finite"),
+            ("inf", "non-finite"),
+        ],
+    )
+    def test_bad_weight_block(self, tmp_path, tamper, match):
+        ds = small_source()
+        doc = pretrain(ds.curves, small_config(), ds.name).to_dict()
+        raw = base64.b64decode(doc["weights"])
+        flat = np.frombuffer(raw, dtype="<f8").copy()
+        if tamper == "missing":
+            del doc["weights"]
+        elif tamper == "list":
+            doc["weights"] = flat.tolist()
+        elif tamper == "bad_base64":  # a lax decoder would skip the "!" and read the right bytes
+            doc["weights"] = doc["weights"][:4] + "!" + doc["weights"][4:]
+        elif tamper == "non_ascii":
+            doc["weights"] = "\u00e9" + doc["weights"][1:]
+        elif tamper == "one_byte_short":
+            doc["weights"] = base64.b64encode(raw[:-1]).decode("ascii")
+        elif tamper == "one_value_short":
+            doc["weights"] = base64.b64encode(raw[:-8]).decode("ascii")
+        elif tamper == "one_value_long":
+            doc["weights"] = base64.b64encode(raw + raw[:8]).decode("ascii")
+        else:
+            flat[7] = float(tamper)
+            doc["weights"] = base64.b64encode(flat.tobytes()).decode("ascii")
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataValidationError, match="malformed checkpoint") as info:
+            load_checkpoint(path)
+        assert info.match(match)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(DataValidationError, match="invalid JSON"):
             load_checkpoint(path)
 
 
