@@ -92,16 +92,26 @@ class ModelParams:
 
     @classmethod
     def from_named(cls, input_dim: int, hidden_dim: int, arrays: dict) -> "ModelParams":
-        """Parameters from one array per name in PARAM_NAMES; rejects bad shapes and non-finite values."""
-        params = cls(input_dim, hidden_dim)
+        """Parameters from one array per name in PARAM_NAMES; rejects bad shapes and non-finite values.
+
+        Every array is checked before the vector is allocated, so bad dimensions cannot ask for a huge one.
+        """
+        h, d = hidden_dim, input_dim
+        checked = {}
         for name in PARAM_NAMES:
-            view = getattr(params, name)
+            if name.startswith("b"):
+                shape = (1,) if name == "b_out" else (h,)
+            else:
+                shape = (1, h) if name == "W_out" else (h, h if name.endswith("h") else d)
             arr = np.asarray(arrays[name], dtype=float)
-            if arr.shape != view.shape:
-                raise ValueError(f"{name}: expected shape {view.shape}, got {arr.shape}")
+            if arr.shape != shape:
+                raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name}: non-finite values")
-            view[...] = arr
+            checked[name] = arr
+        params = cls(input_dim, hidden_dim)
+        for name, arr in checked.items():
+            getattr(params, name)[...] = arr
         return params
 
     def copy(self) -> "ModelParams":

@@ -26,7 +26,10 @@ class SourceRanking:
     """
 
     entries: list[tuple[str, float]]
-    selected: str
+
+    @property
+    def selected(self) -> str:
+        return self.entries[0][0]
 
     def to_dict(self) -> dict:
         return {
@@ -189,4 +192,4 @@ def rank_sources(
         source_grids.append(grid_curves(dataset.curves, n))
     means = _mean_dtws(source_grids, target_grids)
     entries = sorted(zip([ds.name for ds in sources], means), key=lambda e: (e[1], e[0]))
-    return SourceRanking(entries=entries, selected=entries[0][0])
+    return SourceRanking(entries)

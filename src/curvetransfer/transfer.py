@@ -136,8 +136,12 @@ class EvalReport(Evaluation):
     """
 
     plan: ExperimentPlan
-    selected_source: str | None = None
     dtw_ranking: SourceRanking | None = None
+
+    @property
+    def selected_source(self) -> str | None:
+        """The ranking's selected source; None without a ranking."""
+        return None if self.dtw_ranking is None else self.dtw_ranking.selected
 
     def to_dict(self) -> dict:
         doc = {
@@ -146,9 +150,8 @@ class EvalReport(Evaluation):
             "seed": self.plan.config.seed,
             **super().to_dict(),
         }
-        if self.selected_source is not None:
-            doc["selected_source"] = self.selected_source
         if self.dtw_ranking is not None:
+            doc["selected_source"] = self.selected_source
             doc["dtw_ranking"] = self.dtw_ranking.to_dict()
         return doc
 
@@ -460,14 +463,21 @@ def _prepare(plan: ExperimentPlan, datasets):
     return target, sources, train_curves, test_curves, arity, pre_config
 
 
-def _finetune_and_evaluate(
-    plan: ExperimentPlan,
-    params0: ModelParams,
-    target: Dataset,
-    train_curves: list[RawCurve],
-    test_curves: list[RawCurve],
-    arity: int,
+def _fit(
+    plan: ExperimentPlan, pool: list[RawCurve] | None, pool_name: str | None, target: Dataset,
+    train_curves: list[RawCurve], test_curves: list[RawCurve], arity: int, pre_config: TrainConfig,
 ) -> Evaluation:
+    """The one fit chain behind ``run_variant`` and ``run_source_sweep``.
+
+    Pretrain on the pool of source curves and copy its weights verbatim, or,
+    with ``pool`` None (vanilla), start from fresh seeded weights; then
+    fine-tune on the target training curves and evaluate on the test curves.
+    """
+    if pool is None:
+        params0 = init_params(plan.config.seed, 1 + arity)
+    else:
+        source_ckpt = pretrain(pool, pre_config, pool_name, param_arity=arity, pad=plan.pad_params)
+        params0 = transfer_init(source_ckpt)
     checkpoint = finetune(
         params0, train_curves, plan.config, target.name, param_arity=arity, pad=plan.pad_params
     )
@@ -483,44 +493,31 @@ def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
     source only, then fine-tunes. Deterministic for fixed seeds and inputs.
     """
     target, sources, train_curves, test_curves, arity, pre_config = _prepare(plan, datasets)
-    config = plan.config
-    selected_source: str | None = None
-    ranking: SourceRanking | None = None
-
-    if plan.variant == "vanilla":
-        params0 = init_params(config.seed, 1 + arity)
-    else:
-        if plan.variant == "tl_all":
-            pool = concat_shuffle_sources(sources, config.seed)
-            pool_name = "+".join(ds.name for ds in sources)
-        else:  # dtw_tl
-            ranking = rank_sources(sources, train_curves, plan.grid_n)
-            selected_source = ranking.selected
-            selected = next(ds for ds in sources if ds.name == selected_source)
-            pool, pool_name = selected.curves, selected.name
-        source_ckpt = pretrain(pool, pre_config, pool_name, param_arity=arity, pad=plan.pad_params)
-        params0 = transfer_init(source_ckpt)
-
-    evaluation = _finetune_and_evaluate(plan, params0, target, train_curves, test_curves, arity)
-    return EvalReport(**vars(evaluation), plan=plan, selected_source=selected_source, dtw_ranking=ranking)
+    pool, pool_name, ranking = None, None, None
+    if plan.variant == "tl_all":
+        pool = concat_shuffle_sources(sources, plan.config.seed)
+        pool_name = "+".join(ds.name for ds in sources)
+    elif plan.variant == "dtw_tl":
+        ranking = rank_sources(sources, train_curves, plan.grid_n)
+        selected = next(ds for ds in sources if ds.name == ranking.selected)
+        pool, pool_name = selected.curves, selected.name
+    evaluation = _fit(plan, pool, pool_name, target, train_curves, test_curves, arity, pre_config)
+    return EvalReport(**vars(evaluation), plan=plan, dtw_ranking=ranking)
 
 
 def run_source_sweep(plan: ExperimentPlan, datasets) -> tuple[list[tuple[str, float, float]], float]:
     """Fine-tune once per candidate source and correlate avg DTW with test MAPE.
 
     Returns ([(source, avg_dtw, aggregate_mape)], pearson) over all sources in
-    the plan; this is the per-target experiment behind the distance-vs-error
-    tables.
+    the plan, in plan order; this is the per-target experiment behind the
+    distance-vs-error tables. Each source's fit is the one ``run_variant``
+    makes for dtw_tl when that source is selected.
     """
     target, sources, train_curves, test_curves, arity, pre_config = _prepare(plan, datasets)
-    ranking = rank_sources(sources, train_curves, plan.grid_n)
-    avg_dtw = dict(ranking.entries)
-
+    avg_dtw = dict(rank_sources(sources, train_curves, plan.grid_n).entries)
     entries = []
     for ds in sources:
-        source_ckpt = pretrain(ds.curves, pre_config, ds.name, param_arity=arity, pad=plan.pad_params)
-        params0 = transfer_init(source_ckpt)
-        evaluation = _finetune_and_evaluate(plan, params0, target, train_curves, test_curves, arity)
+        evaluation = _fit(plan, ds.curves, ds.name, target, train_curves, test_curves, arity, pre_config)
         entries.append((ds.name, avg_dtw[ds.name], evaluation.aggregate_mape))
     correlation = pearson([e[1] for e in entries], [e[2] for e in entries])
     return entries, correlation

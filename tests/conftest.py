@@ -1,5 +1,6 @@
 """Shared fixtures: tiny manifest/CSV writers for ingestion tests, and test-only oracles."""
 
+import copy
 import json
 
 import numpy as np
@@ -187,3 +188,13 @@ def checkpoint_v1_doc(ckpt) -> dict:
         "format_version": 1,
         "weights": {name: getattr(ckpt.params, name).tolist() for name in PARAM_NAMES},
     }
+
+
+def with_stress_unit(report_doc: dict, factor: float) -> dict:
+    """A copy of a report document with every RMSE and every predicted stress multiplied by ``factor``."""
+    doc = copy.deepcopy(report_doc)
+    for sample in doc["per_sample"]:
+        sample["rmse"] *= factor
+        sample["predicted"] = [v * factor for v in sample["predicted"]]
+    doc["aggregate"]["rmse"] *= factor
+    return doc

@@ -13,7 +13,7 @@ from curvetransfer.checkpoint import load_checkpoint
 from curvetransfer.cli import _write_json, build_parser, main
 from curvetransfer.curves import Dataset, RawCurve, load_dataset, save_dataset
 
-from conftest import checkpoint_v1_doc, write_manifest
+from conftest import checkpoint_v1_doc, with_stress_unit, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +326,27 @@ class TestPipeline:
         report = json.loads((out / "report.json").read_text())
         assert report["selected_source"] == ranking["selected"]
 
+    def test_target_stress_unit_change_scales_only_rmse_and_predictions(self, suite_dir, tmp_path):
+        # A copy of the synth target with every stress x 2**10: exact in the CSV's shortest repr.
+        scaled_dir = tmp_path / "metal_hardening"
+        scaled_dir.mkdir()
+        for path in (suite_dir / "metal_hardening").iterdir():
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".csv":
+                header, *rows = text.splitlines()
+                rows = [f"{strain},{float(stress) * 2**10!r}" for strain, stress in (r.split(",") for r in rows)]
+                text = "\n".join([header, *rows]) + "\n"
+            (scaled_dir / path.name).write_text(text, encoding="utf-8")
+        runs = {}
+        for label, target in (("base", suite_dir), ("scaled", tmp_path)):
+            runs[label] = tmp_path / f"run_{label}"
+            assert main(["pipeline", "--variant", "dtw_tl", *source_args(suite_dir),
+                         "--target", manifest_of(target, "metal_hardening"), "--seed", "0",
+                         "--out", str(runs[label]), "--epochs", "2", "--pretrain-epochs", "1"]) == 0
+        base, scaled = (json.loads((runs[k] / "report.json").read_text()) for k in ("base", "scaled"))
+        assert scaled == with_stress_unit(base, 2**10)
+        assert (runs["scaled"] / "ranking.json").read_bytes() == (runs["base"] / "ranking.json").read_bytes()
+
     def test_prediction_csvs_match_report(self, suite_dir, tmp_path):
         out = tmp_path / "run"
         rc = main(
@@ -519,7 +540,8 @@ class TestCheckpointCommands:
     @pytest.mark.parametrize("tamper", ["sequence_length=0", "sequence_length=2.7",
                                         "scaler_min=NaN", "extra_scaler", "stress_span=inf",
                                         "weights=missing", "weights=list", "weights=bad_base64",
-                                        "weights=one_byte_short", "weights=nan"])
+                                        "weights=one_byte_short", "weights=nan",
+                                        "v1_hidden_dim=10**4", "v1_hidden_dim=10**6"])
     def test_tampered_checkpoint_exits_2(self, suite_dir, tmp_path, capsys, tamper):
         ckpt = tmp_path / "pre.json"
         assert main(
@@ -545,6 +567,10 @@ class TestCheckpointCommands:
             doc["weights"] = [0.0] * 4641
         elif tamper == "weights=bad_base64":
             doc["weights"] = doc["weights"][:-4] + "@@@="
+        elif tamper.startswith("v1_hidden_dim="):
+            # The weights keep their real shapes; the header claims a hidden size whose
+            # parameter vector would not fit in memory at 10**6 (29 TiB).
+            doc = {**checkpoint_v1_doc(load_checkpoint(ckpt)), "hidden_dim": 10 ** int(tamper[-1])}
         else:
             raw = base64.b64decode(doc["weights"])
             raw = struct.pack("<d", float("nan")) + raw[8:] if tamper == "weights=nan" else raw[:-1]

@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -28,7 +29,7 @@ from curvetransfer.transfer import (
     window_dataset,
 )
 
-from conftest import checkpoint_v1_doc, evaluate_loss, linear_curve
+from conftest import checkpoint_v1_doc, evaluate_loss, linear_curve, with_stress_unit
 
 
 # Laser power (W) x scanning speed (mm/s) for the 32-sample L-PBF aluminum
@@ -600,6 +601,52 @@ class TestRunVariant:
         assert window_params == {scaled_params(c) for c in train_curves}
         test_params = {scaled_params(target.curve_by_id(sid)) for sid in plan.target_test_ids}
         assert window_params.isdisjoint(test_params)
+
+
+def scale_stress(dataset, factor):
+    """The dataset with every stress value multiplied by ``factor``."""
+    curves = [dataclasses.replace(c, stress=c.stress * factor) for c in dataset.curves]
+    return dataclasses.replace(dataset, curves=curves)
+
+
+@functools.lru_cache(maxsize=None)
+def metamorphic_report(suite_seed, variant, target_factor=1.0, source_factor=1.0):
+    """``run_variant`` on ``targets[0]`` of a suite (2 epochs, 1 pretrain epoch), stresses rescaled."""
+    sources, targets, _ = standard_suite(suite_seed)
+    sources = [scale_stress(ds, source_factor) for ds in sources]
+    target = scale_stress(targets[0], target_factor)
+    plan = suite_plan(variant, sources, target, small_config(epochs=2), pretrain_epochs=1)
+    return run_variant(plan, sources + [target])
+
+
+@pytest.mark.parametrize("variant", ["tl_all", "dtw_tl"])
+@pytest.mark.parametrize("suite_seed", [0, 1])
+class TestUnitChangeMetamorphic:
+    """A power-of-two change of stress unit is exact, and each stage's scalers divide it out.
+
+    The target and the sources are rescaled apart: the relations hold only
+    because the pretrain fits its scalers on the sources and the finetune
+    refits them on the target training split, and the DTW ranking divides
+    each curve by its own maximum stress.
+    """
+
+    def test_target_stress_times_2_pow_10_scales_only_rmse_and_predictions(self, suite_seed, variant):
+        base = metamorphic_report(suite_seed, variant).to_dict()
+        scaled = metamorphic_report(suite_seed, variant, target_factor=2.0**10).to_dict()
+        assert scaled == with_stress_unit(base, 2.0**10)
+
+    def test_source_stress_times_2_pow_minus_4_changes_nothing(self, suite_seed, variant):
+        base = metamorphic_report(suite_seed, variant).to_dict()
+        assert metamorphic_report(suite_seed, variant, source_factor=2.0**-4).to_dict() == base
+
+
+def test_sweep_entry_of_selected_source_is_the_dtw_tl_run():
+    report = metamorphic_report(0, "dtw_tl")
+    sources, targets, _ = standard_suite(0)
+    entries, _ = run_source_sweep(report.plan, sources + [targets[0]])
+    assert [name for name, _, _ in entries] == report.plan.source_datasets
+    assert sorted(((name, d) for name, d, _ in entries), key=lambda e: (e[1], e[0])) == report.dtw_ranking.entries
+    assert {name: mape for name, _, mape in entries}[report.selected_source] == report.aggregate_mape
 
 
 class TestCheckpointErrors:
