@@ -1,13 +1,15 @@
 """Model checkpoint: weights, scalers, dimensions, and provenance, as JSON.
 
-Format version 2 (written): the header holds the dimensions, sequence length,
-seed, provenance and feature scalers as JSON; ``"weights"`` is one base64
-string holding ``ModelParams.flat`` as little-endian float64, in the layout
-the ``ModelParams`` docstring fixes. The raw block makes a load/save cycle
-bit-exact by construction, and loading decodes no decimal floats.
+Format version 2, the only one read: the header holds the dimensions,
+sequence length, seed, provenance and feature scalers as JSON; ``"weights"``
+is one base64 string holding ``ModelParams.flat`` as little-endian float64,
+in the layout the ``ModelParams`` docstring fixes. The raw block makes a
+load/save cycle bit-exact by construction, and loading decodes no decimal
+floats.
 
-Format version 1 (still read): ``"weights"`` maps each name in PARAM_NAMES to
-a nested list of shortest-round-trip decimal floats.
+Any other ``format_version``, version 1's per-name decimal weights included,
+is rejected. Every stage is seed-deterministic, so re-running the ``pretrain``
+or ``finetune`` that made an old file writes the same weights in format 2.
 
 Loading is strict: the dimensions, sequence length and seed must be JSON
 integers, the hidden size and sequence length at least 1, every scaler bound a
@@ -18,23 +20,21 @@ every weight finite and of its expected size.
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .curves import _write_json
+from .curves import _read_json, _write_json
 from .errors import DataValidationError
 from .scaling import CurveScalers
 from .seqnet import ModelParams
 
 FORMAT_VERSION = 2
-READ_VERSIONS = (1, 2)
 
 INTEGER_FIELDS = ("input_dim", "hidden_dim", "sequence_length", "seed")
 
-# Byte order of the version-2 weight block, fixed so a file reads the same on any machine.
+# Byte order of the weight block, fixed so a file reads the same on any machine.
 WEIGHT_DTYPE = np.dtype("<f8")
 
 
@@ -50,7 +50,7 @@ class ModelCheckpoint:
     stage: str
 
     def to_dict(self) -> dict:
-        """The version-2 document; a non-finite weight raises ValueError."""
+        """The checkpoint document; a non-finite weight raises ValueError."""
         flat = self.params.flat
         if not np.isfinite(flat).all():
             raise ValueError("cannot save checkpoint: non-finite weight value")
@@ -68,8 +68,11 @@ class ModelCheckpoint:
     @staticmethod
     def from_dict(doc: dict) -> "ModelCheckpoint":
         version = doc.get("format_version")
-        if type(version) is not int or version not in READ_VERSIONS:  # a bool is not an int here
-            raise DataValidationError(f"unsupported checkpoint format_version: {version}")
+        if type(version) is not int or version != FORMAT_VERSION:  # a bool is not an int here
+            raise DataValidationError(
+                f"unsupported checkpoint format_version: {version}; "
+                f"re-run pretrain or finetune to write format {FORMAT_VERSION}"
+            )
         for key in INTEGER_FIELDS:
             if isinstance(doc[key], bool) or not isinstance(doc[key], int):
                 raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
@@ -81,10 +84,7 @@ class ModelCheckpoint:
             raise ValueError(
                 f"input_dim {doc['input_dim']} does not match 1 + {scalers.arity} parameter scalers"
             )
-        if version == 1:
-            params = ModelParams.from_named(doc["input_dim"], doc["hidden_dim"], doc["weights"])
-        else:
-            params = ModelParams(doc["input_dim"], doc["hidden_dim"], _decode_weights(doc["weights"]))
+        params = ModelParams(doc["input_dim"], doc["hidden_dim"], _decode_weights(doc["weights"]))
         provenance = doc.get("provenance", {})
         return ModelCheckpoint(
             params=params,
@@ -97,7 +97,7 @@ class ModelCheckpoint:
 
 
 def _decode_weights(weights) -> np.ndarray:
-    """The version-2 weight block as a writable native float64 vector.
+    """The weight block as a writable native float64 vector.
 
     Rejects a non-string, invalid base64, a partial float64 and a non-finite
     value; ``ModelParams`` then checks the length against the dimensions.
@@ -122,13 +122,7 @@ def save_checkpoint(checkpoint: ModelCheckpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelCheckpoint:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataValidationError(f"cannot read checkpoint {path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or bytes that are not UTF-8
-        raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(path, "checkpoint")
     try:
         return ModelCheckpoint.from_dict(doc)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -301,14 +301,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     :class:`DataValidationError`.
     """
     manifest_path = Path(manifest_path)
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise DataValidationError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or bytes that are not UTF-8
-        raise DataValidationError(f"{manifest_path}: invalid JSON: {exc}") from exc
-
+    manifest = _read_json(manifest_path, "manifest")
     if not isinstance(manifest, dict):
         raise DataValidationError(f"{manifest_path}: manifest must be a JSON object")
     for key in ("name", "role", "param_schema", "samples"):
@@ -364,6 +357,17 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         curves.append(validate_curve(RawCurve(sample_id, strain, stress, params)))
 
     return Dataset(name, role, schema, curves)
+
+
+def _read_json(path: str | Path, what: str):
+    """The JSON value in ``path``; a file that cannot be read or parsed raises DataValidationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataValidationError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or bytes that are not UTF-8
+        raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _write_json(doc: dict, path: Path) -> None:

@@ -20,7 +20,7 @@ from .errors import TrainingDivergenceError
 # Row order of the gate-stacked blocks in ModelParams.flat.
 STACK_ORDER = ("f", "i", "o", "c")
 
-# Fixed name order: drives initialization draws and serialization.
+# Fixed name order of the initialization draws.
 PARAM_NAMES = (
     "W_fh", "W_fx", "b_f",
     "W_ih", "W_ix", "b_i",
@@ -89,30 +89,6 @@ class ModelParams:
             setattr(self, f"W_{g}h", self.W_h[rows])
             setattr(self, f"W_{g}x", self.W_x[rows])
             setattr(self, f"b_{g}", self.b[rows])
-
-    @classmethod
-    def from_named(cls, input_dim: int, hidden_dim: int, arrays: dict) -> "ModelParams":
-        """Parameters from one array per name in PARAM_NAMES; rejects bad shapes and non-finite values.
-
-        Every array is checked before the vector is allocated, so bad dimensions cannot ask for a huge one.
-        """
-        h, d = hidden_dim, input_dim
-        checked = {}
-        for name in PARAM_NAMES:
-            if name.startswith("b"):
-                shape = (1,) if name == "b_out" else (h,)
-            else:
-                shape = (1, h) if name == "W_out" else (h, h if name.endswith("h") else d)
-            arr = np.asarray(arrays[name], dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name}: non-finite values")
-            checked[name] = arr
-        params = cls(input_dim, hidden_dim)
-        for name, arr in checked.items():
-            getattr(params, name)[...] = arr
-        return params
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.input_dim, self.hidden_dim, self.flat.copy())

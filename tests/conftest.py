@@ -175,21 +175,6 @@ def evaluate_loss(params, windows, targets):
     return loss_mse(predictions, targets)
 
 
-def checkpoint_v1_doc(ckpt) -> dict:
-    """The format-version-1 document of a checkpoint: one nested list of decimal floats per weight name.
-
-    Test-only writer for the older format that :func:`curvetransfer.checkpoint.load_checkpoint`
-    still reads; the header fields are the same as in version 2.
-    """
-    from curvetransfer.seqnet import PARAM_NAMES
-
-    return {
-        **ckpt.to_dict(),
-        "format_version": 1,
-        "weights": {name: getattr(ckpt.params, name).tolist() for name in PARAM_NAMES},
-    }
-
-
 def with_stress_unit(report_doc: dict, factor: float) -> dict:
     """A copy of a report document with every RMSE and every predicted stress multiplied by ``factor``."""
     doc = copy.deepcopy(report_doc)

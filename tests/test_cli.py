@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import random
+import shutil
 import struct
 
 import pytest
@@ -12,8 +13,9 @@ import pytest
 from curvetransfer.checkpoint import load_checkpoint
 from curvetransfer.cli import _write_json, build_parser, main
 from curvetransfer.curves import Dataset, RawCurve, load_dataset, save_dataset
+from curvetransfer.seqnet import PARAM_NAMES
 
-from conftest import checkpoint_v1_doc, with_stress_unit, write_manifest
+from conftest import with_stress_unit, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -211,18 +213,6 @@ class TestTrainGolden:
                      "--target", manifest_of(golden_suite, "metal_hardening"), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == EVALUATE_GOLDEN
 
-    def test_v1_checkpoint_evaluates_to_the_same_bytes(self, golden_suite, tmp_path):
-        ckpt = tmp_path / "pre.json"
-        assert main(["pretrain", "--sources", manifest_of(golden_suite, "poly_plateau"),
-                     "--out", str(ckpt), "--seed", "0", "--epochs", "1"]) == 0
-        v1 = tmp_path / "v1.json"
-        _write_json(checkpoint_v1_doc(load_checkpoint(ckpt)), v1)
-        for path in (ckpt, v1):
-            assert main(["evaluate", "--checkpoint", str(path), "--target",
-                         manifest_of(golden_suite, "metal_hardening"), "--out", str(path.with_suffix(".out"))]) == 0
-        assert (tmp_path / "pre.out").read_bytes() == (tmp_path / "v1.out").read_bytes()
-        assert hashlib.sha256((tmp_path / "v1.out").read_bytes()).hexdigest() == EVALUATE_GOLDEN
-
 
 # Every command that takes --seed, with its other required flags. The files
 # are never read: the usage errors tested with these are caught first.
@@ -370,6 +360,42 @@ class TestPipeline:
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("variant", ["vanilla", "tl_all", "dtw_tl"])
+    def test_sample_id_prefix_changes_only_the_ids(self, suite_dir, tmp_path, variant):
+        # A common prefix keeps the ids' lexicographic order, so the extreme-sample
+        # tie-break picks the same training curves; nothing else reads an id.
+        prefix = "renamed_"
+        renamed = shutil.copytree(suite_dir, tmp_path / "renamed")
+        for manifest in renamed.glob("*/manifest.json"):
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
+            for sample in doc["samples"]:
+                sample["id"] = prefix + sample["id"]
+            _write_json(doc, manifest)
+        runs = {}
+        for label, suite in (("base", suite_dir), ("renamed", renamed)):
+            runs[label] = tmp_path / f"run_{label}"
+            assert main(["pipeline", "--variant", variant, *source_args(suite),
+                         "--target", manifest_of(suite, "metal_hardening"), "--seed", "0",
+                         "--out", str(runs[label]), "--epochs", "2", "--pretrain-epochs", "1"]) == 0
+        base = json.loads((runs["base"] / "report.json").read_text(encoding="utf-8"))
+        for key in ("train_ids", "test_ids"):
+            base["plan"][key] = [prefix + sid for sid in base["plan"][key]]
+        for sample in base["per_sample"]:
+            sample["sample_id"] = prefix + sample["sample_id"]
+        assert (runs["renamed"] / "report.json").read_text(encoding="utf-8") == (
+            json.dumps(base, indent=2, sort_keys=True) + "\n"
+        )
+        base_preds = sorted(p.name for p in (runs["base"] / "predictions").iterdir())
+        assert sorted(p.name for p in (runs["renamed"] / "predictions").iterdir()) == [
+            prefix + name for name in base_preds
+        ]
+        for name in base_preds:
+            assert (runs["renamed"] / "predictions" / (prefix + name)).read_bytes() == (
+                runs["base"] / "predictions" / name
+            ).read_bytes()
+        if variant == "dtw_tl":
+            assert (runs["renamed"] / "ranking.json").read_bytes() == (runs["base"] / "ranking.json").read_bytes()
 
     def test_explicit_train_ids(self, suite_dir, tmp_path):
         out = tmp_path / "run"
@@ -540,8 +566,7 @@ class TestCheckpointCommands:
     @pytest.mark.parametrize("tamper", ["sequence_length=0", "sequence_length=2.7",
                                         "scaler_min=NaN", "extra_scaler", "stress_span=inf",
                                         "weights=missing", "weights=list", "weights=bad_base64",
-                                        "weights=one_byte_short", "weights=nan",
-                                        "v1_hidden_dim=10**4", "v1_hidden_dim=10**6"])
+                                        "weights=one_byte_short", "weights=nan"])
     def test_tampered_checkpoint_exits_2(self, suite_dir, tmp_path, capsys, tamper):
         ckpt = tmp_path / "pre.json"
         assert main(
@@ -567,10 +592,6 @@ class TestCheckpointCommands:
             doc["weights"] = [0.0] * 4641
         elif tamper == "weights=bad_base64":
             doc["weights"] = doc["weights"][:-4] + "@@@="
-        elif tamper.startswith("v1_hidden_dim="):
-            # The weights keep their real shapes; the header claims a hidden size whose
-            # parameter vector would not fit in memory at 10**6 (29 TiB).
-            doc = {**checkpoint_v1_doc(load_checkpoint(ckpt)), "hidden_dim": 10 ** int(tamper[-1])}
         else:
             raw = base64.b64decode(doc["weights"])
             raw = struct.pack("<d", float("nan")) + raw[8:] if tamper == "weights=nan" else raw[:-1]
@@ -583,6 +604,25 @@ class TestCheckpointCommands:
         assert "malformed checkpoint" in err
         if tamper == "stress_span=inf":
             assert "scaler 'stress'" in err
+
+    @pytest.mark.parametrize("hidden_dim", [None, 10**6])
+    def test_version_1_checkpoint_exits_2(self, suite_dir, tmp_path, capsys, hidden_dim):
+        ckpt, out = tmp_path / "pre.json", tmp_path / "eval.json"
+        assert main(["pretrain", "--sources", manifest_of(suite_dir, "poly_plateau"),
+                     "--out", str(ckpt), "--seed", "0", "--epochs", "1"]) == 0
+        params = load_checkpoint(ckpt).params
+        # The older format: one nested list of decimal floats per weight name. At
+        # hidden_dim 10**6 a reader that trusted the header would allocate 29 TiB.
+        doc = {**json.loads(ckpt.read_text()), "format_version": 1,
+               "weights": {name: getattr(params, name).tolist() for name in PARAM_NAMES}}
+        if hidden_dim is not None:
+            doc["hidden_dim"] = hidden_dim
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["evaluate", "--checkpoint", str(ckpt),
+                   "--target", manifest_of(suite_dir, "metal_plateau"), "--out", str(out)])
+        assert rc == 2
+        assert "format_version" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_checkpoint_exits_2(self, suite_dir, tmp_path, capsys):
         ckpt = tmp_path / "pre.json"

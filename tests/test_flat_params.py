@@ -6,7 +6,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from curvetransfer.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
-from curvetransfer.curves import _write_json
 from curvetransfer.scaling import CurveScalers, FeatureScaler
 from curvetransfer.seqnet import (
     ADAM_BETA1,
@@ -19,8 +18,6 @@ from curvetransfer.seqnet import (
     init_params,
     optimizer_step,
 )
-
-from conftest import checkpoint_v1_doc
 
 dims = st.tuples(
     st.integers(min_value=1, max_value=5),
@@ -61,13 +58,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path_factory, dims):
     assert loaded.params.flat.tobytes() == params.flat.tobytes()
     for name in PARAM_NAMES:
         assert getattr(loaded.params, name).tobytes() == getattr(params, name).tobytes()
-    # The same parameters in the older per-name decimal format load to the same bytes.
-    v1_path = path.with_name("v1.json")
-    _write_json(checkpoint_v1_doc(ckpt), v1_path)
-    v1 = load_checkpoint(v1_path)
-    assert v1.params.flat.tobytes() == params.flat.tobytes()
-    assert (v1.scalers, v1.sequence_length, v1.seed, v1.source_dataset, v1.stage) == (
-        loaded.scalers, loaded.sequence_length, loaded.seed, loaded.source_dataset, loaded.stage
+    assert (loaded.scalers, loaded.sequence_length, loaded.seed, loaded.source_dataset, loaded.stage) == (
+        scalers, 5, seed, "src", "pretrained"
     )
 
 
