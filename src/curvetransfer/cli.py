@@ -1,8 +1,9 @@
 """Command-line entry point: ingestion, ranking, training, evaluation, synthetic suite.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 training
-divergence. Every command is deterministic given its flags; the seed falls
-back to the CURVETRANSFER_SEED environment variable when --seed is omitted.
+Exit codes: 0 success, 1 usage error, 2 data/validation error or an output
+path that cannot be written, 3 training divergence. Every command is
+deterministic given its flags; the seed falls back to the CURVETRANSFER_SEED
+environment variable when --seed is omitted.
 """
 
 from __future__ import annotations
@@ -231,15 +232,15 @@ def cmd_pipeline(args) -> int:
         mape_epsilon=args.mape_epsilon,
         pretrain_epochs=args.pretrain_epochs,
     )
+    # An --out that cannot be a directory fails here, before the fit.
+    out_dir = Path(args.out)
+    pred_dir = out_dir / "predictions"
+    pred_dir.mkdir(parents=True, exist_ok=True)
     report = run_variant(plan, sources + [target])
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(report.to_dict(), out_dir / "report.json")
     if report.dtw_ranking is not None:
         _write_json(report.dtw_ranking.to_dict(), out_dir / "ranking.json")
-    pred_dir = out_dir / "predictions"
-    pred_dir.mkdir(parents=True, exist_ok=True)
     n = config.sequence_length
     for sample in report.per_sample:
         curve = target.curve_by_id(sample.sample_id)
@@ -365,6 +366,10 @@ def main(argv=None) -> int:
     except TrainingDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except OSError as exc:
+        # Every read maps its own OSError, so this is an output path that cannot be written.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -139,21 +139,18 @@ def init_params(seed: int, input_dim: int, hidden_dim: int = HIDDEN_DIM) -> Mode
     return params
 
 
-def _gate_views(gates: np.ndarray, hd: int) -> list[tuple[np.ndarray, ...]]:
-    # Per step: the three sigmoid gates as one block, then f, i, o, g.
-    h3 = 3 * hd
-    return [(row[:h3], row[:hd], row[hd : 2 * hd], row[2 * hd : h3], row[h3:]) for row in gates]
+class _StepWorkspace:
+    """Every buffer and view one training step on an (n, d) window touches, bound once.
 
-
-class _ForwardWorkspace:
-    """Every buffer and view the forward pass of one (n, d) window touches, bound once.
-
-    Holds fresh activations ``(gates, cs, hs)``, the forward scratch, and
-    ``forward_steps``, each time step's views in the order t = 0..n-1. The
-    parameter block views are bound to ``params.flat``, which the optimizer
-    updates in place. So :func:`_forward_into` neither slices nor allocates.
-    Each call of :func:`train` and :func:`forward_sequence` builds its own;
-    none is shared between calls.
+    Owns the activations ``(gates, cs, hs)``, the scratch of the forward and
+    the backward pass (one ``tmp`` serves both), the gradient ``grads``, and
+    each time step's views: ``forward_steps`` in the order t = 0..n-1 and
+    ``backward_steps`` in the order t = n-1..0. The parameter block views
+    are bound to ``params.flat``, which the optimizer updates in place. So
+    neither :func:`_forward_into` nor :func:`_backward_into` slices or
+    allocates. Each call of :func:`train`, :func:`forward_sequence` and
+    :func:`backward` builds its own; none is shared between calls, and none
+    binds arrays it does not own.
     """
 
     def __init__(self, params: ModelParams, n: int):
@@ -163,37 +160,14 @@ class _ForwardWorkspace:
         gates, cs, hs = self.activations = (
             np.empty((n, 4 * hd)), np.zeros((n + 1, hd)), np.zeros((n + 1, hd))
         )
-        self.W_h, self.W_x = params.W_h, params.W_x
+        self.W_h, self.W_x, self.W_h_T = params.W_h, params.W_x, params.W_h.T
         self.b_col, self.w_out, self.b_out = params.b[:, None], params.W_out[0], params.b_out
+        self.tmp = np.empty(hd)
+        self.h_n = hs[n]
         self.xz = np.empty((4 * hd, n))
         self.z = np.empty(4 * hd)
         self.z_sig, self.z_g = self.z[:h3], self.z[h3:]
         self.den = np.empty(h3)
-        self.tmp = np.empty(hd)
-        self.h_n = hs[n]
-        self.forward_steps = tuple(
-            (self.xz[:, t], sig, f, i, o, g, cs[t], cs[t + 1], hs[t], hs[t + 1])
-            for t, (sig, f, i, o, g) in enumerate(_gate_views(gates, hd))
-        )
-
-
-class _BackwardWorkspace:
-    """Every buffer and view BPTT over given activations ``(gates, cs, hs)`` touches, bound once.
-
-    Reads the activations, never writes them, and holds the backward scratch,
-    the gradient ``grads`` and ``backward_steps``, each time step's views in
-    the order t = n-1..0. So :func:`_backward_into` neither slices nor
-    allocates. :func:`train` binds one to its forward workspace's activations;
-    :func:`backward` binds one to the caller's.
-    """
-
-    def __init__(self, params: ModelParams, activations: tuple[np.ndarray, np.ndarray, np.ndarray]):
-        gates, cs, hs = activations
-        n, hd = len(gates), params.hidden_dim
-        h3 = 3 * hd
-        self.W_h_T, self.w_out = params.W_h.T, params.W_out[0]
-        self.tmp = np.empty(hd)
-        self.h_n = hs[n]
         self.cs_steps = cs[1:]
         self.gates_sig, self.gates_g = gates[:, :h3], gates[:, h3:]
         self.tanh_cs, self.dtanh_cs = np.empty((n, hd)), np.empty((n, hd))
@@ -203,17 +177,23 @@ class _BackwardWorkspace:
         self.dz_T, self.hs_prev = dz.T, hs[:n]
         self.grads = ModelParams(params.input_dim, hd)
         self.grad_w_out = self.grads.W_out[0]
+        # Per step: the three sigmoid gates as one block, then f, i, o, g.
+        gate_views = [(row[:h3], row[:hd], row[hd : 2 * hd], row[2 * hd : h3], row[h3:]) for row in gates]
+        self.forward_steps = tuple(
+            (self.xz[:, t], sig, f, i, o, g, cs[t], cs[t + 1], hs[t], hs[t + 1])
+            for t, (sig, f, i, o, g) in enumerate(gate_views)
+        )
         self.backward_steps = tuple(
             (
                 f, i, o, g, sig, cs[t],
                 self.tanh_cs[t], self.dtanh_cs[t], self.one_minus_sig[t], self.dtanh_g[t],
                 dz[t], dz[t, :hd], dz[t, hd : 2 * hd], dz[t, 2 * hd : h3], dz[t, :h3], dz[t, h3:],
             )
-            for t, (sig, f, i, o, g) in reversed(list(enumerate(_gate_views(gates, hd))))
+            for t, (sig, f, i, o, g) in reversed(list(enumerate(gate_views)))
         )
 
 
-def _forward_into(ws: _ForwardWorkspace, window: np.ndarray) -> float:
+def _forward_into(ws: _StepWorkspace, window: np.ndarray) -> float:
     """The forward pass of one (n, d) window, written into the workspace ``ws``.
 
     Fills ``ws.activations``: the (n, 4h) gate rows and rows 1..n of the
@@ -267,7 +247,7 @@ def forward_sequence(
         raise ValueError(f"window must be a non-empty 2-D matrix, got shape {window.shape}")
     if window.shape[1] != params.input_dim:
         raise ValueError(f"window columns {window.shape[1]} != input_dim {params.input_dim}")
-    ws = _ForwardWorkspace(params, window.shape[0])
+    ws = _StepWorkspace(params, window.shape[0])
     prediction = _forward_into(ws, window)
     return prediction, ws.activations
 
@@ -346,7 +326,7 @@ def predict_series(params: ModelParams, rows: np.ndarray, n: int) -> np.ndarray:
     return np.vecdot(h, params.W_out[0]) + params.b_out[0]
 
 
-def _backward_into(ws: _BackwardWorkspace, window: np.ndarray, dpred: float) -> None:
+def _backward_into(ws: _StepWorkspace, window: np.ndarray, dpred: float) -> None:
     """BPTT for one window from the activations in ``ws``, written into ``ws.grads``.
 
     ``dpred`` is the derivative of the loss by the prediction. The
@@ -406,17 +386,22 @@ def backward(
     """Exact gradients of the squared error (pred - target)^2 for one window.
 
     ``activations`` is the ``(gates, cs, hs)`` triple :func:`forward_sequence`
-    returned for this window; it is read, not written. Backpropagates through
-    the output layer and all time steps; the gradient has the layout of
-    ``params``.
+    returned for this window; it is copied into a fresh workspace, so it is
+    never written and writing it later leaves the gradient alone.
+    Backpropagates through the output layer and all time steps; the gradient
+    has the layout of ``params``.
     """
-    gates, cs, hs = activations
     window = np.asarray(window, dtype=float)
     n = window.shape[0]
-    if len(gates) != n:
-        raise ValueError(f"activation/window mismatch: {len(gates)} steps for {n} rows")
-    prediction = float(params.W_out[0] @ hs[n] + params.b_out[0])
-    ws = _BackwardWorkspace(params, activations)
+    ws = _StepWorkspace(params, n)
+    for name, own, given in zip(("gates", "cs", "hs"), ws.activations, activations):
+        if np.shape(given) != own.shape:
+            raise ValueError(
+                f"activation/window mismatch: {name} has shape {np.shape(given)}, "
+                f"expected {own.shape} for {n} rows"
+            )
+        own[...] = given
+    prediction = float(params.W_out[0] @ ws.h_n + params.b_out[0])
     _backward_into(ws, window, 2.0 * (prediction - target))
     return ws.grads
 
@@ -505,9 +490,8 @@ def train(
     Raises ValueError for malformed or non-finite data, naming the first
     window that holds a non-finite value, and TrainingDivergenceError if the
     loss goes non-finite or the last update leaves a non-finite parameter.
-    One forward and one backward workspace per call (see
-    ``_ForwardWorkspace`` and ``_BackwardWorkspace``) own every buffer
-    the step writes and bind every view it reads, so the per-window loop
+    One workspace per call (see ``_StepWorkspace``) owns every buffer the
+    step writes and binds every view it reads, so the per-window loop
     allocates nothing and slices nothing beyond taking the window itself;
     each ufunc of the step takes its output by position (see :func:`_forward_into`).
     """
@@ -523,8 +507,7 @@ def train(
     if not finite.all():
         raise ValueError(f"window {int(np.argmin(finite))} or its target holds a non-finite value")
 
-    fwd = _ForwardWorkspace(params, windows.shape[1])
-    bwd = _BackwardWorkspace(params, fwd.activations)
+    ws = _StepWorkspace(params, windows.shape[1])
     rng = np.random.default_rng(config.seed)
     state = init_optimizer_state(params, config)
     loss_history = []
@@ -536,10 +519,10 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             for idx in order:
                 window = windows[idx]
-                residual = _forward_into(fwd, window) - float(targets[idx])
+                residual = _forward_into(ws, window) - float(targets[idx])
                 total += residual * residual
-                _backward_into(bwd, window, 2.0 * residual)
-                optimizer_step(params, bwd.grads, config, state)
+                _backward_into(ws, window, 2.0 * residual)
+                optimizer_step(params, ws.grads, config, state)
         epoch_loss = total / len(windows)
         if not math.isfinite(epoch_loss):
             raise TrainingDivergenceError(

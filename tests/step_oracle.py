@@ -82,8 +82,8 @@ def gradient_check(
     _, activations = forward_sequence(params, window)  # also checks the window
     if grads is None:
         grads = backward(params, activations, window, target)
-    # One forward workspace serves every perturbed forward: its views follow params.flat.
-    ws = seqnet._ForwardWorkspace(params, len(window))
+    # One workspace serves every perturbed forward: its views follow params.flat.
+    ws = seqnet._StepWorkspace(params, len(window))
 
     def loss_at() -> float:
         return (seqnet._forward_into(ws, window) - target) ** 2

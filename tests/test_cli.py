@@ -10,6 +10,7 @@ import struct
 
 import pytest
 
+from curvetransfer import cli
 from curvetransfer.checkpoint import load_checkpoint
 from curvetransfer.cli import _write_json, build_parser, main
 from curvetransfer.curves import Dataset, RawCurve, load_dataset, save_dataset
@@ -103,6 +104,47 @@ class TestRank:
         )
         assert rc == 2
         assert "missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, blocker, below", [
+        ("evaluate", "dir", None),
+        ("pretrain", "dir", None),
+        ("finetune", "dir", None),
+        ("evaluate", "file", "x.json"),
+        ("rank", "file", None),
+        ("synth", "file", None),
+        ("pipeline", "file", None),
+    ])
+    def test_unwritable_output_exits_2(
+        self, suite_dir, tmp_path, capsys, monkeypatch, command, blocker, below
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("pipeline fitted before checking --out")
+
+        monkeypatch.setattr(cli, "run_variant", no_fit)
+        ckpt = tmp_path / "pre.json"
+        source = ["--sources", manifest_of(suite_dir, "poly_plateau")]
+        assert main(["pretrain", *source, "--out", str(ckpt), "--epochs", "1"]) == 0
+        path = tmp_path / "blocker"
+        if blocker == "dir":
+            path.mkdir()
+        else:
+            path.write_text("")
+        out = str(path / below if below else path)
+        target = ["--target", manifest_of(suite_dir, "metal_plateau")]
+        argv = {
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), *target, "--out", out],
+            "pretrain": ["pretrain", *source, "--epochs", "1", "--out", out],
+            "finetune": ["finetune", "--checkpoint", str(ckpt), *target, "--epochs", "1", "--out", out],
+            "rank": ["rank", *source, *target, "--dump-dtw", out],
+            "synth": ["synth", "--out", out],
+            "pipeline": ["pipeline", "--variant", "vanilla", *target, "--epochs", "1", "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
     def test_dump_dtw_matrices(self, suite_dir, tmp_path):
         dump = tmp_path / "dtw"

@@ -22,8 +22,7 @@ from curvetransfer.seqnet import (
     init_optimizer_state,
     predict_series,
     train,
-    _BackwardWorkspace,
-    _ForwardWorkspace,
+    _StepWorkspace,
     _sigmoid,
 )
 from curvetransfer.synthgen import standard_suite
@@ -660,7 +659,7 @@ class TestWindowLayouts:
 
 
 class TestDotEqualsMatmul:
-    """The step's ``np.dot`` calls give ``np.matmul``'s bytes on the operands the workspaces bind.
+    """The step's ``np.dot`` calls give ``np.matmul``'s bytes on the operands the workspace binds.
 
     The kernels call ``np.dot``, which dispatches faster; the oracle step
     calls ``np.matmul``. A numpy or OpenBLAS that routes one form to another
@@ -681,24 +680,23 @@ class TestDotEqualsMatmul:
         rng = np.random.default_rng(seed)
         params, windows, _ = random_lstm_case(seed, hidden_dim, input_dim, n, 3, scale)
         window = window_layout(layout, windows, rng)[1]
-        fwd = _ForwardWorkspace(params, n)
-        hs = fwd.activations[2]
+        ws = _StepWorkspace(params, n)
+        hs = ws.activations[2]
         hs[1:] = rng.normal(size=(n, hidden_dim))
-        bwd = _BackwardWorkspace(params, fwd.activations)
-        bwd.dz[...] = rng.normal(scale=scale, size=bwd.dz.shape)
+        ws.dz[...] = rng.normal(scale=scale, size=ws.dz.shape)
         calls = [
-            (fwd.W_x, window.T, fwd.xz),
-            (fwd.W_h, hs[n - 1], fwd.z),
-            (bwd.W_h_T, bwd.dz[0], bwd.dh),
-            (bwd.dz_T, bwd.hs_prev, bwd.grads.W_h),
-            (bwd.dz_T, window, bwd.grads.W_x),
+            (ws.W_x, window.T, ws.xz),
+            (ws.W_h, hs[n - 1], ws.z),
+            (ws.W_h_T, ws.dz[0], ws.dh),
+            (ws.dz_T, ws.hs_prev, ws.grads.W_h),
+            (ws.dz_T, window, ws.grads.W_x),
         ]
         for a, b, out in calls:
             np.dot(a, b, out)
             assert out.tobytes() == np.matmul(a, b, out=np.empty_like(out)).tobytes()
-        assert np.dot(fwd.w_out, fwd.h_n).tobytes() == np.matmul(fwd.w_out, fwd.h_n).tobytes()
-        np.add.reduce(bwd.dz, 0, None, bwd.grads.b)
-        assert bwd.grads.b.tobytes() == np.sum(bwd.dz, axis=0).tobytes()
+        assert np.dot(ws.w_out, ws.h_n).tobytes() == np.matmul(ws.w_out, ws.h_n).tobytes()
+        np.add.reduce(ws.dz, 0, None, ws.grads.b)
+        assert ws.grads.b.tobytes() == np.sum(ws.dz, axis=0).tobytes()
 
 
 class TestBufferOwnership:
@@ -716,6 +714,19 @@ class TestBufferOwnership:
         train(params.copy(), windows, targets, TrainConfig(epochs=1))
         assert [a.tobytes() for a in activations] == saved
         assert grads.flat.tobytes() == saved_grads
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    def test_backward_copies_activations_of_any_layout(self, layout):
+        params, windows, targets = random_lstm_case(7, 8, 3, 6, 2, 4.0)
+        _, activations = forward_sequence(params, windows[0])
+        want = backward(params, activations, windows[0], targets[0]).flat.tobytes()
+        given = [window_layout(layout, a.copy(), None) for a in activations]
+        assert [a.tobytes() for a in given] == [a.tobytes() for a in activations]
+        grads = backward(params, given, windows[0], targets[0])
+        assert grads.flat.tobytes() == want
+        for a in given:
+            a[...] = np.nan
+        assert grads.flat.tobytes() == want
 
     def test_train_calls_on_copies_agree(self):
         params, windows, targets = random_lstm_case(6, 8, 3, 6, 12, 4.0)
