@@ -9,7 +9,6 @@ environment variable when --seed is omitted.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -17,7 +16,8 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .curves import DEFAULT_GRID_N, Dataset, _write_json, grid_curve, load_dataset, save_dataset
+from .curves import DEFAULT_GRID_N, Dataset, grid_curve, load_dataset, save_dataset
+from .curves import _csv_text, _write_json, _write_text
 from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import DEFAULT_MAPE_EPSILON
 from .seqnet import TrainConfig
@@ -136,17 +136,10 @@ def cmd_ingest(args) -> int:
 def _dump_dtw_pair(source: Dataset, target_curve, n: int, out_dir: Path) -> None:
     local = local_distance_matrix(grid_curve(source.curves[0], n), grid_curve(target_curve, n))
     cumulative = cumulative_cost(local)
-    header = [""] + [str(i) for i in range(n)]
     for label, matrix in (("local", local), ("cumulative", cumulative)):
-        with open(out_dir / f"{source.name}_{label}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i, row in enumerate(matrix):
-                writer.writerow([str(i)] + [repr(float(v)) for v in row])
-    with open(out_dir / f"{source.name}_path.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "l"])
-        writer.writerows(dtw_path(cumulative))
+        rows = ([i, *row] for i, row in enumerate(matrix.tolist()))
+        _write_text(out_dir / f"{source.name}_{label}.csv", _csv_text(["", *range(n)], rows))
+    _write_text(out_dir / f"{source.name}_path.csv", _csv_text(["k", "l"], dtw_path(cumulative)))
 
 
 def cmd_rank(args) -> int:
@@ -165,10 +158,8 @@ def cmd_rank(args) -> int:
     if args.out:
         _write_json(doc, Path(args.out))
     if args.dump_dtw:
-        dump_dir = Path(args.dump_dtw)
-        dump_dir.mkdir(parents=True, exist_ok=True)
         for source in sources:
-            _dump_dtw_pair(source, train_curves[0], args.grid_n, dump_dir)
+            _dump_dtw_pair(source, train_curves[0], args.grid_n, Path(args.dump_dtw))
     for name, d in ranking.entries:
         print(f"{name}: {d:.6f}")
     print(f"selected: {ranking.selected}")
@@ -242,13 +233,11 @@ def cmd_pipeline(args) -> int:
     if report.dtw_ranking is not None:
         _write_json(report.dtw_ranking.to_dict(), out_dir / "ranking.json")
     n = config.sequence_length
+    header = ["strain", "stress_actual", "stress_predicted"]
     for sample in report.per_sample:
         curve = target.curve_by_id(sample.sample_id)
-        with open(pred_dir / f"{sample.sample_id}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["strain", "stress_actual", "stress_predicted"])
-            for eps, actual, predicted in zip(curve.strain[n:], curve.stress[n:], sample.predicted):
-                writer.writerow([repr(float(eps)), repr(float(actual)), repr(float(predicted))])
+        rows = zip(curve.strain[n:].tolist(), curve.stress[n:].tolist(), sample.predicted.tolist())
+        _write_text(pred_dir / f"{sample.sample_id}.csv", _csv_text(header, rows))
 
     print(f"variant: {report.plan.variant}")
     if report.selected_source:

@@ -370,16 +370,29 @@ def _read_json(path: str | Path, what: str):
         raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _csv_text(header: list, rows) -> str:
+    """CSV in the csv module's default dialect, CRLF line ends; a float cell is its shortest repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_text(path: Path, text: str) -> None:
+    """The package's one file writer: ``text`` as UTF-8, line ends as given, parent directory created."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_json(doc: dict, path: Path) -> None:
     """Write ``doc`` as strict, sorted, indented JSON plus a newline, creating the parent directory.
 
     The text is built before the file is opened, so a NaN or infinity raises
     ValueError and leaves no file behind.
     """
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
@@ -392,15 +405,11 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     samples, csv_texts = [], []
     for curve in dataset.curves:
-        if not (np.isfinite(curve.strain).all() and np.isfinite(curve.stress).all()):
+        strain, stress = np.asarray(curve.strain, dtype=float), np.asarray(curve.stress, dtype=float)
+        if not (np.isfinite(strain).all() and np.isfinite(stress).all()):
             raise ValueError(f"sample {curve.sample_id!r}: non-finite strain or stress value")
         fname = f"{curve.sample_id}.csv"
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_HEADER)
-        for eps, sig in zip(curve.strain, curve.stress):
-            writer.writerow([repr(float(eps)), repr(float(sig))])
-        csv_texts.append((fname, buf.getvalue()))
+        csv_texts.append((fname, _csv_text(CSV_HEADER, zip(strain.tolist(), stress.tolist()))))
         samples.append({"id": curve.sample_id, "file": fname, "params": dict(curve.params)})
     manifest = {
         "name": dataset.name,
@@ -411,6 +420,5 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     manifest_path = out_dir / "manifest.json"
     _write_json(manifest, manifest_path)
     for fname, text in csv_texts:
-        with open(out_dir / fname, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out_dir / fname, text)
     return manifest_path

@@ -42,11 +42,20 @@ def _check_epsilon(epsilon) -> None:
 
 
 # These functions call ndarray methods (``x.sum()``), which run the same
-# reductions as ``np.sum(x)`` without its dispatch wrapper.
+# reductions as ``np.sum(x)`` without its dispatch wrapper. On finite input a
+# metric can only overflow to infinity: each one then raises ValueError naming
+# the metric. NaN input still gives NaN. Every caller runs the kernels under
+# ``np.errstate(over="ignore")``, so that no overflow warning escapes.
+
+
+def _overflow_check(value: float, name: str) -> float:
+    if abs(value) == math.inf:
+        raise ValueError(f"{name} overflows float64")
+    return value
 
 
 def _rmse(squared_error: np.ndarray) -> float:
-    return float(np.sqrt(squared_error.mean()))
+    return _overflow_check(float(np.sqrt(squared_error.mean())), "rmse")
 
 
 def _r2(actual: np.ndarray, squared_error: np.ndarray) -> float:
@@ -55,8 +64,12 @@ def _r2(actual: np.ndarray, squared_error: np.ndarray) -> float:
     if (actual == actual[0]).all():
         raise ValueError("r2 undefined for constant actual values (zero variance)")
     ss_tot = float(((actual - actual.mean()) ** 2).sum())
+    if ss_tot == math.inf:
+        raise ValueError("r2 undefined: the total sum of squares overflows float64")
+    if ss_tot == 0.0:  # distinct values whose squared deviations all underflow
+        raise ValueError("r2 undefined: the total sum of squares underflows to 0")
     ss_res = float(squared_error.sum())
-    return 1.0 - ss_res / ss_tot
+    return _overflow_check(1.0 - ss_res / ss_tot, "r2")
 
 
 def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
@@ -73,7 +86,9 @@ def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
     mask = abs_actual >= epsilon
     if not mask.any():
         raise ValueError(f"all {actual.size} points below epsilon={epsilon}, MAPE undefined")
-    return float((np.abs(actual[mask] - predicted[mask]) / abs_actual[mask]).mean()) * 100.0
+    with np.errstate(over="ignore"):
+        value = float((np.abs(actual[mask] - predicted[mask]) / abs_actual[mask]).mean()) * 100.0
+    return _overflow_check(value, "mape")
 
 
 def mape_excluded_count(actual, epsilon: float = DEFAULT_MAPE_EPSILON) -> int:
@@ -86,13 +101,15 @@ def mape_excluded_count(actual, epsilon: float = DEFAULT_MAPE_EPSILON) -> int:
 def rmse(actual, predicted) -> float:
     """Root mean squared error."""
     actual, predicted = _as_pair(actual, predicted)
-    return _rmse((actual - predicted) ** 2)
+    with np.errstate(over="ignore"):
+        return _rmse((actual - predicted) ** 2)
 
 
 def r2(actual, predicted) -> float:
     """Coefficient of determination, 1 - SS_res / SS_tot. May be negative."""
     actual, predicted = _as_pair(actual, predicted)
-    return _r2(actual, (actual - predicted) ** 2)
+    with np.errstate(over="ignore"):
+        return _r2(actual, (actual - predicted) ** 2)
 
 
 def pearson(xs, ys) -> float:
@@ -112,21 +129,24 @@ def pearson(xs, ys) -> float:
 def summarize(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> MetricSummary:
     """All three error metrics plus point counts for one prediction run.
 
-    Raises ValueError if a prediction is not finite, so no metric reads
-    NaN or infinity. Computes the squared error once, for the kernels of
-    :func:`rmse` and :func:`r2`; each value is bitwise the public
-    function's, and each bad input raises what those functions raise, in
-    the same order, after the epsilon check.
+    Raises ValueError if an actual value or a prediction is not finite, and
+    if a metric overflows float64, so no metric reads NaN or infinity.
+    Computes the squared error once, for the kernels of :func:`rmse` and
+    :func:`r2`; each value is bitwise the public function's, and each bad
+    input raises what those functions raise, in the same order, after the
+    epsilon and finiteness checks.
     """
     _check_epsilon(epsilon)
     actual, predicted = _as_pair(actual, predicted)
-    if not np.isfinite(predicted).all():
-        raise ValueError(f"{int(np.sum(~np.isfinite(predicted)))} of {predicted.size} predictions are not finite")
-    squared_error = (actual - predicted) ** 2
-    return MetricSummary(
-        mape=mape(actual, predicted, epsilon),
-        rmse=_rmse(squared_error),
-        r2=_r2(actual, squared_error),
-        n_points=int(actual.size),
-        n_excluded=mape_excluded_count(actual, epsilon),
-    )
+    for values, what in ((actual, "actual values"), (predicted, "predictions")):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{int(np.sum(~np.isfinite(values)))} of {values.size} {what} are not finite")
+    with np.errstate(over="ignore"):
+        squared_error = (actual - predicted) ** 2
+        return MetricSummary(
+            mape=mape(actual, predicted, epsilon),
+            rmse=_rmse(squared_error),
+            r2=_r2(actual, squared_error),
+            n_points=int(actual.size),
+            n_excluded=mape_excluded_count(actual, epsilon),
+        )

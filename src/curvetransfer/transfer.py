@@ -431,7 +431,12 @@ def evaluate(
         predicted = predict_curve(checkpoint, curve, pad)
         summary = _summarize_sample(curve, n, predicted, epsilon)
         per_sample.append(SampleEval(curve.sample_id, summary, predicted))
-    means = [float(np.mean([getattr(s.metrics, key) for s in per_sample])) for key in ("mape", "rmse", "r2")]
+    keys = ("mape", "rmse", "r2")
+    with np.errstate(over="ignore"):
+        means = [float(np.mean([getattr(s.metrics, key) for s in per_sample])) for key in keys]
+    for key, mean in zip(keys, means):
+        if not np.isfinite(mean):
+            raise DataValidationError(f"aggregate {key} overflows float64")
     return Evaluation(per_sample, *means)
 
 

@@ -2,6 +2,7 @@
 
 import base64
 import csv
+import dataclasses
 import hashlib
 import json
 import random
@@ -10,8 +11,8 @@ import struct
 
 import pytest
 
-from curvetransfer import cli
-from curvetransfer.checkpoint import load_checkpoint
+from curvetransfer import cli, transfer
+from curvetransfer.checkpoint import load_checkpoint, save_checkpoint
 from curvetransfer.cli import _write_json, build_parser, main
 from curvetransfer.curves import Dataset, RawCurve, load_dataset, save_dataset
 from curvetransfer.seqnet import PARAM_NAMES
@@ -254,6 +255,45 @@ class TestTrainGolden:
         assert main(["evaluate", "--checkpoint", str(ckpt),
                      "--target", manifest_of(golden_suite, "metal_hardening"), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == EVALUATE_GOLDEN
+
+
+def tree_digest(root) -> str:
+    """sha256 over the sorted (relative path, file sha256) pairs of every file under ``root``."""
+    lines = sorted(
+        f"{path.relative_to(root).as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+        for path in root.rglob("*") if path.is_file()
+    )
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+# tree_digest of everything one command writes, on suite seed 0: every CSV's
+# CRLF line ends and shortest-repr floats, and every JSON file's layout. The
+# pipeline and pretrain bytes hold for one numpy/OpenBLAS build, as above.
+OUTPUT_GOLDEN = {
+    "synth": "d7a33bcb3878a314393d5931d8649a54e7b39b628fbd26c3d67bc0b33d693b0a",
+    "rank": "ee1c362b560add304fd4ba29b3fe1207cf1e3f4e5a4cf6fee9eb222eedd9864d",
+    "pipeline": "ccc8402b71f8176ccb56f44640074ff40d7dd57d9bde7bd8275f3554ee0038a7",
+    "pretrain": "3d2571289c49ec26c60fa47b5d16f6a651d3891eb968f70e0b4c895f94a218ad",
+}
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("command", sorted(OUTPUT_GOLDEN))
+    def test_written_files_match_golden(self, command, golden_suite, tmp_path):
+        out = tmp_path / "out"
+        target = ["--target", manifest_of(golden_suite, "metal_plateau")]
+        argv = {
+            "synth": ["synth", "--seed", "0", "--out", str(out)],
+            "rank": ["rank", "--sources", manifest_of(golden_suite, "poly_plateau"),
+                     "--sources", manifest_of(golden_suite, "poly_hardening"), *target, "--seed", "0",
+                     "--grid-n", "8", "--out", str(out / "ranking.json"), "--dump-dtw", str(out / "dtw")],
+            "pipeline": ["pipeline", "--variant", "vanilla", *target, "--epochs", "1", "--seed", "0",
+                         "--out", str(out)],
+            "pretrain": ["pretrain", "--sources", manifest_of(golden_suite, "poly_plateau"), "--epochs", "1",
+                         "--seed", "0", "--out", str(out / "pre.json")],
+        }[command]
+        assert main(argv) == 0
+        assert tree_digest(out) == OUTPUT_GOLDEN[command]
 
 
 # Every command that takes --seed, with its other required flags. The files
@@ -684,6 +724,50 @@ class TestCheckpointCommands:
         )
         assert rc == 0
         assert json.loads(out.read_text())["seed"] == 42
+
+
+class TestOverflowingMetrics:
+    """A metric that overflows float64 on finite data exits 2 with one error line and writes no file."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, *words):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in words), err
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_evaluate_with_huge_output_weights_exits_2(self, golden_suite, tmp_path, capsys, with_out):
+        # Every W_out weight 1e200: finite, so the checkpoint loads, but each squared error overflows.
+        ckpt, out = tmp_path / "pre.json", tmp_path / "eval.json"
+        assert main(["pretrain", "--sources", manifest_of(golden_suite, "poly_plateau"),
+                     "--out", str(ckpt), "--seed", "0", "--epochs", "1"]) == 0
+        checkpoint = load_checkpoint(ckpt)
+        checkpoint.params.W_out[:] = 1e200
+        save_checkpoint(checkpoint, ckpt)
+        capsys.readouterr()
+        argv = ["evaluate", "--checkpoint", str(ckpt), "--target", manifest_of(golden_suite, "metal_plateau")]
+        assert main(argv + (["--out", str(out)] if with_out else [])) == 2
+        self.assert_one_error_line(capsys, "rmse overflows float64")
+        assert not out.exists()
+
+    def test_pipeline_on_stresses_times_2_pow_660_exits_2_before_training(
+        self, golden_suite, tmp_path, capsys, monkeypatch
+    ):
+        # Every stress is finite (at most about 5e198), but a test tail's total sum of squares is not.
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(transfer, "train", no_training)
+        target = load_dataset(manifest_of(golden_suite, "metal_plateau"))
+        curves = [dataclasses.replace(c, stress=c.stress * 2.0**660) for c in target.curves]
+        save_dataset(dataclasses.replace(target, curves=curves), tmp_path / "scaled")
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["pipeline", "--variant", "vanilla", "--target", str(tmp_path / "scaled" / "manifest.json"),
+                     "--epochs", "1", "--seed", "0", "--out", str(out)]) == 2
+        self.assert_one_error_line(capsys, "total sum of squares overflows float64")
+        assert not [path for path in out.rglob("*") if path.is_file()]
 
 
 class TestWriteJson:

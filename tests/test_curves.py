@@ -1,6 +1,8 @@
 """Curve validation, gridding, and manifest ingestion."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,6 +466,70 @@ class TestSaveDataset:
         with pytest.raises(ValueError, match=match):
             save_dataset(dataset, out_dir)
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("strain", [[0, 1, 2], np.array([0, 1, 2]), np.array([0.0, 1.0, 2.0], np.float32)],
+                             ids=["list", "int64", "float32"])
+    def test_csv_is_crlf_with_shortest_repr_floats(self, tmp_path, strain):
+        curve = RawCurve("1", strain, np.array([0.1, 1 / 3, 2e-300]), {"speed": 5.0})
+        save_dataset(Dataset("demo", "target", [ParamField("speed")], [curve]), tmp_path)
+        expected = b"strain,stress\r\n0.0,0.1\r\n1.0,0.3333333333333333\r\n2.0,2e-300\r\n"
+        assert (tmp_path / "1.csv").read_bytes() == expected
+
+
+def file_writers(path: Path) -> list[str]:
+    """``module.function`` of each call in ``path`` that may write a file.
+
+    That is an ``open`` call whose mode is not a literal without ``w``, ``a``,
+    ``x`` or ``+`` (a ``Path.open`` takes the mode first), and any
+    ``write_text`` or ``write_bytes`` call.
+    """
+    found = []
+
+    def writes(call: ast.Call) -> bool:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            return True
+        if name != "open":
+            return False
+        modes = [k.value for k in call.keywords if k.arg == "mode"]
+        modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+        if not modes:
+            return False
+        mode = modes[0]
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+"))
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and writes(child):
+                found.append(f"{path.stem}.{where}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_every_file_is_written_by_write_text():
+    import curvetransfer
+
+    sources = sorted(Path(curvetransfer.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    assert [w for path in sources for w in file_writers(path)] == ["curves._write_text"]
+
+
+@pytest.mark.parametrize("code, writers", [
+    ("def f(p):\n    open(p, 'w')", ["m.f"]),
+    ("def f(p):\n    open(p, mode='a', encoding='utf-8')", ["m.f"]),
+    ("def f(p, m):\n    open(p, m)", ["m.f"]),
+    ("def f(p):\n    p.open('r+')", ["m.f"]),
+    ("def f(p):\n    def g():\n        p.write_text('')\n    return g", ["m.g"]),
+    ("x = open('a', 'x')", ["m.<module>"]),
+    ("def f(p):\n    open(p)\n    open(p, 'rb')\n    p.open()\n    p.open(encoding='utf-8')", []),
+])
+def test_file_writers_finds_each_write(tmp_path, code, writers):
+    path = tmp_path / "m.py"
+    path.write_text(code, encoding="utf-8")
+    assert file_writers(path) == writers
 
 
 @pytest.mark.parametrize("sample_id", ["../escaped", "a/b", "a\\b", "a\0b", ".", ".."])

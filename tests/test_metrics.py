@@ -141,6 +141,29 @@ class TestSummarize:
         with pytest.raises(ValueError, match="1 of 3 predictions are not finite"):
             summarize(np.array([10.0, 20.0, 35.0]), np.array([10.0, bad, 35.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_actual_rejected(self, bad):
+        with pytest.raises(ValueError, match="1 of 3 actual values are not finite"):
+            summarize(np.array([10.0, bad, 35.0]), np.array([10.0, 20.0, 35.0]))
+
+    # Finite inputs whose metric overflows float64, each the first failing check.
+    # The suite turns RuntimeWarning into an error, so these also show that no
+    # overflow warning escapes.
+    @pytest.mark.parametrize("actual, predicted, message", [
+        ([1.0, 2.0], [1e308, 2.0], "mape overflows float64"),
+        ([1.0, 2.0], [1e200, 2.0], "rmse overflows float64"),
+        ([-1e200, 1e200], [-1e200, 1e200], "r2 undefined: the total sum of squares overflows float64"),
+        ([0.0, 1e-170], [0.0, 1e-170], "r2 undefined: the total sum of squares underflows to 0"),
+        ([0.0, 1e-160], [1.0, 1e-160], "r2 overflows float64"),
+    ])
+    def test_overflowing_metric_rejected(self, actual, predicted, message):
+        with pytest.raises(ValueError, match=message):
+            summarize(actual, predicted, epsilon=1e-300)
+        public = {"mape": lambda: mape(actual, predicted, 1e-300), "rmse": lambda: rmse(actual, predicted),
+                  "r2": lambda: r2(actual, predicted)}[message.split()[0]]
+        with pytest.raises(ValueError, match=message):
+            public()
+
 
 def reference_summary(actual, predicted, epsilon):
     """``summarize``'s checks and formulas written out in full, each metric on its own.
@@ -154,19 +177,32 @@ def reference_summary(actual, predicted, epsilon):
         raise ValueError(f"length mismatch: {actual.shape} vs {predicted.shape}")
     if actual.size == 0:
         raise ValueError("empty input")
+    if not np.all(np.isfinite(actual)):
+        raise ValueError(f"{int(np.sum(~np.isfinite(actual)))} of {actual.size} actual values are not finite")
     if not np.all(np.isfinite(predicted)):
         raise ValueError(f"{int(np.sum(~np.isfinite(predicted)))} of {predicted.size} predictions are not finite")
     mask = np.abs(actual) >= epsilon
     if not np.any(mask):
         raise ValueError(f"all {actual.size} points below epsilon={epsilon}, MAPE undefined")
-    mape_value = float(np.mean(np.abs(actual[mask] - predicted[mask]) / np.abs(actual[mask]))) * 100.0
-    rmse_value = float(np.sqrt(np.mean((actual - predicted) ** 2)))
-    if actual.size < 2:
-        raise ValueError("r2 requires at least 2 points")
-    if np.all(actual == actual[0]):
-        raise ValueError("r2 undefined for constant actual values (zero variance)")
-    ss_tot = float(np.sum((actual - np.mean(actual)) ** 2))
+    with np.errstate(over="ignore"):
+        mape_value = float(np.mean(np.abs(actual[mask] - predicted[mask]) / np.abs(actual[mask]))) * 100.0
+        if mape_value == np.inf:
+            raise ValueError("mape overflows float64")
+        rmse_value = float(np.sqrt(np.mean((actual - predicted) ** 2)))
+        if rmse_value == np.inf:
+            raise ValueError("rmse overflows float64")
+        if actual.size < 2:
+            raise ValueError("r2 requires at least 2 points")
+        if np.all(actual == actual[0]):
+            raise ValueError("r2 undefined for constant actual values (zero variance)")
+        ss_tot = float(np.sum((actual - np.mean(actual)) ** 2))
+    if ss_tot == np.inf:
+        raise ValueError("r2 undefined: the total sum of squares overflows float64")
+    if ss_tot == 0.0:
+        raise ValueError("r2 undefined: the total sum of squares underflows to 0")
     r2_value = 1.0 - float(np.sum((actual - predicted) ** 2)) / ss_tot
+    if r2_value == -np.inf:
+        raise ValueError("r2 overflows float64")
     excluded = int(np.sum(np.abs(actual) < epsilon))
     return np.array([mape_value, rmse_value, r2_value]).tobytes(), actual.size, excluded
 
@@ -174,14 +210,19 @@ def reference_summary(actual, predicted, epsilon):
 # Few distinct values, zeros and near-zeros among them, so ties, constant
 # inputs and all-excluded inputs come up often.
 metric_values = st.sampled_from([0.0, -0.0, 1e-9, -1e-7, 0.5, 3.0, -250.0]) | st.floats(-1e6, 1e6)
+# Values that are not finite, or whose squares, sums or ratios overflow or underflow float64.
+extreme_values = st.sampled_from([np.nan, np.inf, -np.inf, 1e-170, -1e-160, 1e160, 1e200, -1.7e308])
 
 
 @st.composite
 def metric_inputs(draw):
     size = draw(st.integers(0, 12))
-    actual = draw(st.lists(metric_values | st.just(np.nan), min_size=size, max_size=size))
+    actual = draw(st.lists(metric_values, min_size=size, max_size=size))
     other = draw(st.sampled_from([size, size, size, size + 1, max(size - 1, 0)]))
-    predicted = draw(st.lists(metric_values | st.sampled_from([np.nan, np.inf]), min_size=other, max_size=other))
+    predicted = draw(st.lists(metric_values, min_size=other, max_size=other))
+    for values in (actual, predicted):
+        if values and draw(st.integers(0, 2)) == 0:
+            values[draw(st.integers(0, len(values) - 1))] = draw(extreme_values)
     return actual, predicted, draw(st.sampled_from([1e-6, 1e-3, 1.0]))
 
 
@@ -209,6 +250,8 @@ class TestSummarizeOnePass:
         ([], [], "empty input"),
         ([1.0, 2.0], [np.nan, 1.0], "1 of 2 predictions are not finite"),
         ([0.0, 0.0], [np.inf, 1.0], "1 of 2 predictions are not finite"),
+        ([np.nan, 1.0], [np.inf, 1.0], "1 of 2 actual values are not finite"),
+        ([1.0, 2.0], [1e308, 1e200], "mape overflows"),
         ([0.0, 1e-9], [1.0, 1.0], "below epsilon"),
         ([2.0], [1.0], "r2 requires at least 2 points"),
         ([0.4, 0.4], [1.0, 2.0], "constant actual"),

@@ -13,6 +13,7 @@ from curvetransfer import transfer
 from curvetransfer.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from curvetransfer.curves import Dataset, ParamField, RawCurve
 from curvetransfer.errors import DataValidationError
+from curvetransfer.metrics import MetricSummary
 from curvetransfer.scaling import FeatureScaler, fit_scalers, padded_param_values
 from curvetransfer.seqnet import PARAM_NAMES, TrainConfig, forward_sequence, init_params
 from curvetransfer.synthgen import FamilySpec, generate_dataset, standard_suite
@@ -503,6 +504,15 @@ class TestRunVariant:
         with pytest.raises(DataValidationError, match="evaluate: MAPE epsilon must be a finite number > 0"):
             transfer.evaluate(checkpoint, small_source().curves, epsilon)
 
+    @pytest.mark.parametrize("key", ["mape", "r2"])
+    def test_evaluate_rejects_an_overflowing_aggregate(self, monkeypatch, key):
+        # Each sample's metrics are finite, but two MAPEs of 1e308 (or R2s of -1e308) sum past float64.
+        checkpoint = pretrain(small_source().curves, small_config(epochs=1), "src")
+        values = {"mape": 1.0, "rmse": 1.0, "r2": 0.5, key: 1e308 if key == "mape" else -1e308}
+        monkeypatch.setattr(transfer, "summarize", lambda *args: MetricSummary(**values, n_points=3, n_excluded=0))
+        with pytest.raises(DataValidationError, match=f"aggregate {key} overflows float64"):
+            transfer.evaluate(checkpoint, small_source().curves[:2])
+
     def test_deterministic_reports(self, suite):
         sources, targets, _ = suite
         plan = suite_plan("vanilla", sources, targets[0])
@@ -603,21 +613,28 @@ class TestRunVariant:
         assert window_params.isdisjoint(test_params)
 
 
-def scale_stress(dataset, factor):
-    """The dataset with every stress value multiplied by ``factor``."""
-    curves = [dataclasses.replace(c, stress=c.stress * factor) for c in dataset.curves]
+def rescale(dataset, stress=1.0, strain=1.0, params=1.0):
+    """The dataset with every stress, strain and process-parameter value multiplied by its factor."""
+    curves = [
+        dataclasses.replace(c, strain=c.strain * strain, stress=c.stress * stress,
+                            params={name: value * params for name, value in c.params.items()})
+        for c in dataset.curves
+    ]
     return dataclasses.replace(dataset, curves=curves)
 
 
 @functools.lru_cache(maxsize=None)
-def metamorphic_report(suite_seed, variant, target_factor=1.0, source_factor=1.0, drop=None):
+def metamorphic_report(suite_seed, variant, target_factor=1.0, source_factor=1.0, drop=None,
+                       strain_factor=1.0, param_factor=1.0):
     """``run_variant`` on ``targets[0]`` of a suite (2 epochs, 1 pretrain epoch).
 
-    Stresses are rescaled by the factors, and source ``drop`` is left out.
+    Stresses are rescaled by the target and source factors, every dataset's
+    strains and process parameters by theirs, and source ``drop`` is left out.
     """
     sources, targets, _ = standard_suite(suite_seed)
-    sources = [scale_stress(ds, source_factor) for ds in sources if ds.name != drop]
-    target = scale_stress(targets[0], target_factor)
+    every = {"strain": strain_factor, "params": param_factor}
+    sources = [rescale(ds, source_factor, **every) for ds in sources if ds.name != drop]
+    target = rescale(targets[0], target_factor, **every)
     plan = suite_plan(variant, sources, target, small_config(epochs=2), pretrain_epochs=1)
     return run_variant(plan, sources + [target])
 
@@ -641,6 +658,30 @@ class TestUnitChangeMetamorphic:
     def test_source_stress_times_2_pow_minus_4_changes_nothing(self, suite_seed, variant):
         base = metamorphic_report(suite_seed, variant).to_dict()
         assert metamorphic_report(suite_seed, variant, source_factor=2.0**-4).to_dict() == base
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "dtw_tl"])
+@pytest.mark.parametrize("suite_seed", [0, 1])
+class TestEveryDatasetUnitChangeMetamorphic:
+    """A power-of-two change of one unit on every dataset at once.
+
+    Min-max scaling and the DTW grid's divide by each curve's maxima take
+    the factor out exactly, so only a stage that reads a raw unit, or
+    rescales it inexactly, can change a bit.
+    """
+
+    def test_stress_times_2_pow_10_scales_only_rmse_and_predictions(self, suite_seed, variant):
+        base = metamorphic_report(suite_seed, variant).to_dict()
+        scaled = metamorphic_report(suite_seed, variant, target_factor=2.0**10, source_factor=2.0**10)
+        assert bits(scaled.to_dict()) == bits(with_stress_unit(base, 2.0**10))
+
+    def test_strain_times_2_pow_minus_3_changes_nothing(self, suite_seed, variant):
+        base = metamorphic_report(suite_seed, variant).to_dict()
+        assert bits(metamorphic_report(suite_seed, variant, strain_factor=2.0**-3).to_dict()) == bits(base)
+
+    def test_every_parameter_times_4_changes_nothing(self, suite_seed, variant):
+        base = metamorphic_report(suite_seed, variant).to_dict()
+        assert bits(metamorphic_report(suite_seed, variant, param_factor=4.0).to_dict()) == bits(base)
 
 
 def bits(doc) -> str:
