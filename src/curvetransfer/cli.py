@@ -9,6 +9,7 @@ environment variable when --seed is omitted.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -20,12 +21,14 @@ from .curves import DEFAULT_GRID_N, Dataset, grid_curve, load_dataset, save_data
 from .curves import _csv_text, _write_json, _write_text
 from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import DEFAULT_MAPE_EPSILON
+from .scaling import padded_curves
 from .seqnet import TrainConfig
 from .similarity import cumulative_cost, dtw_path, local_distance_matrix, rank_sources
 from .synthgen import standard_suite
 from .transfer import (
     Evaluation,
     ExperimentPlan,
+    _stage_errors,
     concat_shuffle_sources,
     evaluate,
     finetune,
@@ -169,9 +172,11 @@ def cmd_rank(args) -> int:
 def cmd_pretrain(args) -> int:
     sources = [load_dataset(path) for path in args.sources]
     config = _train_config(args)
-    pool = concat_shuffle_sources(sources, args.seed)
     name = "+".join(ds.name for ds in sources)
-    checkpoint = pretrain(pool, config, name, pad=args.pad_params)
+    arity = max(len(ds.param_schema) for ds in sources)
+    with _stage_errors("pretrain", name):
+        pool = padded_curves(concat_shuffle_sources(sources, args.seed), arity, args.pad_params)
+    checkpoint = pretrain(pool, config, name)
     save_checkpoint(checkpoint, args.out)
     print(f"pretrained on {name}: {len(pool)} curves -> {args.out}")
     return EXIT_OK
@@ -182,12 +187,10 @@ def cmd_finetune(args) -> int:
     target = load_dataset(args.target)
     train_ids = _train_ids(args, target)
     train_curves = [target.curve_by_id(sid) for sid in train_ids]
+    with _stage_errors("finetune", target.name):
+        train_curves = padded_curves(train_curves, source_ckpt.scalers.arity, args.pad_params)
     config = _train_config(args)
-    params0 = transfer_init(source_ckpt)
-    checkpoint = finetune(
-        params0, train_curves, config, target.name,
-        param_arity=source_ckpt.scalers.arity, pad=args.pad_params,
-    )
+    checkpoint = finetune(transfer_init(source_ckpt), train_curves, config, target.name)
     save_checkpoint(checkpoint, args.out)
     print(f"finetuned on {target.name} (train ids {','.join(train_ids)}) -> {args.out}")
     return EXIT_OK
@@ -198,11 +201,24 @@ def cmd_evaluate(args) -> int:
     target = load_dataset(args.target)
     test_ids = _parse_ids(args.test_ids) if args.test_ids else target.sample_ids()
     test_curves = [target.curve_by_id(sid) for sid in test_ids]
-    evaluation = evaluate(checkpoint, test_curves, pad=args.pad_params)
+    evaluation = evaluate(checkpoint, padded_curves(test_curves, checkpoint.scalers.arity, args.pad_params))
     if args.out:
         _write_json({"dataset": target.name, **evaluation.to_dict(with_predicted=False)}, Path(args.out))
     _print_summary(evaluation)
     return EXIT_OK
+
+
+def _check_can_be_dir(path: Path) -> None:
+    """Raise OSError unless ``path`` is a writable directory or could be made one, creating nothing.
+
+    The nearest of ``path`` and its ancestors that exists must be a directory
+    this process may write to.
+    """
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(existing))
 
 
 def cmd_pipeline(args) -> int:
@@ -223,10 +239,8 @@ def cmd_pipeline(args) -> int:
         mape_epsilon=args.mape_epsilon,
         pretrain_epochs=args.pretrain_epochs,
     )
-    # An --out that cannot be a directory fails here, before the fit.
     out_dir = Path(args.out)
-    pred_dir = out_dir / "predictions"
-    pred_dir.mkdir(parents=True, exist_ok=True)
+    _check_can_be_dir(out_dir)  # before the fit; the directory is made when the first file is written
     report = run_variant(plan, sources + [target])
 
     _write_json(report.to_dict(), out_dir / "report.json")
@@ -237,7 +251,7 @@ def cmd_pipeline(args) -> int:
     for sample in report.per_sample:
         curve = target.curve_by_id(sample.sample_id)
         rows = zip(curve.strain[n:].tolist(), curve.stress[n:].tolist(), sample.predicted.tolist())
-        _write_text(pred_dir / f"{sample.sample_id}.csv", _csv_text(header, rows))
+        _write_text(out_dir / "predictions" / f"{sample.sample_id}.csv", _csv_text(header, rows))
 
     print(f"variant: {report.plan.variant}")
     if report.selected_source:

@@ -26,12 +26,16 @@ class MetricSummary:
 
 
 def _as_pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs as float arrays; raises ValueError unless they have one shape, are not empty and are finite."""
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     if actual.shape != predicted.shape:
         raise ValueError(f"length mismatch: {actual.shape} vs {predicted.shape}")
     if actual.size == 0:
         raise ValueError("empty input")
+    for values, what in ((actual, "actual values"), (predicted, "predictions")):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{int(np.sum(~np.isfinite(values)))} of {values.size} {what} are not finite")
     return actual, predicted
 
 
@@ -42,10 +46,11 @@ def _check_epsilon(epsilon) -> None:
 
 
 # These functions call ndarray methods (``x.sum()``), which run the same
-# reductions as ``np.sum(x)`` without its dispatch wrapper. On finite input a
-# metric can only overflow to infinity: each one then raises ValueError naming
-# the metric. NaN input still gives NaN. Every caller runs the kernels under
-# ``np.errstate(over="ignore")``, so that no overflow warning escapes.
+# reductions as ``np.sum(x)`` without its dispatch wrapper. ``_as_pair``
+# rejects input that is not finite, so a metric can only overflow to
+# infinity: each one then raises ValueError naming the metric. Every caller
+# runs the kernels under ``np.errstate(over="ignore")``, so that no overflow
+# warning escapes.
 
 
 def _overflow_check(value: float, name: str) -> float:
@@ -138,9 +143,6 @@ def summarize(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> Metri
     """
     _check_epsilon(epsilon)
     actual, predicted = _as_pair(actual, predicted)
-    for values, what in ((actual, "actual values"), (predicted, "predictions")):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{int(np.sum(~np.isfinite(values)))} of {values.size} {what} are not finite")
     with np.errstate(over="ignore"):
         squared_error = (actual - predicted) ** 2
         return MetricSummary(

@@ -6,13 +6,13 @@ parameter) and the stress target are scaled to [0, 1] over the training split.
 Values outside the training range scale outside [0, 1]; that is permitted.
 Process parameters are matched by POSITION, so curves from datasets with
 different parameter names can share one scaler set as long as the arity
-matches (or is padded to match).
+matches; :func:`padded_curves` pads shorter ones once, where the arity is fixed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,48 +95,57 @@ class CurveScalers:
         )
 
 
-def padded_param_values(curve: RawCurve, arity: int, pad: bool = False) -> np.ndarray:
-    """Positional parameter vector of length ``arity``, zero-padded if allowed."""
-    values = curve.param_values()
-    if len(values) == arity:
-        return values
-    if len(values) < arity and pad:
-        return np.concatenate([values, np.zeros(arity - len(values))])
-    raise DataValidationError(
-        f"sample {curve.sample_id!r} has {len(values)} parameters, expected {arity}"
-        + ("" if pad else " (padding disabled)")
-    )
+def check_arity(curve: RawCurve, arity: int, pad: bool = False) -> None:
+    """Reject a curve with more than ``arity`` parameters, or with fewer unless ``pad``."""
+    n = len(curve.params)
+    if n > arity or (n < arity and not pad):
+        suffix = "" if pad else " (padding disabled)"
+        raise DataValidationError(f"sample {curve.sample_id!r} has {n} parameters, expected {arity}{suffix}")
 
 
-def fit_scalers(
-    train_curves: list[RawCurve],
-    arity: int | None = None,
-    pad: bool = False,
-) -> CurveScalers:
+def padded_curves(curves: list[RawCurve], arity: int, pad: bool) -> list[RawCurve]:
+    """The curves with ``params`` zero-padded to ``arity`` positions, as ``param_<i>: 0.0``.
+
+    Returns ``curves`` itself if none needs padding. Rejects what :func:`check_arity`
+    rejects, and a parameter that already has the name padding would give.
+    """
+    if all(len(c.params) == arity for c in curves):
+        return curves
+    padded = []
+    for curve in curves:
+        check_arity(curve, arity, pad)
+        zeros = {f"param_{i}": 0.0 for i in range(len(curve.params), arity)}
+        clash = sorted(zeros.keys() & curve.params.keys())
+        if clash:
+            raise DataValidationError(
+                f"sample {curve.sample_id!r}: parameter {clash[0]!r} is named like a padded position"
+            )
+        padded.append(replace(curve, params={**curve.params, **zeros}))
+    return padded
+
+
+def fit_scalers(train_curves: list[RawCurve]) -> CurveScalers:
     """Per-feature min-max over the training curves only.
 
-    ``arity`` fixes the positional parameter count; by default it is the
-    maximum arity among the curves. Parameter names are recorded for audit
-    from the first curve that supplies each position. A span max - min that overflows is rejected.
+    The curves must share one arity (:func:`padded_curves` pads them to one).
+    Parameter names are recorded for audit from the first curve alone. A span
+    max - min that overflows is rejected.
     """
     if not train_curves:
         raise DataValidationError("fit_scalers requires at least one training curve")
-    if arity is None:
-        arity = max(len(c.params) for c in train_curves)
+    arity = max(len(c.params) for c in train_curves)
+    for curve in train_curves:
+        check_arity(curve, arity)
 
     strain_min = min(float(np.min(c.strain)) for c in train_curves)
     strain_max = max(float(np.max(c.strain)) for c in train_curves)
     stress_min = min(float(np.min(c.stress)) for c in train_curves)
     stress_max = max(float(np.max(c.stress)) for c in train_curves)
 
-    param_names = [f"param_{i}" for i in range(arity)]
-    for i, name in enumerate(train_curves[0].params):
-        if i < arity:
-            param_names[i] = name
-    columns = np.array([padded_param_values(c, arity, pad) for c in train_curves])
+    columns = np.array([c.param_values() for c in train_curves])
     param_scalers = tuple(
-        FeatureScaler(param_names[i], float(np.min(columns[:, i])), float(np.max(columns[:, i])))
-        for i in range(arity)
+        FeatureScaler(name, float(np.min(columns[:, i])), float(np.max(columns[:, i])))
+        for i, name in enumerate(train_curves[0].params)
     )
     scalers = CurveScalers(
         strain=FeatureScaler("strain", strain_min, strain_max),

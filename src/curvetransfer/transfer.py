@@ -19,7 +19,7 @@ from .checkpoint import ModelCheckpoint
 from .curves import DEFAULT_GRID_N, Dataset, RawCurve
 from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, _check_epsilon, pearson, summarize
-from .scaling import CurveScalers, fit_scalers, padded_param_values
+from .scaling import CurveScalers, check_arity, fit_scalers, padded_curves
 from .seqnet import ModelParams, TrainConfig, init_params, predict_series, train
 from .similarity import SourceRanking, rank_sources
 
@@ -164,26 +164,24 @@ def _check_predictable(curve: RawCurve, n: int) -> None:
         )
 
 
-def _curve_features(curve: RawCurve, scalers: CurveScalers, pad: bool) -> np.ndarray:
+def _curve_features(curve: RawCurve, scalers: CurveScalers) -> np.ndarray:
     """The curve's (L, d) feature rows [scaled strain, scaled params...], one per point."""
+    check_arity(curve, scalers.arity)
     strain = scalers.strain.scale(curve.strain)
-    raw_params = padded_param_values(curve, scalers.arity, pad)
-    scaled_params = np.array([s.scale(v) for s, v in zip(scalers.params, raw_params)])
+    scaled_params = np.array([s.scale(v) for s, v in zip(scalers.params, curve.param_values())])
     features = np.empty((len(strain), scalers.input_dim))
     features[:, 0] = strain
     features[:, 1:] = scaled_params
     return features
 
 
-def _curve_windows(
-    curve: RawCurve, scalers: CurveScalers, n: int, pad: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _curve_windows(curve: RawCurve, scalers: CurveScalers, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The curve's L - n windows as one (L - n, n, d) view, and the scaled stress each predicts.
 
     Window t is feature rows t..t+n-1 and predicts the stress at point
     t + n. Needs L > n.
     """
-    features = _curve_features(curve, scalers, pad)
+    features = _curve_features(curve, scalers)
     s_row, s_col = features.strides
     windows = np.lib.stride_tricks.as_strided(
         features, (len(features) - n, n, scalers.input_dim), (s_row, s_row, s_col), writeable=False
@@ -191,12 +189,7 @@ def _curve_windows(
     return windows, scalers.stress.scale(curve.stress)[n:]
 
 
-def window_dataset(
-    curves: list[RawCurve],
-    scalers: CurveScalers,
-    n: int,
-    pad: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+def window_dataset(curves: list[RawCurve], scalers: CurveScalers, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Slide length-n windows over every curve; each window predicts the next stress.
 
     Returns ``(windows, targets)``: a curve of L points yields L - n windows,
@@ -216,7 +209,7 @@ def window_dataset(
                 stacklevel=2,
             )
             continue
-        curve_windows, curve_targets = _curve_windows(curve, scalers, n, pad)
+        curve_windows, curve_targets = _curve_windows(curve, scalers, n)
         windows.append(curve_windows)
         targets.append(curve_targets)
     if not windows:
@@ -278,10 +271,9 @@ def _train_stage(
     curves: list[RawCurve],
     scalers: CurveScalers,
     config: TrainConfig,
-    pad: bool,
 ) -> ModelCheckpoint:
     """Train on the windows of one stage's curves."""
-    windows, targets = window_dataset(curves, scalers, config.sequence_length, pad=pad)
+    windows, targets = window_dataset(curves, scalers, config.sequence_length)
     with _stage_errors(stage, dataset_name):
         params, _ = train(params, windows, targets, config)
     return ModelCheckpoint(
@@ -298,18 +290,14 @@ def pretrain(
     source_curves: list[RawCurve],
     config: TrainConfig,
     dataset_name: str = "source",
-    param_arity: int | None = None,
-    pad: bool = False,
 ) -> ModelCheckpoint:
-    """Train a fresh model on the source curves; scalers are fit on them."""
+    """Train a fresh model on the source curves, which share one arity; scalers are fit on them."""
     if not source_curves:
         raise DataValidationError("pretrain requires a non-empty source curve list")
     with _stage_errors("pretrain", dataset_name):
-        scalers = fit_scalers(source_curves, arity=param_arity, pad=pad)
+        scalers = fit_scalers(source_curves)
     params = init_params(config.seed, scalers.input_dim)
-    return _train_stage(
-        "pretrain", "pretrained", dataset_name, params, source_curves, scalers, config, pad
-    )
+    return _train_stage("pretrain", "pretrained", dataset_name, params, source_curves, scalers, config)
 
 
 def transfer_init(checkpoint: ModelCheckpoint) -> ModelParams:
@@ -325,8 +313,6 @@ def finetune(
     target_train_curves: list[RawCurve],
     config: TrainConfig,
     dataset_name: str = "target",
-    param_arity: int | None = None,
-    pad: bool = False,
 ) -> ModelCheckpoint:
     """Continue training from the given parameters on the target training curves.
 
@@ -336,19 +322,18 @@ def finetune(
     if not target_train_curves:
         raise DataValidationError("finetune requires a non-empty target training curve list")
     with _stage_errors("finetune", dataset_name):
-        scalers = fit_scalers(target_train_curves, arity=param_arity, pad=pad)
+        scalers = fit_scalers(target_train_curves)
     if scalers.input_dim != params_init.input_dim:
         raise DataValidationError(
             f"target input_dim {scalers.input_dim} does not match model input_dim "
             f"{params_init.input_dim}"
         )
     return _train_stage(
-        "finetune", "finetuned", dataset_name, params_init.copy(), target_train_curves, scalers,
-        config, pad,
+        "finetune", "finetuned", dataset_name, params_init.copy(), target_train_curves, scalers, config
     )
 
 
-def predict_curve(checkpoint: ModelCheckpoint, curve: RawCurve, pad: bool = False) -> np.ndarray:
+def predict_curve(checkpoint: ModelCheckpoint, curve: RawCurve) -> np.ndarray:
     """Predicted stress (MPa) at positions n..len-1 of the curve.
 
     The first n points seed the first window and receive no prediction. The
@@ -356,12 +341,12 @@ def predict_curve(checkpoint: ModelCheckpoint, curve: RawCurve, pad: bool = Fals
     feature rows, the windows training reads (see ``_curve_windows``), and
     run through the LSTM in one batched pass. Features are scaled with the
     checkpoint's scalers; values outside the training range simply scale
-    outside [0, 1]. A curve with fewer parameters than the checkpoint is
-    rejected unless ``pad`` zero-pads it.
+    outside [0, 1]. A curve whose parameter count is not the checkpoint's is
+    rejected; ``scaling.padded_curves`` pads a shorter one first.
     """
     n = checkpoint.sequence_length
     _check_predictable(curve, n)
-    rows = _curve_features(curve, checkpoint.scalers, pad)[:-1]
+    rows = _curve_features(curve, checkpoint.scalers)[:-1]
     return checkpoint.scalers.stress.unscale(predict_series(checkpoint.params, rows, n))
 
 
@@ -419,7 +404,6 @@ def evaluate(
     checkpoint: ModelCheckpoint,
     curves: list[RawCurve],
     epsilon: float = DEFAULT_MAPE_EPSILON,
-    pad: bool = False,
 ) -> Evaluation:
     """Predict each curve's stress tail, score it, and average MAPE, RMSE and R2 over the curves."""
     if not curves:
@@ -428,7 +412,7 @@ def evaluate(
     n = checkpoint.sequence_length
     per_sample = []
     for curve in curves:
-        predicted = predict_curve(checkpoint, curve, pad)
+        predicted = predict_curve(checkpoint, curve)
         summary = _summarize_sample(curve, n, predicted, epsilon)
         per_sample.append(SampleEval(curve.sample_id, summary, predicted))
     keys = ("mape", "rmse", "r2")
@@ -443,7 +427,7 @@ def evaluate(
 def _prepare(plan: ExperimentPlan, datasets):
     """Resolve the plan's datasets, split the target, and fix the arity and pre-training config.
 
-    Returns (target, sources, train_curves, test_curves, arity, pre_config).
+    Returns (target, sources, train_curves, test_curves, arity, pre_config), the curves padded to the arity.
     """
     name_map = _dataset_map(datasets)
     if plan.target_dataset not in name_map:
@@ -462,6 +446,8 @@ def _prepare(plan: ExperimentPlan, datasets):
         _check_predictable(curve, n)
         _summarize_sample(curve, n, curve.stress[n:], plan.mape_epsilon)
     arity = _resolve_arity(plan, target, sources if plan.variant != "vanilla" else [])
+    train_curves = padded_curves(train_curves, arity, plan.pad_params)
+    test_curves = padded_curves(test_curves, arity, plan.pad_params)
     pre_config = plan.config
     if plan.pretrain_epochs is not None:
         pre_config = replace(plan.config, epochs=plan.pretrain_epochs)
@@ -474,19 +460,20 @@ def _fit(
 ) -> Evaluation:
     """The one fit chain behind ``run_variant`` and ``run_source_sweep``.
 
-    Pretrain on the pool of source curves and copy its weights verbatim, or,
-    with ``pool`` None (vanilla), start from fresh seeded weights; then
-    fine-tune on the target training curves and evaluate on the test curves.
+    Pretrain on the pool of source curves, padded to ``arity``, and copy its
+    weights verbatim, or, with ``pool`` None (vanilla), start from fresh
+    seeded weights; then fine-tune on the target training curves and evaluate
+    on the test curves.
     """
     if pool is None:
         params0 = init_params(plan.config.seed, 1 + arity)
     else:
-        source_ckpt = pretrain(pool, pre_config, pool_name, param_arity=arity, pad=plan.pad_params)
+        with _stage_errors("pretrain", pool_name):
+            pool = padded_curves(pool, arity, plan.pad_params)
+        source_ckpt = pretrain(pool, pre_config, pool_name)
         params0 = transfer_init(source_ckpt)
-    checkpoint = finetune(
-        params0, train_curves, plan.config, target.name, param_arity=arity, pad=plan.pad_params
-    )
-    return evaluate(checkpoint, test_curves, plan.mape_epsilon, plan.pad_params)
+    checkpoint = finetune(params0, train_curves, plan.config, target.name)
+    return evaluate(checkpoint, test_curves, plan.mape_epsilon)
 
 
 def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:

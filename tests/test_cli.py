@@ -114,6 +114,7 @@ class TestRank:
         ("rank", "file", None),
         ("synth", "file", None),
         ("pipeline", "file", None),
+        ("pipeline", "file", "x"),
     ])
     def test_unwritable_output_exits_2(
         self, suite_dir, tmp_path, capsys, monkeypatch, command, blocker, below
@@ -539,6 +540,15 @@ class TestPipeline:
         assert "diverged" not in err
 
 
+def one_parameter_copy(suite_dir, dataset, tmp_path, name=None):
+    """Save ``dataset`` with its first parameter only, renamed to ``name`` if given; its manifest path."""
+    full = load_dataset(manifest_of(suite_dir, dataset))
+    first = full.param_schema[0]
+    kept = dataclasses.replace(first, name=name or first.name)
+    curves = [RawCurve(c.sample_id, c.strain, c.stress, {kept.name: c.params[first.name]}) for c in full.curves]
+    return str(save_dataset(Dataset(full.name, full.role, [kept], curves), tmp_path / f"{dataset}-short"))
+
+
 class TestCheckpointCommands:
     def test_pretrain_finetune_evaluate_chain(self, suite_dir, tmp_path, capsys):
         ckpt = tmp_path / "pre.json"
@@ -594,18 +604,64 @@ class TestCheckpointCommands:
         ) == 0
         full = load_dataset(manifest_of(suite_dir, "metal_plateau"))
         assert len(full.param_schema) == 2
-        first = full.param_schema[0].name
-        cut = Dataset(full.name, full.role, full.param_schema[:1], [
-            RawCurve(c.sample_id, c.strain, c.stress, {first: c.params[first]}) for c in full.curves
-        ])
         argv = ["evaluate", "--checkpoint", str(ckpt),
-                "--target", str(save_dataset(cut, tmp_path / "cut")),
+                "--target", one_parameter_copy(suite_dir, "metal_plateau", tmp_path),
                 "--out", str(tmp_path / "eval.json")]
         assert main(argv) == 2
         assert "(padding disabled)" in capsys.readouterr().err
         assert not (tmp_path / "eval.json").exists()
         assert main(argv + ["--pad-params"]) == 0
         assert len(json.loads((tmp_path / "eval.json").read_text())["per_sample"]) == len(full.curves)
+
+    def test_pretrain_mixed_arity_needs_pad_params(self, suite_dir, tmp_path, capsys):
+        # The one-parameter source is listed first, so the shuffled pool starts
+        # with one of its curves at seed 0, and the scaler names show the padded position.
+        ckpt = tmp_path / "pre.json"
+        argv = ["pretrain", "--sources", one_parameter_copy(suite_dir, "poly_brittle", tmp_path),
+                "--sources", manifest_of(suite_dir, "poly_plateau"),
+                "--out", str(ckpt), "--seed", "0", "--epochs", "1"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: pretrain on dataset 'poly_brittle+poly_plateau': "
+            "sample '19' has 1 parameters, expected 2 (padding disabled)\n"
+        )
+        assert not ckpt.exists()
+        assert main(argv + ["--pad-params"]) == 0
+        scalers = json.loads(ckpt.read_text())["feature_scalers"]["params"]
+        assert [s["name"] for s in scalers] == ["print_speed", "param_1"]
+        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == "116694adf0e9fa694e7fb723b657358390106d1ffe3b6bac1a4d46a1eceada3d"
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate", "pipeline", "pipeline-source"])
+    def test_padded_name_that_a_parameter_has_exits_2(self, suite_dir, tmp_path, capsys, command):
+        # The one parameter left is named param_1: padding would give its name
+        # to position 1 and overwrite the measured value with 0.0.
+        ckpt = tmp_path / "pre.json"
+        assert main(["pretrain", "--sources", manifest_of(suite_dir, "poly_plateau"),
+                     "--out", str(ckpt), "--seed", "0", "--epochs", "1"]) == 0
+        short = one_parameter_copy(suite_dir, "metal_plateau", tmp_path, name="param_1")
+        out = tmp_path / "out"
+        argv = {
+            "pretrain": ["pretrain", "--sources", manifest_of(suite_dir, "poly_plateau"),
+                         "--sources", short, "--epochs", "1"],
+            "finetune": ["finetune", "--checkpoint", str(ckpt), "--target", short, "--epochs", "1"],
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--target", short],
+            "pipeline": ["pipeline", "--variant", "tl_all", "--sources", manifest_of(suite_dir, "poly_plateau"),
+                         "--target", short, "--epochs", "1"],
+            "pipeline-source": ["pipeline", "--variant", "tl_all", "--sources", short,
+                                "--target", manifest_of(suite_dir, "metal_hardening"), "--epochs", "1"],
+        }[command]
+        where = {
+            "pretrain": "pretrain on dataset 'poly_plateau+metal_plateau': ",
+            "finetune": "finetune on dataset 'metal_plateau': ",
+            "pipeline-source": "pretrain on dataset 'metal_plateau': ",
+        }.get(command, "")
+        capsys.readouterr()
+        assert main(argv + ["--pad-params", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}sample '") and err.count("\n") == 1
+        assert err.endswith("': parameter 'param_1' is named like a padded position\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["rank", "finetune", "evaluate"])
     def test_unknown_sample_id_exits_2(self, suite_dir, tmp_path, capsys, command):
@@ -767,7 +823,7 @@ class TestOverflowingMetrics:
         assert main(["pipeline", "--variant", "vanilla", "--target", str(tmp_path / "scaled" / "manifest.json"),
                      "--epochs", "1", "--seed", "0", "--out", str(out)]) == 2
         self.assert_one_error_line(capsys, "total sum of squares overflows float64")
-        assert not [path for path in out.rglob("*") if path.is_file()]
+        assert not out.exists()
 
 
 class TestWriteJson:

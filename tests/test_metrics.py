@@ -259,3 +259,21 @@ class TestSummarizeOnePass:
     def test_first_failing_check_wins(self, actual, predicted, message):
         with pytest.raises(ValueError, match=message):
             summarize(actual, predicted)
+
+
+class TestPublicMetricsRejectNonFiniteInput:
+    """Each public metric runs ``summarize``'s finiteness check, so bad input never reads as a number."""
+
+    @pytest.mark.parametrize("metric, actual, predicted, message", [
+        (mape, [np.nan, 1.0], [1.0, 1.0], "1 of 2 actual values are not finite"),
+        (mape, [1.0, 2.0], [1.0, -np.inf], "1 of 2 predictions are not finite"),
+        (rmse, [np.inf, 1.0], [1.0, 1.0], "1 of 2 actual values are not finite"),
+        (rmse, [1.0, 2.0], [np.nan, np.nan], "2 of 2 predictions are not finite"),
+        (r2, [np.inf, 1.0], [1.0, 1.0], "1 of 2 actual values are not finite"),
+        (r2, [1.0, 2.0], [np.inf, 1.0], "1 of 2 predictions are not finite"),
+        (pearson, [np.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "1 of 3 actual values are not finite"),
+        (pearson, [1.0, 2.0, 3.0], [1.0, np.inf, 3.0], "1 of 3 predictions are not finite"),
+    ])
+    def test_non_finite_value_raises(self, metric, actual, predicted, message):
+        with pytest.raises(ValueError, match=message):
+            metric(actual, predicted)

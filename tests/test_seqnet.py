@@ -344,7 +344,7 @@ class TestPredictSeries:
         curves = [curve for ds in sources + targets for curve in ds.curves]
         assert len(curves) == 127
         for curve in curves:
-            rows = transfer._curve_features(curve, ckpt.scalers, pad=True)[:-1]
+            rows = transfer._curve_features(curve, ckpt.scalers)[:-1]
             assert_series_bitwise_equal(ckpt.params, rows, n)
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3, 2), ()])

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import functools
+import inspect
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from curvetransfer.checkpoint import ModelCheckpoint, load_checkpoint, save_chec
 from curvetransfer.curves import Dataset, ParamField, RawCurve
 from curvetransfer.errors import DataValidationError
 from curvetransfer.metrics import MetricSummary
-from curvetransfer.scaling import FeatureScaler, fit_scalers, padded_param_values
+from curvetransfer.scaling import FeatureScaler, fit_scalers, padded_curves
 from curvetransfer.seqnet import PARAM_NAMES, TrainConfig, forward_sequence, init_params
 from curvetransfer.synthgen import FamilySpec, generate_dataset, standard_suite
 from curvetransfer.transfer import (
@@ -172,11 +173,10 @@ def random_curve(seed, length, n_params):
     return RawCurve("r", strain, rng.random(length) * 300.0, params)
 
 
-def reference_features(curve, scalers, pad):
+def reference_features(curve, scalers):
     """Per-point [scaled strain, scaled params...] rows, built column by column."""
-    raw_params = padded_param_values(curve, scalers.arity, pad)
     columns = [scalers.strain.scale(curve.strain)]
-    columns += [np.full(curve.n_points(), s.scale(v)) for s, v in zip(scalers.params, raw_params)]
+    columns += [np.full(curve.n_points(), s.scale(v)) for s, v in zip(scalers.params, curve.param_values())]
     return np.column_stack(columns)
 
 
@@ -194,9 +194,9 @@ class TestCurveWindows:
     def test_windows_and_targets_equal_slices(self, seed, n, extra, n_params):
         curve = random_curve(seed, n + extra, n_params)  # L = n + extra <= 40
         scalers = fit_scalers([curve])
-        features = reference_features(curve, scalers, pad=False)
+        features = reference_features(curve, scalers)
         stress_scaled = scalers.stress.scale(curve.stress)
-        windows, targets = transfer._curve_windows(curve, scalers, n, pad=False)
+        windows, targets = transfer._curve_windows(curve, scalers, n)
         assert windows.shape == (extra, n, 1 + n_params)
         assert targets.shape == (extra,)
         for t in range(extra):
@@ -210,7 +210,7 @@ class TestCurveWindows:
         curve = random_curve(seed, n + extra, n_params)
         scalers = fit_scalers([curve])
         ckpt = ModelCheckpoint(init_params(seed, 1 + n_params, 4), scalers, n, 0, "r", "pretrained")
-        features = reference_features(curve, scalers, pad=True)
+        features = reference_features(curve, scalers)
         reference = scalers.stress.unscale(
             np.array([forward_sequence(ckpt.params, features[t : t + n])[0] for t in range(extra)])
         )
@@ -226,7 +226,7 @@ class TestCurveWindows:
         params = init_params(seed, 1 + n_params, 4)
         params.b[:] = np.random.default_rng(seed).normal(size=params.b.shape)
         ckpt = ModelCheckpoint(params, scalers, n, 0, "r", "pretrained")
-        windows, _ = transfer._curve_windows(curve, scalers, n, pad=False)
+        windows, _ = transfer._curve_windows(curve, scalers, n)
         expected = np.array([forward_sequence(params, w)[0] for w in windows])
         predicted = predict_curve(ckpt, curve)
         assert predicted.shape == (extra,)
@@ -946,3 +946,80 @@ class TestSchemaMismatch:
         )
         report = run_variant(plan, [src, tgt])
         assert len(report.per_sample) == 1
+
+    @pytest.mark.parametrize("variant", ["tl_all", "dtw_tl"])
+    def test_padding_equals_an_explicit_zero_column(self, variant):
+        # A one-parameter target and source, padded, run bit for bit as the same
+        # datasets with their second column written out as param_1 = 0.0. tl_all
+        # pools that source with a two-parameter one, so the pad value shows.
+        def short_and_explicit(name, role, first, curves):
+            explicit = [dataclasses.replace(c, params={**c.params, "param_1": 0.0}) for c in curves]
+            return (Dataset(name, role, [ParamField(first)], curves),
+                    Dataset(name, role, [ParamField(first), ParamField("param_1")], explicit))
+
+        src, _ = self.make_pair()
+        src2 = short_and_explicit("src2", "source", "s0", [
+            dataclasses.replace(c, stress=c.stress * 0.5, params={"s0": c.params["s0"]}) for c in src.curves
+        ])
+        tgt = short_and_explicit("tgt", "target", "t0", [
+            linear_curve(sample_id=str(i), n=12, slope=900.0 + 50 * i, params={"t0": float(i + 1)})
+            for i in range(3)
+        ])
+        docs = []
+        for form in (0, 1):
+            plan = ExperimentPlan(
+                variant=variant, source_datasets=["src", "src2"], target_dataset="tgt",
+                target_train_ids=["0", "1"], target_test_ids=["2"],
+                config=small_config(), pad_params=True,
+            )
+            docs.append(json.dumps(run_variant(plan, [src, src2[form], tgt[form]]).to_dict(), sort_keys=True))
+        assert docs[0] == docs[1]
+
+
+class TestPaddedCurves:
+    def curve(self, params, sample_id="a"):
+        return RawCurve(sample_id, np.array([0.0, 1.0]), np.array([0.0, 2.0]), params)
+
+    def test_curves_of_the_arity_come_back_as_given(self):
+        curves = [self.curve({"x": 1.0, "y": 2.0}), self.curve({"u": 3.0, "v": 4.0}, "b")]
+        assert padded_curves(curves, 2, pad=True) is curves
+        assert padded_curves(curves, 2, pad=False) is curves
+
+    def test_shorter_curve_gets_zero_columns_named_by_position(self):
+        curves = [self.curve({"x": 1.0}), self.curve({"u": 3.0, "v": 4.0}, "b")]
+        padded = padded_curves(curves, 3, pad=True)
+        assert [c.params for c in padded] == [{"x": 1.0, "param_1": 0.0, "param_2": 0.0},
+                                              {"u": 3.0, "v": 4.0, "param_2": 0.0}]
+        assert [c.sample_id for c in padded] == ["a", "b"]
+        assert curves[0].params == {"x": 1.0}
+        assert [s.name for s in fit_scalers(padded).params] == ["x", "param_1", "param_2"]
+
+    @pytest.mark.parametrize("params, arity, pad, message", [
+        ({"x": 1.0}, 2, False, "sample 'a' has 1 parameters, expected 2 (padding disabled)"),
+        ({"x": 1.0, "y": 2.0, "z": 3.0}, 2, True, "sample 'a' has 3 parameters, expected 2"),
+        ({"x": 1.0, "y": 2.0, "z": 3.0}, 2, False, "sample 'a' has 3 parameters, expected 2 (padding disabled)"),
+        ({"param_1": 5.0}, 2, True, "sample 'a': parameter 'param_1' is named like a padded position"),
+        ({"param_2": 5.0, "y": 1.0}, 3, True, "sample 'a': parameter 'param_2' is named like a padded position"),
+    ])
+    def test_rejected(self, params, arity, pad, message):
+        with pytest.raises(DataValidationError) as raised:
+            padded_curves([self.curve(params)], arity, pad=pad)
+        assert str(raised.value).startswith(message)
+
+    def test_fit_scalers_rejects_mixed_arity(self):
+        curves = [self.curve({"x": 1.0}), self.curve({"u": 3.0, "v": 4.0}, "b")]
+        with pytest.raises(DataValidationError, match=r"^sample 'a' has 1 parameters, expected 2 \(padding disabled\)$"):
+            fit_scalers(curves)
+
+
+# Each stage takes curves of one arity; padding is the one data step before them.
+ONE_ARITY_STAGES = [
+    transfer.pretrain, transfer.finetune, transfer._train_stage, transfer.window_dataset,
+    transfer._curve_windows, transfer._curve_features, transfer.predict_curve, transfer.evaluate,
+    fit_scalers,
+]
+
+
+@pytest.mark.parametrize("stage", ONE_ARITY_STAGES, ids=lambda f: f.__name__)
+def test_stage_takes_no_arity_or_padding_argument(stage):
+    assert not {"pad", "param_arity", "arity"} & set(inspect.signature(stage).parameters)
