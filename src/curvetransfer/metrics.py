@@ -25,6 +25,12 @@ class MetricSummary:
     n_excluded: int
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Raise ValueError, counting the bad values, unless every one of ``values`` is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{int(np.sum(~np.isfinite(values)))} of {values.size} {what} are not finite")
+
+
 def _as_pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     """Both inputs as float arrays; raises ValueError unless they have one shape, are not empty and are finite."""
     actual = np.asarray(actual, dtype=float)
@@ -33,9 +39,8 @@ def _as_pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"length mismatch: {actual.shape} vs {predicted.shape}")
     if actual.size == 0:
         raise ValueError("empty input")
-    for values, what in ((actual, "actual values"), (predicted, "predictions")):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{int(np.sum(~np.isfinite(values)))} of {values.size} {what} are not finite")
+    _check_finite(actual, "actual values")
+    _check_finite(predicted, "predictions")
     return actual, predicted
 
 
@@ -97,9 +102,10 @@ def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
 
 
 def mape_excluded_count(actual, epsilon: float = DEFAULT_MAPE_EPSILON) -> int:
-    """Number of points the MAPE near-zero guard would drop."""
+    """Number of points the MAPE near-zero guard would drop; raises ValueError if a value is not finite."""
     _check_epsilon(epsilon)
     actual = np.asarray(actual, dtype=float)
+    _check_finite(actual, "actual values")
     return int((np.abs(actual) < epsilon).sum())
 
 
@@ -118,17 +124,28 @@ def r2(actual, predicted) -> float:
 
 
 def pearson(xs, ys) -> float:
-    """Sample Pearson correlation coefficient."""
+    """Sample Pearson correlation coefficient.
+
+    Raises ValueError if an intermediate overflows float64 or the denominator
+    underflows to 0, where the quotient would read as a plausible number.
+    """
     xs, ys = _as_pair(xs, ys)
     if xs.size < 2:
         raise ValueError("pearson requires at least 2 points")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise ValueError("pearson undefined when either input has zero variance")
-    dx = xs - np.mean(xs)
-    dy = ys - np.mean(ys)
-    sx = float(np.sqrt(np.sum(dx * dx)))
-    sy = float(np.sqrt(np.sum(dy * dy)))
-    return float(np.sum(dx * dy) / (sx * sy))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = xs - np.mean(xs)
+        dy = ys - np.mean(ys)
+        sx = float(np.sqrt(np.sum(dx * dx)))
+        sy = float(np.sqrt(np.sum(dy * dy)))
+        covariance = np.sum(dx * dy)
+    denominator = sx * sy
+    if not (math.isfinite(covariance) and math.isfinite(denominator)):
+        raise ValueError("pearson overflows float64")
+    if denominator == 0.0:
+        raise ValueError("pearson undefined: the denominator underflows to 0")
+    return float(covariance / denominator)
 
 
 def summarize(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> MetricSummary:
@@ -136,19 +153,19 @@ def summarize(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> Metri
 
     Raises ValueError if an actual value or a prediction is not finite, and
     if a metric overflows float64, so no metric reads NaN or infinity.
-    Computes the squared error once, for the kernels of :func:`rmse` and
-    :func:`r2`; each value is bitwise the public function's, and each bad
-    input raises what those functions raise, in the same order, after the
-    epsilon and finiteness checks.
+    :func:`mape` checks the epsilon and the pair, once; the squared error is
+    then computed once, for the kernels of :func:`rmse` and :func:`r2`. Each
+    value is bitwise the public function's, and each bad input raises what
+    those functions raise, in the same order.
     """
-    _check_epsilon(epsilon)
-    actual, predicted = _as_pair(actual, predicted)
+    mape_value = mape(actual, predicted, epsilon)
+    actual, predicted = np.asarray(actual, dtype=float), np.asarray(predicted, dtype=float)
     with np.errstate(over="ignore"):
         squared_error = (actual - predicted) ** 2
         return MetricSummary(
-            mape=mape(actual, predicted, epsilon),
+            mape=mape_value,
             rmse=_rmse(squared_error),
             r2=_r2(actual, squared_error),
             n_points=int(actual.size),
-            n_excluded=mape_excluded_count(actual, epsilon),
+            n_excluded=int((np.abs(actual) < epsilon).sum()),
         )

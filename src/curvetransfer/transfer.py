@@ -97,15 +97,7 @@ class SampleEval:
 
     def to_dict(self) -> dict:
         """The metrics as JSON values; the predicted tail is left out."""
-        m = self.metrics
-        return {
-            "sample_id": self.sample_id,
-            "mape": m.mape,
-            "rmse": m.rmse,
-            "r2": m.r2,
-            "n_points": m.n_points,
-            "n_excluded": m.n_excluded,
-        }
+        return {"sample_id": self.sample_id, **vars(self.metrics)}
 
 
 @dataclass
@@ -273,8 +265,8 @@ def _train_stage(
     config: TrainConfig,
 ) -> ModelCheckpoint:
     """Train on the windows of one stage's curves."""
-    windows, targets = window_dataset(curves, scalers, config.sequence_length)
     with _stage_errors(stage, dataset_name):
+        windows, targets = window_dataset(curves, scalers, config.sequence_length)
         params, _ = train(params, windows, targets, config)
     return ModelCheckpoint(
         params=params,
@@ -425,9 +417,9 @@ def evaluate(
 
 
 def _prepare(plan: ExperimentPlan, datasets):
-    """Resolve the plan's datasets, split the target, and fix the arity and pre-training config.
+    """Resolve the plan's datasets, split the target, and pad the split to the datasets' one arity.
 
-    Returns (target, sources, train_curves, test_curves, arity, pre_config), the curves padded to the arity.
+    Returns (sources, train_curves, test_curves).
     """
     name_map = _dataset_map(datasets)
     if plan.target_dataset not in name_map:
@@ -448,31 +440,29 @@ def _prepare(plan: ExperimentPlan, datasets):
     arity = _resolve_arity(plan, target, sources if plan.variant != "vanilla" else [])
     train_curves = padded_curves(train_curves, arity, plan.pad_params)
     test_curves = padded_curves(test_curves, arity, plan.pad_params)
-    pre_config = plan.config
-    if plan.pretrain_epochs is not None:
-        pre_config = replace(plan.config, epochs=plan.pretrain_epochs)
-    return target, sources, train_curves, test_curves, arity, pre_config
+    return sources, train_curves, test_curves
 
 
 def _fit(
-    plan: ExperimentPlan, pool: list[RawCurve] | None, pool_name: str | None, target: Dataset,
-    train_curves: list[RawCurve], test_curves: list[RawCurve], arity: int, pre_config: TrainConfig,
+    plan: ExperimentPlan, pool: list[RawCurve] | None, pool_name: str | None,
+    train_curves: list[RawCurve], test_curves: list[RawCurve],
 ) -> Evaluation:
     """The one fit chain behind ``run_variant`` and ``run_source_sweep``.
 
-    Pretrain on the pool of source curves, padded to ``arity``, and copy its
-    weights verbatim, or, with ``pool`` None (vanilla), start from fresh
-    seeded weights; then fine-tune on the target training curves and evaluate
-    on the test curves.
+    Pretrain on the pool of source curves, padded to the target curves'
+    arity, and copy its weights verbatim, or, with ``pool`` None (vanilla),
+    start from fresh seeded weights; then fine-tune on the target training
+    curves and evaluate on the test curves.
     """
+    arity = len(train_curves[0].params)
     if pool is None:
         params0 = init_params(plan.config.seed, 1 + arity)
     else:
         with _stage_errors("pretrain", pool_name):
             pool = padded_curves(pool, arity, plan.pad_params)
-        source_ckpt = pretrain(pool, pre_config, pool_name)
-        params0 = transfer_init(source_ckpt)
-    checkpoint = finetune(params0, train_curves, plan.config, target.name)
+        pre_config = replace(plan.config, epochs=plan.pretrain_epochs or plan.config.epochs)
+        params0 = transfer_init(pretrain(pool, pre_config, pool_name))
+    checkpoint = finetune(params0, train_curves, plan.config, plan.target_dataset)
     return evaluate(checkpoint, test_curves, plan.mape_epsilon)
 
 
@@ -484,7 +474,7 @@ def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
     DTW distance to the target TRAINING curves, pre-trains on the selected
     source only, then fine-tunes. Deterministic for fixed seeds and inputs.
     """
-    target, sources, train_curves, test_curves, arity, pre_config = _prepare(plan, datasets)
+    sources, train_curves, test_curves = _prepare(plan, datasets)
     pool, pool_name, ranking = None, None, None
     if plan.variant == "tl_all":
         pool = concat_shuffle_sources(sources, plan.config.seed)
@@ -493,7 +483,7 @@ def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
         ranking = rank_sources(sources, train_curves, plan.grid_n)
         selected = next(ds for ds in sources if ds.name == ranking.selected)
         pool, pool_name = selected.curves, selected.name
-    evaluation = _fit(plan, pool, pool_name, target, train_curves, test_curves, arity, pre_config)
+    evaluation = _fit(plan, pool, pool_name, train_curves, test_curves)
     return EvalReport(**vars(evaluation), plan=plan, dtw_ranking=ranking)
 
 
@@ -505,11 +495,11 @@ def run_source_sweep(plan: ExperimentPlan, datasets) -> tuple[list[tuple[str, fl
     distance-vs-error tables. Each source's fit is the one ``run_variant``
     makes for dtw_tl when that source is selected.
     """
-    target, sources, train_curves, test_curves, arity, pre_config = _prepare(plan, datasets)
+    sources, train_curves, test_curves = _prepare(plan, datasets)
     avg_dtw = dict(rank_sources(sources, train_curves, plan.grid_n).entries)
     entries = []
     for ds in sources:
-        evaluation = _fit(plan, ds.curves, ds.name, target, train_curves, test_curves, arity, pre_config)
+        evaluation = _fit(plan, ds.curves, ds.name, train_curves, test_curves)
         entries.append((ds.name, avg_dtw[ds.name], evaluation.aggregate_mape))
     correlation = pearson([e[1] for e in entries], [e[2] for e in entries])
     return entries, correlation

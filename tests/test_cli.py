@@ -511,6 +511,21 @@ class TestPipeline:
         assert rc == 2
         assert "sample '2'" in capsys.readouterr().err
 
+    def test_no_usable_source_windows_names_the_stage(self, suite_dir, tmp_path, capsys):
+        # Every source curve has 45 points and every target curve 50, so the
+        # target split passes the length check and only pre-training has no windows.
+        argv = ["pipeline", "--variant", "dtw_tl",
+                "--sources", manifest_of(suite_dir, "poly_plateau"),
+                "--sources", manifest_of(suite_dir, "poly_hardening"),
+                "--target", manifest_of(suite_dir, "metal_plateau"),
+                "--seq-len", "47", "--epochs", "1", "--out", str(tmp_path / "run")]
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match=r"has 45 points \(<= sequence length 47\); skipped"):
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: pretrain on dataset 'poly_plateau': no usable windows: every curve has <= 47 points\n"
+        )
+
     def test_divergence_exits_3(self, suite_dir, tmp_path, capsys):
         rc = main(
             ["pipeline", "--variant", "vanilla",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvetransfer import metrics
 from curvetransfer.metrics import mape, mape_excluded_count, pearson, r2, rmse, summarize
 
 
@@ -117,6 +118,22 @@ class TestPearson:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="zero variance"):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    # Finite inputs whose quotient would read as a plausible number: the sum
+    # of squares of 1e200 overflows (the true value is -0.5, not -0.0), and
+    # that of 1e-200 underflows to 0 (the true value is 1.0, not inf). The
+    # suite turns RuntimeWarning into an error, so these also show that no
+    # warning escapes.
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([1e200, -1e200, 0.0], [1.0, 2.0, 3.0], "pearson overflows float64"),
+        ([1.0, 2.0, 3.0], [1e200, -1e200, 0.0], "pearson overflows float64"),
+        ([1.7e308, 1.7e308, 1.0], [1.0, 2.0, 3.0], "pearson overflows float64"),
+        ([1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.0], "pearson undefined: the denominator underflows to 0"),
+        ([1.0, 2.0, 3.0], [3e-200, 2e-200, 1e-200], "pearson undefined: the denominator underflows to 0"),
+    ])
+    def test_overflow_or_underflow_rejected(self, xs, ys, message):
+        with pytest.raises(ValueError, match=message):
+            pearson(xs, ys)
 
 
 class TestSummarize:
@@ -261,6 +278,20 @@ class TestSummarizeOnePass:
             summarize(actual, predicted)
 
 
+def test_summarize_checks_its_input_once(monkeypatch):
+    calls = {"_check_epsilon": 0, "_as_pair": 0}
+    for name in calls:
+        check = getattr(metrics, name)
+
+        def counted(*args, _check=check, _name=name):
+            calls[_name] += 1
+            return _check(*args)
+
+        monkeypatch.setattr(metrics, name, counted)
+    summarize([1.0, 2.0, 3.0], [1.1, 2.0, 2.9])
+    assert calls == {"_check_epsilon": 1, "_as_pair": 1}
+
+
 class TestPublicMetricsRejectNonFiniteInput:
     """Each public metric runs ``summarize``'s finiteness check, so bad input never reads as a number."""
 
@@ -273,6 +304,7 @@ class TestPublicMetricsRejectNonFiniteInput:
         (r2, [1.0, 2.0], [np.inf, 1.0], "1 of 2 predictions are not finite"),
         (pearson, [np.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "1 of 3 actual values are not finite"),
         (pearson, [1.0, 2.0, 3.0], [1.0, np.inf, 3.0], "1 of 3 predictions are not finite"),
+        (lambda actual, _: mape_excluded_count(actual), [np.nan, 1.0], None, "1 of 2 actual values are not finite"),
     ])
     def test_non_finite_value_raises(self, metric, actual, predicted, message):
         with pytest.raises(ValueError, match=message):

@@ -1016,7 +1016,7 @@ class TestPaddedCurves:
 ONE_ARITY_STAGES = [
     transfer.pretrain, transfer.finetune, transfer._train_stage, transfer.window_dataset,
     transfer._curve_windows, transfer._curve_features, transfer.predict_curve, transfer.evaluate,
-    fit_scalers,
+    transfer._fit, fit_scalers,
 ]
 
 
