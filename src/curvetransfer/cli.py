@@ -28,8 +28,9 @@ from .synthgen import standard_suite
 from .transfer import (
     Evaluation,
     ExperimentPlan,
+    _dataset_map,
+    _pretrain_pool,
     _stage_errors,
-    concat_shuffle_sources,
     evaluate,
     finetune,
     pretrain,
@@ -145,8 +146,13 @@ def _dump_dtw_pair(source: Dataset, target_curve, n: int, out_dir: Path) -> None
     _write_text(out_dir / f"{source.name}_path.csv", _csv_text(["k", "l"], dtw_path(cumulative)))
 
 
+def _load_sources(paths: list[str] | None) -> list[Dataset]:
+    """The datasets of the repeatable ``--sources`` flag; a dataset name given twice is a data error."""
+    return list(_dataset_map([load_dataset(path) for path in paths or []]).values())
+
+
 def cmd_rank(args) -> int:
-    sources = [load_dataset(path) for path in args.sources]
+    sources = _load_sources(args.sources)
     target = load_dataset(args.target)
     train_ids = _train_ids(args, target)
     train_curves = [target.curve_by_id(sid) for sid in train_ids]
@@ -170,12 +176,10 @@ def cmd_rank(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    sources = [load_dataset(path) for path in args.sources]
+    sources = _load_sources(args.sources)
     config = _train_config(args)
-    name = "+".join(ds.name for ds in sources)
     arity = max(len(ds.param_schema) for ds in sources)
-    with _stage_errors("pretrain", name):
-        pool = padded_curves(concat_shuffle_sources(sources, args.seed), arity, args.pad_params)
+    pool, name = _pretrain_pool(sources, args.seed, arity, args.pad_params)
     checkpoint = pretrain(pool, config, name)
     save_checkpoint(checkpoint, args.out)
     print(f"pretrained on {name}: {len(pool)} curves -> {args.out}")
@@ -222,7 +226,7 @@ def _check_can_be_dir(path: Path) -> None:
 
 
 def cmd_pipeline(args) -> int:
-    sources = [load_dataset(path) for path in args.sources or []]
+    sources = _load_sources(args.sources)
     target = load_dataset(args.target)
     train_ids = _train_ids(args, target)
     test_ids = [sid for sid in target.sample_ids() if sid not in set(train_ids)]

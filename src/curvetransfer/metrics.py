@@ -123,29 +123,31 @@ def r2(actual, predicted) -> float:
         return _r2(actual, (actual - predicted) ** 2)
 
 
+def _unit_scaled(values: np.ndarray) -> np.ndarray:
+    """``values`` times the power of two that puts their largest magnitude in [0.5, 1); exact in binary."""
+    _, exponent = np.frexp(np.abs(values).max())
+    return np.ldexp(values, -exponent)
+
+
 def pearson(xs, ys) -> float:
     """Sample Pearson correlation coefficient.
 
-    Raises ValueError if an intermediate overflows float64 or the denominator
-    underflows to 0, where the quotient would read as a plausible number.
+    Each input is first scaled by the power of two that puts its largest
+    magnitude in [0.5, 1). That leaves the result unchanged, and afterwards
+    no sum can overflow and no standard deviation underflow, so no finite
+    input loses its value to the range of float64.
     """
     xs, ys = _as_pair(xs, ys)
     if xs.size < 2:
         raise ValueError("pearson requires at least 2 points")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise ValueError("pearson undefined when either input has zero variance")
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = xs - np.mean(xs)
-        dy = ys - np.mean(ys)
-        sx = float(np.sqrt(np.sum(dx * dx)))
-        sy = float(np.sqrt(np.sum(dy * dy)))
-        covariance = np.sum(dx * dy)
-    denominator = sx * sy
-    if not (math.isfinite(covariance) and math.isfinite(denominator)):
-        raise ValueError("pearson overflows float64")
-    if denominator == 0.0:
-        raise ValueError("pearson undefined: the denominator underflows to 0")
-    return float(covariance / denominator)
+    xs, ys = _unit_scaled(xs), _unit_scaled(ys)
+    dx = xs - np.mean(xs)
+    dy = ys - np.mean(ys)
+    sx = float(np.sqrt(np.sum(dx * dx)))
+    sy = float(np.sqrt(np.sum(dy * dy)))
+    return float(np.sum(dx * dy) / (sx * sy))
 
 
 def summarize(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> MetricSummary:

@@ -109,6 +109,8 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not (lr > 0 and math.isfinite(lr)):
             raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")

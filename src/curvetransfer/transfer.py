@@ -235,10 +235,12 @@ def select_extreme_training_samples(dataset: Dataset) -> tuple[str, str]:
 
 
 def concat_shuffle_sources(datasets: list[Dataset], seed: int) -> list[RawCurve]:
-    """Concatenate all source curves and shuffle the sample order (points untouched)."""
+    """The pre-training pool: one dataset's curves in file order, or all datasets' curves shuffled with ``seed``."""
     if not datasets:
         raise DataValidationError("concat_shuffle_sources requires at least one dataset")
     curves = [c for ds in datasets for c in ds.curves]
+    if len(datasets) == 1:
+        return curves
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(curves))
     return [curves[i] for i in order]
@@ -253,6 +255,13 @@ def _stage_errors(stage: str, dataset_name: str):
         raise TrainingDivergenceError(f"{stage} on dataset {dataset_name!r}: {exc}") from exc
     except ValueError as exc:
         raise DataValidationError(f"{stage} on dataset {dataset_name!r}: {exc}") from exc
+
+
+def _pretrain_pool(sources: list[Dataset], seed: int, arity: int, pad: bool) -> tuple[list[RawCurve], str]:
+    """The one pre-training pool of ``sources`` (see ``concat_shuffle_sources``), padded to ``arity``, and its name."""
+    name = "+".join(ds.name for ds in sources)
+    with _stage_errors("pretrain", name):
+        return padded_curves(concat_shuffle_sources(sources, seed), arity, pad), name
 
 
 def _train_stage(
@@ -444,22 +453,19 @@ def _prepare(plan: ExperimentPlan, datasets):
 
 
 def _fit(
-    plan: ExperimentPlan, pool: list[RawCurve] | None, pool_name: str | None,
-    train_curves: list[RawCurve], test_curves: list[RawCurve],
+    plan: ExperimentPlan, sources: list[Dataset], train_curves: list[RawCurve], test_curves: list[RawCurve]
 ) -> Evaluation:
     """The one fit chain behind ``run_variant`` and ``run_source_sweep``.
 
-    Pretrain on the pool of source curves, padded to the target curves'
-    arity, and copy its weights verbatim, or, with ``pool`` None (vanilla),
-    start from fresh seeded weights; then fine-tune on the target training
-    curves and evaluate on the test curves.
+    Pretrain on the pool of ``sources`` and copy its weights verbatim, or,
+    with no sources (vanilla), start from fresh seeded weights; then
+    fine-tune on the target training curves and evaluate on the test curves.
     """
     arity = len(train_curves[0].params)
-    if pool is None:
+    if not sources:
         params0 = init_params(plan.config.seed, 1 + arity)
     else:
-        with _stage_errors("pretrain", pool_name):
-            pool = padded_curves(pool, arity, plan.pad_params)
+        pool, pool_name = _pretrain_pool(sources, plan.config.seed, arity, plan.pad_params)
         pre_config = replace(plan.config, epochs=plan.pretrain_epochs or plan.config.epochs)
         params0 = transfer_init(pretrain(pool, pre_config, pool_name))
     checkpoint = finetune(params0, train_curves, plan.config, plan.target_dataset)
@@ -470,20 +476,18 @@ def run_variant(plan: ExperimentPlan, datasets) -> EvalReport:
     """Execute one experiment variant end to end and evaluate on the target test split.
 
     vanilla trains from scratch on the target training split; tl_all pre-trains
-    on all sources concatenated and shuffled; dtw_tl ranks sources by average
-    DTW distance to the target TRAINING curves, pre-trains on the selected
-    source only, then fine-tunes. Deterministic for fixed seeds and inputs.
+    on the pool of every source; dtw_tl ranks sources by average DTW distance
+    to the target TRAINING curves and pre-trains on the selected source's pool
+    only, then fine-tunes. Deterministic for fixed seeds and inputs.
     """
     sources, train_curves, test_curves = _prepare(plan, datasets)
-    pool, pool_name, ranking = None, None, None
+    pooled, ranking = [], None
     if plan.variant == "tl_all":
-        pool = concat_shuffle_sources(sources, plan.config.seed)
-        pool_name = "+".join(ds.name for ds in sources)
+        pooled = sources
     elif plan.variant == "dtw_tl":
         ranking = rank_sources(sources, train_curves, plan.grid_n)
-        selected = next(ds for ds in sources if ds.name == ranking.selected)
-        pool, pool_name = selected.curves, selected.name
-    evaluation = _fit(plan, pool, pool_name, train_curves, test_curves)
+        pooled = [ds for ds in sources if ds.name == ranking.selected]
+    evaluation = _fit(plan, pooled, train_curves, test_curves)
     return EvalReport(**vars(evaluation), plan=plan, dtw_ranking=ranking)
 
 
@@ -499,7 +503,7 @@ def run_source_sweep(plan: ExperimentPlan, datasets) -> tuple[list[tuple[str, fl
     avg_dtw = dict(rank_sources(sources, train_curves, plan.grid_n).entries)
     entries = []
     for ds in sources:
-        evaluation = _fit(plan, ds.curves, ds.name, train_curves, test_curves)
+        evaluation = _fit(plan, [ds], train_curves, test_curves)
         entries.append((ds.name, avg_dtw[ds.name], evaluation.aggregate_mape))
     correlation = pearson([e[1] for e in entries], [e[2] for e in entries])
     return entries, correlation

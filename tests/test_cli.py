@@ -220,9 +220,10 @@ class TestRankGolden:
 
 
 # sha256 of `pipeline --seed 0 --out` report.json on metal_hardening of
-# suite seed 0 at a small config, per variant, and of `evaluate --out` for a one-epoch
-# poly_plateau checkpoint on the same target. Training and inference run through BLAS,
-# so unlike RANK_GOLDEN these bytes hold for one numpy/OpenBLAS build (numpy 2.4,
+# suite seed 0 at a small config, per variant, and of `evaluate --out` for a
+# one-epoch checkpoint pre-trained on poly_plateau's curves in file order, on
+# the same target. Training and inference run through BLAS, so unlike
+# RANK_GOLDEN these bytes hold for one numpy/OpenBLAS build (numpy 2.4,
 # OpenBLAS 0.3.31, x86-64).
 GOLDEN_TRAIN = ["--seed", "0", "--epochs", "2", "--pretrain-epochs", "1", "--seq-len", "5"]
 PIPELINE_GOLDEN = {
@@ -230,7 +231,7 @@ PIPELINE_GOLDEN = {
     "tl_all": "8a09fa1be41386869a5789adbdc099f81001d7e78eeca8f9a70ab579f0b7dc97",
     "dtw_tl": "4e817e0884acf72251bb027bd2bcd61256f95e356b25687438a56827ab1d593f",
 }
-EVALUATE_GOLDEN = "8e1e2e1f7c7f1ce43b01654ff1185a1524260b5632dcce8c5b5c6df8b8e432ff"
+EVALUATE_GOLDEN = "178c91ccf158c161a52b16183479173a4423c0b03be5ea6fe03c4baecb1c9b8f"
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +259,43 @@ class TestTrainGolden:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == EVALUATE_GOLDEN
 
 
+class TestStagedChainReproducesPipeline:
+    """``pretrain``, ``finetune`` and ``evaluate`` run by hand give ``pipeline``'s numbers bit for bit.
+
+    ``tl_all`` pre-trains on every source, ``dtw_tl`` on the source ``rank``
+    selects; both commands build the pool by the one rule of
+    ``transfer._pretrain_pool``.
+    """
+
+    @pytest.mark.parametrize("suite_seed", [0, 3])
+    @pytest.mark.parametrize("variant", ["tl_all", "dtw_tl"])
+    def test_per_sample_and_aggregate_metrics_equal(self, variant, suite_seed, tmp_path):
+        suite = tmp_path / "suite"
+        assert main(["synth", "--seed", str(suite_seed), "--out", str(suite)]) == 0
+        seed, target = ["--seed", str(suite_seed)], ["--target", manifest_of(suite, "metal_plateau")]
+        assert main(["pipeline", "--variant", variant, *source_args(suite), *target, *seed,
+                     "--epochs", "2", "--pretrain-epochs", "1", "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+
+        pool = source_args(suite)
+        if variant == "dtw_tl":
+            ranking = tmp_path / "ranking.json"
+            assert main(["rank", *source_args(suite), *target, *seed, "--out", str(ranking)]) == 0
+            selected = json.loads(ranking.read_text())["selected"]
+            assert selected == report["selected_source"]
+            pool = ["--sources", manifest_of(suite, selected)]
+        pre, fine, out = tmp_path / "pre.json", tmp_path / "fine.json", tmp_path / "eval.json"
+        assert main(["pretrain", *pool, *seed, "--epochs", "1", "--out", str(pre)]) == 0
+        assert main(["finetune", "--checkpoint", str(pre), *target, *seed, "--epochs", "2", "--out", str(fine)]) == 0
+        assert main(["evaluate", "--checkpoint", str(fine), *target,
+                     "--test-ids", ",".join(report["plan"]["test_ids"]), "--out", str(out)]) == 0
+
+        staged = json.loads(out.read_text())
+        expected = [{k: v for k, v in sample.items() if k != "predicted"} for sample in report["per_sample"]]
+        assert json.dumps(staged["per_sample"]) == json.dumps(expected)
+        assert json.dumps(staged["aggregate"]) == json.dumps(report["aggregate"])
+
+
 def tree_digest(root) -> str:
     """sha256 over the sorted (relative path, file sha256) pairs of every file under ``root``."""
     lines = sorted(
@@ -274,7 +312,7 @@ OUTPUT_GOLDEN = {
     "synth": "d7a33bcb3878a314393d5931d8649a54e7b39b628fbd26c3d67bc0b33d693b0a",
     "rank": "ee1c362b560add304fd4ba29b3fe1207cf1e3f4e5a4cf6fee9eb222eedd9864d",
     "pipeline": "ccc8402b71f8176ccb56f44640074ff40d7dd57d9bde7bd8275f3554ee0038a7",
-    "pretrain": "3d2571289c49ec26c60fa47b5d16f6a651d3891eb968f70e0b4c895f94a218ad",
+    "pretrain": "dd0e2a423f234ac6cc0bf9a9f669b714f3ad302836f274dc9e0b4862e4f67c7a",
 }
 
 
@@ -939,6 +977,22 @@ class TestManifestValidationThroughCli:
         err = capsys.readouterr().err
         assert f"dataset name {name!r} cannot name a file" in err
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["data", "data/manifest.json"]
+
+    @pytest.mark.parametrize("command", ["rank", "pretrain", "pipeline"])
+    def test_repeated_source_exits_2(self, suite_dir, tmp_path, capsys, command):
+        # Two --sources naming one dataset would pool its curves twice.
+        source = manifest_of(suite_dir, "poly_plateau")
+        out = tmp_path / "out"
+        rest = {
+            "rank": ["--target", manifest_of(suite_dir, "metal_plateau"), "--out", str(out)],
+            "pretrain": ["--out", str(out), *FAST_TRAIN],
+            "pipeline": ["--variant", "tl_all", "--target", manifest_of(suite_dir, "metal_plateau"),
+                         "--out", str(out), *FAST_TRAIN],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--sources", source, "--sources", source, "--seed", "0", *rest]) == 2
+        assert capsys.readouterr() == ("", "error: duplicate dataset name 'poly_plateau'\n")
+        assert not out.exists()
 
     def test_nan_parameter_exits_2(self, tmp_path, capsys):
         path = write_manifest(

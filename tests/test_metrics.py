@@ -119,21 +119,21 @@ class TestPearson:
         with pytest.raises(ValueError, match="zero variance"):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
-    # Finite inputs whose quotient would read as a plausible number: the sum
-    # of squares of 1e200 overflows (the true value is -0.5, not -0.0), and
-    # that of 1e-200 underflows to 0 (the true value is 1.0, not inf). The
-    # suite turns RuntimeWarning into an error, so these also show that no
-    # warning escapes.
-    @pytest.mark.parametrize("xs, ys, message", [
-        ([1e200, -1e200, 0.0], [1.0, 2.0, 3.0], "pearson overflows float64"),
-        ([1.0, 2.0, 3.0], [1e200, -1e200, 0.0], "pearson overflows float64"),
-        ([1.7e308, 1.7e308, 1.0], [1.0, 2.0, 3.0], "pearson overflows float64"),
-        ([1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.0], "pearson undefined: the denominator underflows to 0"),
-        ([1.0, 2.0, 3.0], [3e-200, 2e-200, 1e-200], "pearson undefined: the denominator underflows to 0"),
+    # Finite inputs at the edges of float64, each with its exact correlation.
+    # Unscaled, the sum of squares of 1e200 overflows, that of 1e-200
+    # underflows to 0, and the squared deviations of 1e-161 fall into the
+    # subnormal range, which read 1.0. The suite turns RuntimeWarning into an
+    # error, so these also show that no warning escapes.
+    @pytest.mark.parametrize("xs, ys, expected", [
+        ([1e200, -1e200, 0.0], [1.0, 2.0, 3.0], -0.5),
+        ([1.0, 2.0, 3.0], [1e200, -1e200, 0.0], -0.5),
+        ([1.7e308, 1.7e308, 1.0], [1.0, 2.0, 3.0], -0.75 ** 0.5),
+        ([1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.0], 1.0),
+        ([1.0, 2.0, 3.0], [3e-200, 2e-200, 1e-200], -1.0),
+        ([1e-161, 2e-161, 3e-161], [1e-161, 2e-161, 4e-161], 9 / 84 ** 0.5),
     ])
-    def test_overflow_or_underflow_rejected(self, xs, ys, message):
-        with pytest.raises(ValueError, match=message):
-            pearson(xs, ys)
+    def test_true_value_at_any_finite_scale(self, xs, ys, expected):
+        assert pearson(xs, ys) == pytest.approx(expected, rel=1e-15)
 
 
 class TestSummarize:

@@ -494,6 +494,11 @@ class TestTrain:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{"epochs": 1, field: value})
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators refuse a negative seed deep inside training; the config refuses it first.
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            TrainConfig(epochs=1, seed=-1)
+
     def test_single_epoch_single_pass(self):
         windows, targets = line_task(10)
         params = init_params(0, 1, 4)

@@ -1,10 +1,12 @@
 """Scaling, windowing, training-set selection, transfer, and the experiment runner."""
 
+import ast
 import base64
 import dataclasses
 import functools
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +281,12 @@ class TestConcatShuffleSources:
         ids1 = [c.sample_id for c in concat_shuffle_sources(sets, seed=5)]
         ids2 = [c.sample_id for c in concat_shuffle_sources(sets, seed=5)]
         assert ids1 == ids2
+
+    def test_one_dataset_keeps_file_order(self):
+        (single,) = self.make_sources(counts=(5,))
+        pool = concat_shuffle_sources([single], seed=0)
+        assert all(a is b for a, b in zip(pool, single.curves, strict=True))
+        assert pool is not single.curves
 
     def test_four_polymer_sized_pools(self):
         spec = FamilySpec(family="hardening", base_modulus=2000.0, yield_strain=0.02,
@@ -719,6 +727,45 @@ class TestLeaveOutSourceMetamorphic:
         for drop in plan.source_datasets:
             fewer = dataclasses.replace(plan, source_datasets=[n for n in plan.source_datasets if n != drop])
             assert bits(run_source_sweep(fewer, datasets)[0]) == bits([row for row in rows if row[0] != drop])
+
+
+def test_one_source_tl_all_is_the_dtw_tl_run():
+    # One dataset's pool is its curves in file order, whichever variant pools it.
+    sources, targets, _ = standard_suite(0)
+    only = [s for s in sources if s.name == "poly_hardening"]
+    reports = [
+        run_variant(suite_plan(variant, only, targets[0], small_config(epochs=2), pretrain_epochs=1),
+                    only + [targets[0]])
+        for variant in ("tl_all", "dtw_tl")
+    ]
+    assert reports[1].selected_source == "poly_hardening"
+    tl_all, dtw_tl = (transfer.Evaluation.to_dict(report) for report in reports)
+    assert bits(tl_all) == bits(dtw_tl)
+
+
+def source_calls(name: str) -> list[str]:
+    """``module.function`` of each call of ``name`` in the package's modules, in file order."""
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    found.append(f"{module}.{where}")
+            visit(child, module, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    for path in sorted(Path(transfer.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return found
+
+
+def test_every_pretraining_pool_is_built_by_one_helper():
+    assert source_calls("concat_shuffle_sources") == ["transfer._pretrain_pool"]
+    assert source_calls("_pretrain_pool") == ["cli.cmd_pretrain", "transfer._fit"]
+    # The CLI pads only the target curves it hands to a checkpoint, never a pool.
+    assert [c for c in source_calls("padded_curves") if c.startswith("cli.")] == ["cli.cmd_finetune", "cli.cmd_evaluate"]
+    assert list(inspect.signature(transfer._fit).parameters) == ["plan", "sources", "train_curves", "test_curves"]
 
 
 def test_sweep_entry_of_selected_source_is_the_dtw_tl_run():
