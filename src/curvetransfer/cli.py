@@ -154,6 +154,7 @@ def _load_sources(paths: list[str] | None) -> list[Dataset]:
 def cmd_rank(args) -> int:
     sources = _load_sources(args.sources)
     target = load_dataset(args.target)
+    _dataset_map(sources + [target])  # the target may not be one of the sources
     train_ids = _train_ids(args, target)
     train_curves = [target.curve_by_id(sid) for sid in train_ids]
     ranking = rank_sources(sources, train_curves, args.grid_n)

@@ -64,21 +64,29 @@ def _overflow_check(value: float, name: str) -> float:
     return value
 
 
-def _rmse(squared_error: np.ndarray) -> float:
-    return _overflow_check(float(np.sqrt(squared_error.mean())), "rmse")
+def _rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
+    return _overflow_check(float(np.sqrt(((actual - predicted) ** 2).mean())), "rmse")
 
 
-def _r2(actual: np.ndarray, squared_error: np.ndarray) -> float:
+def _unit_exponent(values: np.ndarray) -> int:
+    """The e for which ``np.ldexp(values, -e)`` has its largest magnitude in [0.5, 1); that scaling is exact."""
+    return math.frexp(float(np.abs(values).max()))[1]
+
+
+def _r2(actual: np.ndarray, predicted: np.ndarray) -> float:
+    """1 - SS_res / SS_tot of the pair scaled by ``2**-_unit_exponent(actual)``.
+
+    The ratio is unchanged, and SS_tot can then neither overflow nor underflow
+    to 0; only SS_res can overflow, for a fit about 1e308 times worse.
+    """
     if actual.size < 2:
         raise ValueError("r2 requires at least 2 points")
     if (actual == actual[0]).all():
         raise ValueError("r2 undefined for constant actual values (zero variance)")
+    exponent = -_unit_exponent(actual)
+    actual, predicted = np.ldexp(actual, exponent), np.ldexp(predicted, exponent)
     ss_tot = float(((actual - actual.mean()) ** 2).sum())
-    if ss_tot == math.inf:
-        raise ValueError("r2 undefined: the total sum of squares overflows float64")
-    if ss_tot == 0.0:  # distinct values whose squared deviations all underflow
-        raise ValueError("r2 undefined: the total sum of squares underflows to 0")
-    ss_res = float(squared_error.sum())
+    ss_res = float(((actual - predicted) ** 2).sum())
     return _overflow_check(1.0 - ss_res / ss_tot, "r2")
 
 
@@ -113,20 +121,18 @@ def rmse(actual, predicted) -> float:
     """Root mean squared error."""
     actual, predicted = _as_pair(actual, predicted)
     with np.errstate(over="ignore"):
-        return _rmse((actual - predicted) ** 2)
+        return _rmse(actual, predicted)
 
 
 def r2(actual, predicted) -> float:
-    """Coefficient of determination, 1 - SS_res / SS_tot. May be negative."""
+    """Coefficient of determination, 1 - SS_res / SS_tot. May be negative.
+
+    Both inputs are scaled by the power of two that puts max |actual| in
+    [0.5, 1), as in :func:`pearson`, so every finite input gets its true value.
+    """
     actual, predicted = _as_pair(actual, predicted)
     with np.errstate(over="ignore"):
-        return _r2(actual, (actual - predicted) ** 2)
-
-
-def _unit_scaled(values: np.ndarray) -> np.ndarray:
-    """``values`` times the power of two that puts their largest magnitude in [0.5, 1); exact in binary."""
-    _, exponent = np.frexp(np.abs(values).max())
-    return np.ldexp(values, -exponent)
+        return _r2(actual, predicted)
 
 
 def pearson(xs, ys) -> float:
@@ -142,7 +148,7 @@ def pearson(xs, ys) -> float:
         raise ValueError("pearson requires at least 2 points")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise ValueError("pearson undefined when either input has zero variance")
-    xs, ys = _unit_scaled(xs), _unit_scaled(ys)
+    xs, ys = np.ldexp(xs, -_unit_exponent(xs)), np.ldexp(ys, -_unit_exponent(ys))
     dx = xs - np.mean(xs)
     dy = ys - np.mean(ys)
     sx = float(np.sqrt(np.sum(dx * dx)))
@@ -155,19 +161,18 @@ def summarize(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> Metri
 
     Raises ValueError if an actual value or a prediction is not finite, and
     if a metric overflows float64, so no metric reads NaN or infinity.
-    :func:`mape` checks the epsilon and the pair, once; the squared error is
-    then computed once, for the kernels of :func:`rmse` and :func:`r2`. Each
-    value is bitwise the public function's, and each bad input raises what
-    those functions raise, in the same order.
+    :func:`mape` checks the epsilon and the pair, once; the kernels of
+    :func:`rmse` and :func:`r2` then only compute. Each value is bitwise the
+    public function's, and each bad input raises what those functions
+    raise, in the same order.
     """
     mape_value = mape(actual, predicted, epsilon)
     actual, predicted = np.asarray(actual, dtype=float), np.asarray(predicted, dtype=float)
     with np.errstate(over="ignore"):
-        squared_error = (actual - predicted) ** 2
         return MetricSummary(
             mape=mape_value,
-            rmse=_rmse(squared_error),
-            r2=_r2(actual, squared_error),
+            rmse=_rmse(actual, predicted),
+            r2=_r2(actual, predicted),
             n_points=int(actual.size),
             n_excluded=int((np.abs(actual) < epsilon).sum()),
         )

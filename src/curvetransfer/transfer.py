@@ -265,16 +265,14 @@ def _pretrain_pool(sources: list[Dataset], seed: int, arity: int, pad: bool) -> 
 
 
 def _train_stage(
-    stage: str,
-    checkpoint_stage: str,
-    dataset_name: str,
-    params: ModelParams,
-    curves: list[RawCurve],
-    scalers: CurveScalers,
-    config: TrainConfig,
+    stage: str, dataset_name: str, params: ModelParams | None, curves: list[RawCurve], config: TrainConfig
 ) -> ModelCheckpoint:
-    """Train on the windows of one stage's curves."""
+    """One stage: fit scalers on ``curves``, train from a copy of ``params`` (None: fresh seeded weights)."""
+    if not curves:
+        raise DataValidationError(f"{stage} requires a non-empty curve list")
     with _stage_errors(stage, dataset_name):
+        scalers = fit_scalers(curves)
+        params = init_params(config.seed, scalers.input_dim) if params is None else params.copy()
         windows, targets = window_dataset(curves, scalers, config.sequence_length)
         params, _ = train(params, windows, targets, config)
     return ModelCheckpoint(
@@ -283,7 +281,7 @@ def _train_stage(
         sequence_length=config.sequence_length,
         seed=config.seed,
         source_dataset=dataset_name,
-        stage=checkpoint_stage,
+        stage={"pretrain": "pretrained", "finetune": "finetuned"}[stage],
     )
 
 
@@ -293,12 +291,7 @@ def pretrain(
     dataset_name: str = "source",
 ) -> ModelCheckpoint:
     """Train a fresh model on the source curves, which share one arity; scalers are fit on them."""
-    if not source_curves:
-        raise DataValidationError("pretrain requires a non-empty source curve list")
-    with _stage_errors("pretrain", dataset_name):
-        scalers = fit_scalers(source_curves)
-    params = init_params(config.seed, scalers.input_dim)
-    return _train_stage("pretrain", "pretrained", dataset_name, params, source_curves, scalers, config)
+    return _train_stage("pretrain", dataset_name, None, source_curves, config)
 
 
 def transfer_init(checkpoint: ModelCheckpoint) -> ModelParams:
@@ -310,7 +303,7 @@ def transfer_init(checkpoint: ModelCheckpoint) -> ModelParams:
 
 
 def finetune(
-    params_init: ModelParams,
+    params_init: ModelParams | None,
     target_train_curves: list[RawCurve],
     config: TrainConfig,
     dataset_name: str = "target",
@@ -318,20 +311,10 @@ def finetune(
     """Continue training from the given parameters on the target training curves.
 
     Scalers are refit on the target training split; all parameters update (no
-    freezing). The caller's ``params_init`` is left untouched.
+    freezing). The caller's ``params_init`` is left untouched; None starts
+    from fresh seeded weights (the vanilla baseline).
     """
-    if not target_train_curves:
-        raise DataValidationError("finetune requires a non-empty target training curve list")
-    with _stage_errors("finetune", dataset_name):
-        scalers = fit_scalers(target_train_curves)
-    if scalers.input_dim != params_init.input_dim:
-        raise DataValidationError(
-            f"target input_dim {scalers.input_dim} does not match model input_dim "
-            f"{params_init.input_dim}"
-        )
-    return _train_stage(
-        "finetune", "finetuned", dataset_name, params_init.copy(), target_train_curves, scalers, config
-    )
+    return _train_stage("finetune", dataset_name, params_init, target_train_curves, config)
 
 
 def predict_curve(checkpoint: ModelCheckpoint, curve: RawCurve) -> np.ndarray:
@@ -458,14 +441,12 @@ def _fit(
     """The one fit chain behind ``run_variant`` and ``run_source_sweep``.
 
     Pretrain on the pool of ``sources`` and copy its weights verbatim, or,
-    with no sources (vanilla), start from fresh seeded weights; then
+    with no sources (vanilla), pass None for fresh seeded weights; then
     fine-tune on the target training curves and evaluate on the test curves.
     """
-    arity = len(train_curves[0].params)
-    if not sources:
-        params0 = init_params(plan.config.seed, 1 + arity)
-    else:
-        pool, pool_name = _pretrain_pool(sources, plan.config.seed, arity, plan.pad_params)
+    params0 = None
+    if sources:
+        pool, pool_name = _pretrain_pool(sources, plan.config.seed, len(train_curves[0].params), plan.pad_params)
         pre_config = replace(plan.config, epochs=plan.pretrain_epochs or plan.config.epochs)
         params0 = transfer_init(pretrain(pool, pre_config, pool_name))
     checkpoint = finetune(params0, train_curves, plan.config, plan.target_dataset)

@@ -92,6 +92,20 @@ class TestR2:
         with pytest.raises(ValueError, match="constant"):
             r2([0.4, 0.4, 0.4], [1.0, 2.0, 3.0])
 
+    # Scaling both inputs by one power of two leaves R2 unchanged. Unscaled, the
+    # squared deviations of the actual values fall into the subnormal range
+    # (2**-520 and below) or underflow to 0 (2**-540 and below), or their sum
+    # overflows (2**600). At 2**600 summarize stops first on the RMSE, whose
+    # squared errors overflow too, so only r2 is checked there.
+    @pytest.mark.parametrize("exponent", [-600, -540, -535, -530, -520, 600])
+    def test_invariant_under_power_of_two_scaling(self, exponent):
+        actual, predicted = np.array([1.0, 1.5, 2.0]), np.array([1.1, 1.4, 2.3])
+        expected = np.float64(r2(actual, predicted)).tobytes()
+        scaled = np.ldexp(actual, exponent), np.ldexp(predicted, exponent)
+        assert np.float64(r2(*scaled)).tobytes() == expected
+        if exponent < 0:
+            assert np.float64(summarize(*scaled, epsilon=5e-324).r2).tobytes() == expected
+
 
 class TestPearson:
     def test_positive_affine(self):
@@ -169,8 +183,6 @@ class TestSummarize:
     @pytest.mark.parametrize("actual, predicted, message", [
         ([1.0, 2.0], [1e308, 2.0], "mape overflows float64"),
         ([1.0, 2.0], [1e200, 2.0], "rmse overflows float64"),
-        ([-1e200, 1e200], [-1e200, 1e200], "r2 undefined: the total sum of squares overflows float64"),
-        ([0.0, 1e-170], [0.0, 1e-170], "r2 undefined: the total sum of squares underflows to 0"),
         ([0.0, 1e-160], [1.0, 1e-160], "r2 overflows float64"),
     ])
     def test_overflowing_metric_rejected(self, actual, predicted, message):
@@ -180,6 +192,13 @@ class TestSummarize:
                   "r2": lambda: r2(actual, predicted)}[message.split()[0]]
         with pytest.raises(ValueError, match=message):
             public()
+
+    # Unscaled, the total sum of squares of the first pair overflows and that
+    # of the second underflows to 0; scaled, each is a perfect fit.
+    @pytest.mark.parametrize("values", [[-1e200, 1e200], [0.0, 1e-170]])
+    def test_extreme_total_sum_of_squares_is_scaled_away(self, values):
+        assert summarize(values, values, epsilon=1e-300).r2 == 1.0
+        assert r2(values, values) == 1.0
 
 
 def reference_summary(actual, predicted, epsilon):
@@ -212,12 +231,11 @@ def reference_summary(actual, predicted, epsilon):
             raise ValueError("r2 requires at least 2 points")
         if np.all(actual == actual[0]):
             raise ValueError("r2 undefined for constant actual values (zero variance)")
-        ss_tot = float(np.sum((actual - np.mean(actual)) ** 2))
-    if ss_tot == np.inf:
-        raise ValueError("r2 undefined: the total sum of squares overflows float64")
-    if ss_tot == 0.0:
-        raise ValueError("r2 undefined: the total sum of squares underflows to 0")
-    r2_value = 1.0 - float(np.sum((actual - predicted) ** 2)) / ss_tot
+        # R2 is unchanged by scaling both inputs by 2**-e, which puts max |actual| in [0.5, 1).
+        e = np.frexp(np.max(np.abs(actual)))[1]
+        actual_s, predicted_s = np.ldexp(actual, -e), np.ldexp(predicted, -e)
+        ss_tot = float(np.sum((actual_s - np.mean(actual_s)) ** 2))
+        r2_value = 1.0 - float(np.sum((actual_s - predicted_s) ** 2)) / ss_tot
     if r2_value == -np.inf:
         raise ValueError("r2 overflows float64")
     excluded = int(np.sum(np.abs(actual) < epsilon))

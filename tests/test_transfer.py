@@ -343,8 +343,9 @@ class TestPretrainTransferFinetune:
         ckpt = pretrain(ds.curves, small_config(), ds.name)  # input_dim = 2
         target = [linear_curve(sample_id=str(i), n=12, params={"a": i, "b": 1.0, "c": 2.0})
                   for i in range(2)]  # input_dim = 4
-        with pytest.raises(DataValidationError, match="input_dim"):
+        with pytest.raises(DataValidationError, match="input_dim") as raised:
             finetune(transfer_init(ckpt), target, small_config(), "tgt")
+        assert str(raised.value) == "finetune on dataset 'tgt': window columns 4 != input_dim 2"
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         ds = small_source()
@@ -370,6 +371,18 @@ class TestPretrainTransferFinetune:
         loss_before = evaluate_loss(params0, windows, targets)
         loss_after = evaluate_loss(tuned.params, windows, targets)
         assert loss_after < loss_before
+
+    def test_finetune_from_none_is_finetune_from_fresh_seeded_weights(self, tmp_path):
+        # The vanilla baseline: the weights pretrain starts from, then the finetune stage.
+        ds = small_source(name="tgt")
+        config = small_config()
+        fresh = finetune(None, ds.curves, config, ds.name)
+        seeded = finetune(init_params(config.seed, 1 + len(ds.param_schema)), ds.curves, config, ds.name)
+        save_checkpoint(fresh, tmp_path / "none.json")
+        save_checkpoint(seeded, tmp_path / "seeded.json")
+        assert (tmp_path / "none.json").read_bytes() == (tmp_path / "seeded.json").read_bytes()
+        assert fresh.stage == "finetuned"
+        assert fresh.params.flat.tobytes() == pretrain(ds.curves, config, ds.name).params.flat.tobytes()
 
     def test_finetune_does_not_mutate_input_params(self):
         target = small_source(seed=3, name="tgt")
@@ -766,6 +779,16 @@ def test_every_pretraining_pool_is_built_by_one_helper():
     # The CLI pads only the target curves it hands to a checkpoint, never a pool.
     assert [c for c in source_calls("padded_curves") if c.startswith("cli.")] == ["cli.cmd_finetune", "cli.cmd_evaluate"]
     assert list(inspect.signature(transfer._fit).parameters) == ["plan", "sources", "train_curves", "test_curves"]
+
+
+def test_every_training_stage_runs_one_body():
+    # Fresh weights and scalers are made in one place, the stage body both public stages call.
+    assert source_calls("init_params") == ["transfer._train_stage"]
+    assert source_calls("fit_scalers") == ["transfer._train_stage"]
+    assert source_calls("_train_stage") == ["transfer.pretrain", "transfer.finetune"]
+    assert list(inspect.signature(transfer._train_stage).parameters) == [
+        "stage", "dataset_name", "params", "curves", "config"
+    ]
 
 
 def test_sweep_entry_of_selected_source_is_the_dtw_tl_run():
