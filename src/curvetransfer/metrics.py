@@ -64,13 +64,20 @@ def _overflow_check(value: float, name: str) -> float:
     return value
 
 
-def _rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
-    return _overflow_check(float(np.sqrt(((actual - predicted) ** 2).mean())), "rmse")
-
-
 def _unit_exponent(values: np.ndarray) -> int:
     """The e for which ``np.ldexp(values, -e)`` has its largest magnitude in [0.5, 1); that scaling is exact."""
     return math.frexp(float(np.abs(values).max()))[1]
+
+
+def _rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
+    """The RMSE of the pair scaled by ``2**-e``, scaled back by ``2**e``, with e the larger unit exponent.
+
+    No scaled square can then overflow or lose its value below the normal
+    range, so only a true RMSE beyond float64 overflows.
+    """
+    exponent = max(_unit_exponent(actual), _unit_exponent(predicted))
+    residual = np.ldexp(actual, -exponent) - np.ldexp(predicted, -exponent)
+    return _overflow_check(float(np.ldexp(np.sqrt((residual**2).mean()), exponent)), "rmse")
 
 
 def _r2(actual: np.ndarray, predicted: np.ndarray) -> float:
@@ -118,7 +125,12 @@ def mape_excluded_count(actual, epsilon: float = DEFAULT_MAPE_EPSILON) -> int:
 
 
 def rmse(actual, predicted) -> float:
-    """Root mean squared error."""
+    """Root mean squared error.
+
+    Both inputs are scaled by the power of two that puts their largest
+    magnitude in [0.5, 1), as in :func:`r2`, so every finite input whose RMSE
+    float64 holds gets its true value.
+    """
     actual, predicted = _as_pair(actual, predicted)
     with np.errstate(over="ignore"):
         return _rmse(actual, predicted)

@@ -4,7 +4,10 @@ The DTW distance here is the minimum cumulative sum of squared stress
 differences along a valid monotone alignment path between two curves that were
 normalized and resampled onto the same strain grid. No square root and no
 path-length normalization are applied, and the recurrence is unconstrained
-(no warping window). The tests check the distance against an oracle that
+(no warping window). One anti-diagonal sweep, :func:`_sweep`, runs that
+recurrence: :func:`_dtw_many` keeps three rolling diagonals for the distances
+of many pairs at once, and :func:`cumulative_cost` keeps them all for the
+matrix. The tests check both against a row-by-row list DP and an oracle that
 enumerates every alignment path, in ``tests/conftest.py``.
 """
 
@@ -49,74 +52,80 @@ def local_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] - b[None, :]) ** 2
 
 
+def _sweep(diagonals: np.ndarray, m: int, local_costs) -> np.ndarray:
+    """The DTW recurrence over an (n, m) cost grid, one anti-diagonal at a time.
+
+    Diagonal d holds the cells (k, d-k), k0 <= k < k1. It is computed in
+    ``diagonals[d % len(diagonals)]``, an (n+1, ...) stack whose row k+1 holds
+    cell (k, d-k); trailing axes are independent grids swept together.
+    ``local_costs(d, k0, k1)`` returns the diagonal's local costs. Each cell
+    adds its local cost to the minimum of its three predecessors: (k-1, d-k-1)
+    on diagonal d-2, (k-1, d-k) and (k, d-k-1) on d-1. ``diagonals`` must be
+    +inf on entry. The sweep writes only on-grid rows, and the off-grid rows
+    it reads are row 0 and the row just below a diagonal's last cell. A
+    diagonal's last row never decreases with d, so no earlier diagonal wrote
+    that row and both stay +inf. Returns the last cell, (n-1, m-1).
+    """
+    buffers, span = list(diagonals), len(diagonals)
+    n = diagonals.shape[1] - 1
+    buffers[0][1:2] = local_costs(0, 0, 1)
+    for d in range(1, n + m - 1):
+        k0, k1 = max(0, d - m + 1), min(d, n - 1) + 1
+        before, last = buffers[(d - 2) % span], buffers[(d - 1) % span]
+        out = buffers[d % span][k0 + 1 : k1 + 1]
+        np.minimum(before[k0:k1], last[k0:k1], out=out)
+        np.minimum(out, last[k0 + 1 : k1 + 1], out=out)
+        out += local_costs(d, k0, k1)
+    return buffers[(n + m - 2) % span][n]
+
+
 def cumulative_cost(local: np.ndarray) -> np.ndarray:
-    """Cumulative-cost matrix of the DTW recurrence.
+    """Cumulative-cost matrix of the DTW recurrence on an (n, m) local-cost matrix.
 
     The first cell copies the local cost, the first row and column are running
     sums, and each interior cell adds its local cost to the cheapest of the
-    three admissible predecessors. This row-by-row list DP is the reference
-    for :func:`_dtw_many` and feeds :func:`dtw_path`.
+    three admissible predecessors. It runs the one :func:`_sweep` that
+    :func:`_dtw_many` runs, keeping every diagonal, and reads the matrix back
+    off them; :func:`dtw_path` reads the path from it.
     """
     local = np.asarray(local, dtype=float)
     n, m = local.shape
-    # Row-local Python lists beat numpy scalar indexing for this sequential DP.
-    loc = local.tolist()
-    rows = [[0.0] * m for _ in range(n)]
-    rows[0][0] = loc[0][0]
-    for l in range(1, m):
-        rows[0][l] = loc[0][l] + rows[0][l - 1]
-    for k in range(1, n):
-        cur, prev, lk = rows[k], rows[k - 1], loc[k]
-        cur[0] = lk[0] + prev[0]
-        for l in range(1, m):
-            best = prev[l - 1]
-            if prev[l] < best:
-                best = prev[l]
-            if cur[l - 1] < best:
-                best = cur[l - 1]
-            cur[l] = lk[l] + best
-    return np.array(rows)
+    diagonals = np.full((n + m - 1, n + 1), np.inf)
+    flipped = local[:, ::-1]
+    _sweep(diagonals, m, lambda d, k0, k1: flipped.diagonal(m - 1 - d))
+    rows, cols = np.indices((n, m))
+    return diagonals[rows + cols, rows + 1]
 
 
 def _dtw_many(a: np.ndarray, b_rev: np.ndarray) -> np.ndarray:
     """DTW distance of each column pair of two (N, P) stress stacks (or of one (N,) pair).
 
     Column p of ``b_rev`` is pair p's second curve reversed. All P cost matrices
-    are swept together along their 2N-1 anti-diagonals, cell-major: row k+1 of a
-    diagonal's (N+1, P) buffer holds cell (k, d-k) of every pair, read from rows
-    k of ``a`` and N-1-d+k of ``b_rev``, so each of a diagonal's five ufuncs is
-    one contiguous loop and none allocates. Row 0 and every off-grid cell a
-    later diagonal reads hold +inf. (Each of the three rolling buffers is reused
-    every third diagonal and, up to the middle diagonal, is written only at rows
-    1..d+1, so the off-grid row d+2 it is later read at has never been written.)
-    Each cell adds its local cost to the minimum of the same three predecessors
-    as :func:`cumulative_cost`, so every distance is bitwise equal to that DP's
-    last cell. Memory is O(P*N).
+    run through one :func:`_sweep`, cell-major: a diagonal's (N+1, P) buffer
+    holds cell (k, d-k) of every pair in row k+1, whose local cost is read from
+    rows k of ``a`` and N-1-d+k of ``b_rev``. So each of a diagonal's five
+    ufuncs is one contiguous loop, none allocates, and three rolling buffers
+    keep the memory at O(P*N). Every distance is bitwise
+    ``cumulative_cost(local)[-1, -1]`` of its pair.
     """
-    n = len(a)
-    before, last, cur = (np.full((n + 1,) + a.shape[1:], np.inf) for _ in range(3))
+    n, m = len(a), len(b_rev)
     square = np.empty_like(a)
-    # np.square, not ``** 2``: on the scalars of a 1-D pair ``** 2`` is libm's
-    # pow, which can differ from the exact product in the last bit.
-    last[1] = np.square(a[0] - b_rev[n - 1])
-    for d in range(1, 2 * n - 1):
-        k0, k1 = max(0, d - n + 1), min(d, n - 1) + 1
-        out, sq = cur[k0 + 1 : k1 + 1], square[: k1 - k0]
-        # Predecessors of (k, d-k): (k-1, d-k-1) on diagonal d-2, (k-1, d-k) and (k, d-k-1) on d-1.
-        np.minimum(before[k0:k1], last[k0:k1], out=out)
-        np.minimum(out, last[k0 + 1 : k1 + 1], out=out)
-        np.subtract(a[k0:k1], b_rev[n - 1 - d + k0 : n - 1 - d + k1], out=sq)
-        np.square(sq, out=sq)
-        out += sq
-        before, last, cur = last, cur, before
-    return last[n].copy()
+
+    def local_costs(d: int, k0: int, k1: int) -> np.ndarray:
+        sq = square[: k1 - k0]
+        np.subtract(a[k0:k1], b_rev[m - 1 - d + k0 : m - 1 - d + k1], out=sq)
+        # np.square, not ``** 2``: on the scalars of a 1-D pair ``** 2`` is libm's
+        # pow, which can differ from the exact product in the last bit.
+        return np.square(sq, out=sq)
+
+    return _sweep(np.full((3, n + 1) + a.shape[1:], np.inf), m, local_costs).copy()
 
 
 def dtw_path(cumulative: np.ndarray) -> list[tuple[int, int]]:
     """Optimal warping path read back from a cumulative-cost matrix.
 
     The path uses 0-based (row, col) indices, runs from (0, 0) to
-    (N-1, N-1), and steps by (1, 0), (0, 1), or (1, 1). At equal cost the
+    (n-1, m-1), and steps by (1, 0), (0, 1), or (1, 1). At equal cost the
     diagonal step wins over up, and up over left.
     """
     k, l = cumulative.shape[0] - 1, cumulative.shape[1] - 1

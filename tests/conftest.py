@@ -156,6 +156,34 @@ def brute_force_dtw(a, b) -> float:
     return best_from(0, 0)
 
 
+def list_dp_cumulative_cost(local) -> np.ndarray:
+    """Cumulative-cost matrix of the DTW recurrence, filled row by row in Python lists.
+
+    Test oracle for :func:`curvetransfer.similarity.cumulative_cost` and the
+    anti-diagonal sweep behind it: the first cell copies the local cost, the
+    first row and column are running sums, and each interior cell adds its
+    local cost to the cheapest of its diagonal, upper and left predecessors.
+    """
+    local = np.asarray(local, dtype=float)
+    n, m = local.shape
+    loc = local.tolist()
+    rows = [[0.0] * m for _ in range(n)]
+    rows[0][0] = loc[0][0]
+    for l in range(1, m):
+        rows[0][l] = loc[0][l] + rows[0][l - 1]
+    for k in range(1, n):
+        cur, prev, lk = rows[k], rows[k - 1], loc[k]
+        cur[0] = lk[0] + prev[0]
+        for l in range(1, m):
+            best = prev[l - 1]
+            if prev[l] < best:
+                best = prev[l]
+            if cur[l - 1] < best:
+                best = cur[l - 1]
+            cur[l] = lk[l] + best
+    return np.array(rows)
+
+
 def loss_mse(predictions, targets) -> float:
     """Mean squared error."""
     predictions = np.asarray(predictions, dtype=float)

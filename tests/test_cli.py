@@ -836,7 +836,10 @@ class TestCheckpointCommands:
 
 
 class TestOverflowingMetrics:
-    """A metric that overflows float64 on finite data exits 2 with one error line and writes no file."""
+    """A metric that overflows float64 on finite data exits 2 with one error line and writes no file.
+
+    A metric whose true value float64 holds is reported, however large its squares.
+    """
 
     @staticmethod
     def assert_one_error_line(capsys, *words):
@@ -847,7 +850,7 @@ class TestOverflowingMetrics:
 
     @pytest.mark.parametrize("with_out", [False, True])
     def test_evaluate_with_huge_output_weights_exits_2(self, golden_suite, tmp_path, capsys, with_out):
-        # Every W_out weight 1e200: finite, so the checkpoint loads, but each squared error overflows.
+        # Every W_out weight 1e200: finite, so the checkpoint loads, but the residual sum of squares overflows.
         ckpt, out = tmp_path / "pre.json", tmp_path / "eval.json"
         assert main(["pretrain", "--sources", manifest_of(golden_suite, "poly_plateau"),
                      "--out", str(ckpt), "--seed", "0", "--epochs", "1"]) == 0
@@ -857,23 +860,23 @@ class TestOverflowingMetrics:
         capsys.readouterr()
         argv = ["evaluate", "--checkpoint", str(ckpt), "--target", manifest_of(golden_suite, "metal_plateau")]
         assert main(argv + (["--out", str(out)] if with_out else [])) == 2
-        self.assert_one_error_line(capsys, "rmse overflows float64")
+        self.assert_one_error_line(capsys, "sample '1': r2 overflows float64")
         assert not out.exists()
 
-    def test_pipeline_on_stresses_times_2_pow_660_exits_2_on_the_rmse(self, golden_suite, tmp_path, capsys):
-        # Every stress is finite (at most about 5e198) and a test tail scored
-        # against itself has R2 = 1, so the pipeline trains; the fitted model's
-        # RMSE on sample '2' (about 3.2e200) is finite too, but the squares it
-        # averages are not.
+    def test_pipeline_on_stresses_times_2_pow_660_scales_only_rmse_and_predictions(self, golden_suite, tmp_path):
+        # Every stress is finite (at most about 5e198), and so is every RMSE
+        # (about 3.3e200 in the aggregate), though the squared errors are not.
         target = load_dataset(manifest_of(golden_suite, "metal_plateau"))
         curves = [dataclasses.replace(c, stress=c.stress * 2.0**660) for c in target.curves]
         save_dataset(dataclasses.replace(target, curves=curves), tmp_path / "scaled")
-        capsys.readouterr()
-        out = tmp_path / "run"
-        assert main(["pipeline", "--variant", "vanilla", "--target", str(tmp_path / "scaled" / "manifest.json"),
-                     "--epochs", "1", "--seed", "0", "--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", "error: sample '2': rmse overflows float64\n")
-        assert not out.exists()
+        reports = {}
+        for label, manifest in (("base", manifest_of(golden_suite, "metal_plateau")),
+                                ("scaled", str(tmp_path / "scaled" / "manifest.json"))):
+            out = tmp_path / f"run_{label}"
+            assert main(["pipeline", "--variant", "vanilla", "--target", manifest,
+                         "--epochs", "1", "--seed", "0", "--out", str(out)]) == 0
+            reports[label] = json.loads((out / "report.json").read_text())
+        assert reports["scaled"] == with_stress_unit(reports["base"], 2.0**660)
 
 
 class TestWriteJson:

@@ -76,6 +76,21 @@ class TestRmse:
         with pytest.raises(ValueError, match="empty"):
             rmse([], [])
 
+    # Scaling both inputs by one power of two scales the RMSE by it. Unscaled,
+    # the squared errors fall into the subnormal range (2**-540) or below the
+    # smallest subnormal (2**-600, 2**-1000), or they overflow (2**600, 2**1000).
+    @pytest.mark.parametrize("exponent", [-1000, -600, -540, 600, 1000])
+    def test_scales_with_a_power_of_two(self, exponent):
+        actual, predicted = np.array([1.0, 1.5, 2.0]), np.array([1.1, 1.4, 2.3])
+        expected = np.ldexp(rmse(actual, predicted), exponent).tobytes()
+        scaled = np.ldexp(actual, exponent), np.ldexp(predicted, exponent)
+        assert np.float64(rmse(*scaled)).tobytes() == expected
+        assert np.float64(summarize(*scaled, epsilon=5e-324).rmse).tobytes() == expected
+
+    def test_true_value_beyond_float64_rejected(self):
+        with pytest.raises(ValueError, match="rmse overflows float64"):
+            rmse([1.7e308, -1.7e308], [-1.7e308, 1.7e308])
+
 
 class TestR2:
     def test_perfect(self):
@@ -95,16 +110,14 @@ class TestR2:
     # Scaling both inputs by one power of two leaves R2 unchanged. Unscaled, the
     # squared deviations of the actual values fall into the subnormal range
     # (2**-520 and below) or underflow to 0 (2**-540 and below), or their sum
-    # overflows (2**600). At 2**600 summarize stops first on the RMSE, whose
-    # squared errors overflow too, so only r2 is checked there.
+    # overflows (2**600).
     @pytest.mark.parametrize("exponent", [-600, -540, -535, -530, -520, 600])
     def test_invariant_under_power_of_two_scaling(self, exponent):
         actual, predicted = np.array([1.0, 1.5, 2.0]), np.array([1.1, 1.4, 2.3])
         expected = np.float64(r2(actual, predicted)).tobytes()
         scaled = np.ldexp(actual, exponent), np.ldexp(predicted, exponent)
         assert np.float64(r2(*scaled)).tobytes() == expected
-        if exponent < 0:
-            assert np.float64(summarize(*scaled, epsilon=5e-324).r2).tobytes() == expected
+        assert np.float64(summarize(*scaled, epsilon=5e-324).r2).tobytes() == expected
 
 
 class TestPearson:
@@ -179,10 +192,11 @@ class TestSummarize:
 
     # Finite inputs whose metric overflows float64, each the first failing check.
     # The suite turns RuntimeWarning into an error, so these also show that no
-    # overflow warning escapes.
+    # overflow warning escapes. The RMSE is never first here: a residual whose
+    # RMSE float64 cannot hold already overflows MAPE's difference.
     @pytest.mark.parametrize("actual, predicted, message", [
         ([1.0, 2.0], [1e308, 2.0], "mape overflows float64"),
-        ([1.0, 2.0], [1e200, 2.0], "rmse overflows float64"),
+        ([1.0, 2.0], [1e200, 2.0], "r2 overflows float64"),
         ([0.0, 1e-160], [1.0, 1e-160], "r2 overflows float64"),
     ])
     def test_overflowing_metric_rejected(self, actual, predicted, message):
@@ -224,7 +238,9 @@ def reference_summary(actual, predicted, epsilon):
         mape_value = float(np.mean(np.abs(actual[mask] - predicted[mask]) / np.abs(actual[mask]))) * 100.0
         if mape_value == np.inf:
             raise ValueError("mape overflows float64")
-        rmse_value = float(np.sqrt(np.mean((actual - predicted) ** 2)))
+        # RMSE is scaled back from the pair scaled by 2**-e, which puts max(|actual|, |predicted|) in [0.5, 1).
+        e = max(np.frexp(np.max(np.abs(actual)))[1], np.frexp(np.max(np.abs(predicted)))[1])
+        rmse_value = float(np.ldexp(np.sqrt(np.mean((np.ldexp(actual, -e) - np.ldexp(predicted, -e)) ** 2)), e))
         if rmse_value == np.inf:
             raise ValueError("rmse overflows float64")
         if actual.size < 2:

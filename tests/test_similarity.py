@@ -18,7 +18,7 @@ from curvetransfer.similarity import (
     rank_sources,
 )
 
-from conftest import average_dtw, brute_force_dtw, composition, euclidean_distance
+from conftest import average_dtw, brute_force_dtw, composition, euclidean_distance, list_dp_cumulative_cost
 
 VALID_STEPS = {(1, 0), (0, 1), (1, 1)}
 
@@ -52,7 +52,29 @@ class TestLocalDistanceMatrix:
             local_distance_matrix(make_grid([0.0, 1.0]), make_grid([0.0, 0.5, 1.0]))
 
 
+# Small integers make many equal costs (ties); huge finite costs make sums that overflow to +inf.
+cost_values = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1.7e308))
+
+
+@st.composite
+def local_matrices(draw):
+    """An (n, m) local-cost matrix, 1 <= n, m <= 30, filled by a seeded generator from a pool of up to 16 costs."""
+    pool = np.array(draw(st.lists(cost_values, min_size=1, max_size=16)))
+    shape = (draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(pool, shape)
+
+
 class TestCumulativeCost:
+    @settings(max_examples=300, deadline=None)
+    @given(local_matrices())
+    def test_sweep_is_list_dp_bitwise(self, local):
+        expected = list_dp_cumulative_cost(local)
+        with np.errstate(over="ignore"):
+            got = cumulative_cost(local)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert dtw_path(got) == dtw_path(expected)
+
     def test_zero_propagation(self):
         np.testing.assert_allclose(cumulative_cost(np.zeros((4, 4))), 0.0)
 
@@ -140,17 +162,17 @@ def gridded_pairs(draw):
 class TestDistanceOnlyFastPath:
     @settings(max_examples=200, deadline=None)
     @given(gridded_pairs())
-    def test_distance_is_cumulative_corner_bitwise(self, pair):
+    def test_distance_is_list_dp_corner_bitwise(self, pair):
         a, b = pair
         distance = dtw_distance(a, b)
         assert type(distance) is float
-        assert distance == float(cumulative_cost(local_distance_matrix(a, b))[-1, -1])
+        assert distance == float(list_dp_cumulative_cost(local_distance_matrix(a, b))[-1, -1])
 
     def test_first_cell_squares_like_the_dp(self):
         # Squared through libm's pow (``** 2`` on a numpy scalar), this
         # difference rounds one ulp away from np.square's exact product.
         a, b = np.array([0.0, 0.0]), np.array([0.42672114373024106, 0.0])
-        corner = float(cumulative_cost(local_distance_matrix(a, b))[-1, -1])
+        corner = float(list_dp_cumulative_cost(local_distance_matrix(a, b))[-1, -1])
         assert corner == 0.18209093450644503
         assert dtw_distance(a, b) == corner
 
@@ -197,13 +219,13 @@ def curve_lists(draw):
 
 def oracle_means(sources, target):
     """The per-source ranking path before the one-sweep kernel: per source, one loop over
-    ``cumulative_cost`` corners, summed in (source curve, target curve) order."""
+    the list DP's corners, summed in (source curve, target curve) order."""
     means = []
     for source in sources:
         total = 0.0
         for s in source:
             for t in target:
-                total += float(cumulative_cost(local_distance_matrix(s, t))[-1, -1])
+                total += float(list_dp_cumulative_cost(local_distance_matrix(s, t))[-1, -1])
         means.append(total / (len(source) * len(target)))
     return means
 
@@ -211,13 +233,13 @@ def oracle_means(sources, target):
 class TestAllPairsKernel:
     @settings(max_examples=200, deadline=None)
     @given(stress_columns())
-    def test_each_pair_is_cumulative_corner_bitwise(self, columns):
+    def test_each_pair_is_list_dp_corner_bitwise(self, columns):
         a, b = columns
         # Squaring the difference of two huge finite floats overflows to inf in both implementations.
         with np.errstate(over="ignore"):
             got = _dtw_many(a, np.ascontiguousarray(b[::-1]))
             expected = np.array(
-                [cumulative_cost((a[:, p, None] - b[None, :, p]) ** 2)[-1, -1] for p in range(a.shape[1])]
+                [list_dp_cumulative_cost((a[:, p, None] - b[None, :, p]) ** 2)[-1, -1] for p in range(a.shape[1])]
             )
         assert got.tobytes() == expected.tobytes()
 
