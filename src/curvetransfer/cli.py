@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .curves import DEFAULT_GRID_N, Dataset, grid_curve, load_dataset, save_dataset
+from .curves import DEFAULT_GRID_N, Dataset, grid_curves, load_dataset, save_dataset
 from .curves import _csv_text, _write_json, _write_text
 from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import DEFAULT_MAPE_EPSILON
@@ -138,7 +138,7 @@ def cmd_ingest(args) -> int:
 
 
 def _dump_dtw_pair(source: Dataset, target_curve, n: int, out_dir: Path) -> None:
-    local = local_distance_matrix(grid_curve(source.curves[0], n), grid_curve(target_curve, n))
+    local = local_distance_matrix(*grid_curves([source.curves[0], target_curve], n))
     cumulative = cumulative_cost(local)
     for label, matrix in (("local", local), ("cumulative", cumulative)):
         rows = ([i, *row] for i, row in enumerate(matrix.tolist()))
@@ -188,14 +188,16 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    source_ckpt = load_checkpoint(args.checkpoint)
+    source_ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
     target = load_dataset(args.target)
     train_ids = _train_ids(args, target)
     train_curves = [target.curve_by_id(sid) for sid in train_ids]
-    with _stage_errors("finetune", target.name):
-        train_curves = padded_curves(train_curves, source_ckpt.scalers.arity, args.pad_params)
-    config = _train_config(args)
-    checkpoint = finetune(transfer_init(source_ckpt), train_curves, config, target.name)
+    params0 = None  # no checkpoint: fresh seeded weights on the target's own arity, as pipeline's vanilla
+    if source_ckpt is not None:
+        with _stage_errors("finetune", target.name):
+            train_curves = padded_curves(train_curves, source_ckpt.scalers.arity, args.pad_params)
+        params0 = transfer_init(source_ckpt)
+    checkpoint = finetune(params0, train_curves, _train_config(args), target.name)
     save_checkpoint(checkpoint, args.out)
     print(f"finetuned on {target.name} (train ids {','.join(train_ids)}) -> {args.out}")
     return EXIT_OK
@@ -309,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="fine-tune a checkpoint on target training samples")
-    p.add_argument("--checkpoint", required=True)
+    p = sub.add_parser("finetune", help="fine-tune a checkpoint, or fresh weights, on target training samples")
+    p.add_argument("--checkpoint", help="checkpoint to start from (default: fresh seeded weights, i.e. vanilla)")
     p.add_argument("--target", required=True)
     _add_split_flags(p)
     p.add_argument("--out", required=True)

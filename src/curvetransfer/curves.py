@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -273,7 +274,7 @@ def _param_value(raw, where: str) -> float:
         value = float(raw)
     except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON integer beyond float range
         raise DataValidationError(f"{where}: not a number: {raw!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataValidationError(f"{where}: non-finite value {raw!r}")
     return value
 

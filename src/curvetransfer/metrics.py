@@ -25,23 +25,27 @@ class MetricSummary:
     n_excluded: int
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
-    """Raise ValueError, counting the bad values, unless every one of ``values`` is finite."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{int(np.sum(~np.isfinite(values)))} of {values.size} {what} are not finite")
+def _unit_exponent(magnitudes: np.ndarray, what: str) -> int:
+    """The e for which ``np.ldexp(values, -e)`` has its largest magnitude in [0.5, 1); that scaling is exact.
+
+    ``magnitudes`` is ``np.abs(values)`` (empty reads as 0). The largest is finite only
+    when every value is, so otherwise this raises ValueError, counting the bad ``what``.
+    """
+    largest = float(magnitudes.max(initial=0.0))
+    if not math.isfinite(largest):
+        raise ValueError(f"{int((~np.isfinite(magnitudes)).sum())} of {magnitudes.size} {what} are not finite")
+    return math.frexp(largest)[1]
 
 
-def _as_pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
-    """Both inputs as float arrays; raises ValueError unless they have one shape, are not empty and are finite."""
-    actual = np.asarray(actual, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
+def _as_pair(actual, predicted) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Both as float arrays, then their unit exponents; ValueError unless they share a non-empty shape and are finite."""
+    actual, predicted = np.asarray(actual, dtype=float), np.asarray(predicted, dtype=float)
     if actual.shape != predicted.shape:
         raise ValueError(f"length mismatch: {actual.shape} vs {predicted.shape}")
     if actual.size == 0:
         raise ValueError("empty input")
-    _check_finite(actual, "actual values")
-    _check_finite(predicted, "predictions")
-    return actual, predicted
+    actual_exponent = _unit_exponent(np.abs(actual), "actual values")
+    return actual, predicted, actual_exponent, _unit_exponent(np.abs(predicted), "predictions")
 
 
 def _check_epsilon(epsilon) -> None:
@@ -64,24 +68,18 @@ def _overflow_check(value: float, name: str) -> float:
     return value
 
 
-def _unit_exponent(values: np.ndarray) -> int:
-    """The e for which ``np.ldexp(values, -e)`` has its largest magnitude in [0.5, 1); that scaling is exact."""
-    return math.frexp(float(np.abs(values).max()))[1]
-
-
-def _rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
-    """The RMSE of the pair scaled by ``2**-e``, scaled back by ``2**e``, with e the larger unit exponent.
+def _rmse(actual: np.ndarray, predicted: np.ndarray, exponent: int) -> float:
+    """The RMSE of the pair scaled by ``2**-exponent``, scaled back; ``exponent`` is the larger unit exponent.
 
     No scaled square can then overflow or lose its value below the normal
     range, so only a true RMSE beyond float64 overflows.
     """
-    exponent = max(_unit_exponent(actual), _unit_exponent(predicted))
     residual = np.ldexp(actual, -exponent) - np.ldexp(predicted, -exponent)
     return _overflow_check(float(np.ldexp(np.sqrt((residual**2).mean()), exponent)), "rmse")
 
 
-def _r2(actual: np.ndarray, predicted: np.ndarray) -> float:
-    """1 - SS_res / SS_tot of the pair scaled by ``2**-_unit_exponent(actual)``.
+def _r2(actual: np.ndarray, predicted: np.ndarray, exponent: int) -> float:
+    """1 - SS_res / SS_tot of the pair scaled by ``2**-exponent``, with ``exponent`` the unit exponent of ``actual``.
 
     The ratio is unchanged, and SS_tot can then neither overflow nor underflow
     to 0; only SS_res can overflow, for a fit about 1e308 times worse.
@@ -90,8 +88,7 @@ def _r2(actual: np.ndarray, predicted: np.ndarray) -> float:
         raise ValueError("r2 requires at least 2 points")
     if (actual == actual[0]).all():
         raise ValueError("r2 undefined for constant actual values (zero variance)")
-    exponent = -_unit_exponent(actual)
-    actual, predicted = np.ldexp(actual, exponent), np.ldexp(predicted, exponent)
+    actual, predicted = np.ldexp(actual, -exponent), np.ldexp(predicted, -exponent)
     ss_tot = float(((actual - actual.mean()) ** 2).sum())
     ss_res = float(((actual - predicted) ** 2).sum())
     return _overflow_check(1.0 - ss_res / ss_tot, "r2")
@@ -106,7 +103,7 @@ def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
     number > 0.
     """
     _check_epsilon(epsilon)
-    actual, predicted = _as_pair(actual, predicted)
+    actual, predicted, _, _ = _as_pair(actual, predicted)
     abs_actual = np.abs(actual)
     mask = abs_actual >= epsilon
     if not mask.any():
@@ -119,9 +116,9 @@ def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
 def mape_excluded_count(actual, epsilon: float = DEFAULT_MAPE_EPSILON) -> int:
     """Number of points the MAPE near-zero guard would drop; raises ValueError if a value is not finite."""
     _check_epsilon(epsilon)
-    actual = np.asarray(actual, dtype=float)
-    _check_finite(actual, "actual values")
-    return int((np.abs(actual) < epsilon).sum())
+    magnitudes = np.abs(np.asarray(actual, dtype=float))
+    _unit_exponent(magnitudes, "actual values")
+    return int((magnitudes < epsilon).sum())
 
 
 def rmse(actual, predicted) -> float:
@@ -131,9 +128,9 @@ def rmse(actual, predicted) -> float:
     magnitude in [0.5, 1), as in :func:`r2`, so every finite input whose RMSE
     float64 holds gets its true value.
     """
-    actual, predicted = _as_pair(actual, predicted)
+    actual, predicted, *exponents = _as_pair(actual, predicted)
     with np.errstate(over="ignore"):
-        return _rmse(actual, predicted)
+        return _rmse(actual, predicted, max(exponents))
 
 
 def r2(actual, predicted) -> float:
@@ -142,9 +139,9 @@ def r2(actual, predicted) -> float:
     Both inputs are scaled by the power of two that puts max |actual| in
     [0.5, 1), as in :func:`pearson`, so every finite input gets its true value.
     """
-    actual, predicted = _as_pair(actual, predicted)
+    actual, predicted, exponent, _ = _as_pair(actual, predicted)
     with np.errstate(over="ignore"):
-        return _r2(actual, predicted)
+        return _r2(actual, predicted, exponent)
 
 
 def pearson(xs, ys) -> float:
@@ -155,12 +152,12 @@ def pearson(xs, ys) -> float:
     no sum can overflow and no standard deviation underflow, so no finite
     input loses its value to the range of float64.
     """
-    xs, ys = _as_pair(xs, ys)
+    xs, ys, x_exponent, y_exponent = _as_pair(xs, ys)
     if xs.size < 2:
         raise ValueError("pearson requires at least 2 points")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise ValueError("pearson undefined when either input has zero variance")
-    xs, ys = np.ldexp(xs, -_unit_exponent(xs)), np.ldexp(ys, -_unit_exponent(ys))
+    xs, ys = np.ldexp(xs, -x_exponent), np.ldexp(ys, -y_exponent)
     dx = xs - np.mean(xs)
     dy = ys - np.mean(ys)
     sx = float(np.sqrt(np.sum(dx * dx)))
@@ -173,18 +170,20 @@ def summarize(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> Metri
 
     Raises ValueError if an actual value or a prediction is not finite, and
     if a metric overflows float64, so no metric reads NaN or infinity.
-    :func:`mape` checks the epsilon and the pair, once; the kernels of
-    :func:`rmse` and :func:`r2` then only compute. Each value is bitwise the
-    public function's, and each bad input raises what those functions
-    raise, in the same order.
+    :func:`mape` checks the epsilon and the pair, once; one magnitude pass per
+    input then gives the excluded count and the exponents that the kernels of
+    :func:`rmse` and :func:`r2` scale by. Each value is bitwise the public
+    function's, and each bad input raises what they raise, in the same order.
     """
     mape_value = mape(actual, predicted, epsilon)
     actual, predicted = np.asarray(actual, dtype=float), np.asarray(predicted, dtype=float)
+    abs_actual = np.abs(actual)
+    exponents = _unit_exponent(abs_actual, "actual values"), _unit_exponent(np.abs(predicted), "predictions")
     with np.errstate(over="ignore"):
         return MetricSummary(
             mape=mape_value,
-            rmse=_rmse(actual, predicted),
-            r2=_r2(actual, predicted),
+            rmse=_rmse(actual, predicted, max(exponents)),
+            r2=_r2(actual, predicted, exponents[0]),
             n_points=int(actual.size),
-            n_excluded=int((np.abs(actual) < epsilon).sum()),
+            n_excluded=int((abs_actual < epsilon).sum()),
         )

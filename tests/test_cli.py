@@ -264,11 +264,12 @@ class TestStagedChainReproducesPipeline:
 
     ``tl_all`` pre-trains on every source, ``dtw_tl`` on the source ``rank``
     selects; both commands build the pool by the one rule of
-    ``transfer._pretrain_pool``.
+    ``transfer._pretrain_pool``. ``vanilla`` skips ``pretrain``: ``finetune``
+    with no ``--checkpoint`` starts from fresh seeded weights.
     """
 
     @pytest.mark.parametrize("suite_seed", [0, 3])
-    @pytest.mark.parametrize("variant", ["tl_all", "dtw_tl"])
+    @pytest.mark.parametrize("variant", ["vanilla", "tl_all", "dtw_tl"])
     def test_per_sample_and_aggregate_metrics_equal(self, variant, suite_seed, tmp_path):
         suite = tmp_path / "suite"
         assert main(["synth", "--seed", str(suite_seed), "--out", str(suite)]) == 0
@@ -285,8 +286,11 @@ class TestStagedChainReproducesPipeline:
             assert selected == report["selected_source"]
             pool = ["--sources", manifest_of(suite, selected)]
         pre, fine, out = tmp_path / "pre.json", tmp_path / "fine.json", tmp_path / "eval.json"
-        assert main(["pretrain", *pool, *seed, "--epochs", "1", "--out", str(pre)]) == 0
-        assert main(["finetune", "--checkpoint", str(pre), *target, *seed, "--epochs", "2", "--out", str(fine)]) == 0
+        start = []
+        if variant != "vanilla":
+            assert main(["pretrain", *pool, *seed, "--epochs", "1", "--out", str(pre)]) == 0
+            start = ["--checkpoint", str(pre)]
+        assert main(["finetune", *start, *target, *seed, "--epochs", "2", "--out", str(fine)]) == 0
         assert main(["evaluate", "--checkpoint", str(fine), *target,
                      "--test-ids", ",".join(report["plan"]["test_ids"]), "--out", str(out)]) == 0
 

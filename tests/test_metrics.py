@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvetransfer import metrics
 from curvetransfer.metrics import mape, mape_excluded_count, pearson, r2, rmse, summarize
@@ -258,6 +258,54 @@ def reference_summary(actual, predicted, epsilon):
     return np.array([mape_value, rmse_value, r2_value]).tobytes(), actual.size, excluded
 
 
+def reference_pearson(xs, ys):
+    """``pearson``'s checks and formula written out in full; raises what ``pearson`` must raise, in its order."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape:
+        raise ValueError(f"length mismatch: {xs.shape} vs {ys.shape}")
+    if xs.size == 0:
+        raise ValueError("empty input")
+    for values, what in ((xs, "actual values"), (ys, "predictions")):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{int(np.sum(~np.isfinite(values)))} of {values.size} {what} are not finite")
+    if xs.size < 2:
+        raise ValueError("pearson requires at least 2 points")
+    if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+        raise ValueError("pearson undefined when either input has zero variance")
+    # Each input scaled by 2**-e, which puts its largest magnitude in [0.5, 1).
+    dx, dy = (np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (xs, ys))
+    dx, dy = dx - np.mean(dx), dy - np.mean(dy)
+    return float(np.sum(dx * dy) / (float(np.sqrt(np.sum(dx * dx))) * float(np.sqrt(np.sum(dy * dy)))))
+
+
+def assert_summary_equals_reference(actual, predicted, epsilon):
+    """``summarize`` and the public metrics give ``reference_summary``'s values bitwise, or raise its message."""
+    try:
+        expected = reference_summary(actual, predicted, epsilon)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as raised:
+            summarize(actual, predicted, epsilon)
+        assert str(raised.value) == str(exc)
+        return
+    s = summarize(actual, predicted, epsilon)
+    assert (np.array([s.mape, s.rmse, s.r2]).tobytes(), s.n_points, s.n_excluded) == expected
+    assert type(s.n_points) is int and type(s.n_excluded) is int
+    public = [mape(actual, predicted, epsilon), rmse(actual, predicted), r2(actual, predicted)]
+    assert np.array(public).tobytes() == expected[0]
+    assert mape_excluded_count(actual, epsilon) == expected[2]
+
+
+def assert_pearson_equals_reference(xs, ys):
+    try:
+        expected = reference_pearson(xs, ys)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            pearson(xs, ys)
+        assert str(raised.value) == str(exc)
+        return
+    assert np.float64(pearson(xs, ys)).tobytes() == np.float64(expected).tobytes()
+
+
 # Few distinct values, zeros and near-zeros among them, so ties, constant
 # inputs and all-excluded inputs come up often.
 metric_values = st.sampled_from([0.0, -0.0, 1e-9, -1e-7, 0.5, 3.0, -250.0]) | st.floats(-1e6, 1e6)
@@ -281,20 +329,7 @@ class TestSummarizeOnePass:
     @settings(max_examples=400, deadline=None)
     @given(metric_inputs())
     def test_equals_reference_and_public_functions_bitwise(self, case):
-        actual, predicted, epsilon = case
-        try:
-            expected = reference_summary(actual, predicted, epsilon)
-        except ValueError as exc:
-            with pytest.raises(type(exc)) as raised:
-                summarize(actual, predicted, epsilon)
-            assert str(raised.value) == str(exc)
-            return
-        s = summarize(actual, predicted, epsilon)
-        assert (np.array([s.mape, s.rmse, s.r2]).tobytes(), s.n_points, s.n_excluded) == expected
-        assert type(s.n_points) is int and type(s.n_excluded) is int
-        public = [mape(actual, predicted, epsilon), rmse(actual, predicted), r2(actual, predicted)]
-        assert np.array(public).tobytes() == expected[0]
-        assert mape_excluded_count(actual, epsilon) == expected[2]
+        assert_summary_equals_reference(*case)
 
     @pytest.mark.parametrize("actual, predicted, message", [
         ([1.0, 2.0], [1.0], "length mismatch"),
@@ -343,3 +378,63 @@ class TestPublicMetricsRejectNonFiniteInput:
     def test_non_finite_value_raises(self, metric, actual, predicted, message):
         with pytest.raises(ValueError, match=message):
             metric(actual, predicted)
+
+
+PUBLIC_METRICS = {
+    "mape": mape,
+    "mape_excluded_count": lambda actual, predicted: mape_excluded_count(actual),
+    "rmse": rmse,
+    "r2": r2,
+    "pearson": pearson,
+    "summarize": summarize,
+}
+
+
+@st.composite
+def pairs_with_non_finite_values(draw):
+    """A finite pair of one size, then NaN or +-inf at random positions of either input, at least one in all."""
+    size = draw(st.integers(1, 12))
+    pair = [draw(st.lists(metric_values, min_size=size, max_size=size)) for _ in range(2)]
+    bad = []
+    for values in pair:
+        positions = draw(st.sets(st.integers(0, size - 1), max_size=size))
+        for i in positions:
+            values[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        bad.append(len(positions))
+    assume(any(bad))
+    return *pair, bad
+
+
+@st.composite
+def finite_pairs_at_any_scale(draw):
+    """A finite pair from ``metric_inputs``' values, both scaled by one power of two in 2**-1000..2**1000."""
+    size = draw(st.integers(1, 12))
+    exponent = draw(st.integers(-1000, 1000))
+    actual, predicted = (np.ldexp(draw(st.lists(metric_values, min_size=size, max_size=size)), exponent)
+                         for _ in range(2))
+    return actual, predicted, draw(st.sampled_from([1e-6, 5e-324, 1.0]))
+
+
+class TestPublicMetricsProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs_with_non_finite_values(), st.sampled_from(sorted(PUBLIC_METRICS)))
+    def test_non_finite_values_counted_actual_first(self, case, metric):
+        actual, predicted, (bad_actual, bad_predicted) = case
+        if not bad_actual and metric == "mape_excluded_count":  # it never reads the predictions
+            assert mape_excluded_count(actual) == int(np.sum(np.abs(actual) < 1e-6))
+            return
+        expected = (f"{bad_actual} of {len(actual)} actual values are not finite" if bad_actual
+                    else f"{bad_predicted} of {len(predicted)} predictions are not finite")
+        with pytest.raises(ValueError) as raised:
+            PUBLIC_METRICS[metric](actual, predicted)
+        assert str(raised.value) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_pairs_at_any_scale())
+    def test_equal_references_bitwise_at_any_scale(self, case):
+        actual, predicted, epsilon = case
+        assert_summary_equals_reference(actual, predicted, epsilon)
+        assert_pearson_equals_reference(actual, predicted)
+
+    def test_excluded_count_of_empty_input_is_zero(self):
+        assert mape_excluded_count([]) == 0
