@@ -37,15 +37,19 @@ def _unit_exponent(magnitudes: np.ndarray, what: str) -> int:
     return math.frexp(largest)[1]
 
 
-def _as_pair(actual, predicted) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Both as float arrays, then their unit exponents; ValueError unless they share a non-empty shape and are finite."""
+def _as_pair(actual, predicted) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Both as float arrays, ``|actual|``, then their unit exponents.
+
+    ValueError unless they share a non-empty shape and are finite.
+    """
     actual, predicted = np.asarray(actual, dtype=float), np.asarray(predicted, dtype=float)
     if actual.shape != predicted.shape:
         raise ValueError(f"length mismatch: {actual.shape} vs {predicted.shape}")
     if actual.size == 0:
         raise ValueError("empty input")
-    actual_exponent = _unit_exponent(np.abs(actual), "actual values")
-    return actual, predicted, actual_exponent, _unit_exponent(np.abs(predicted), "predictions")
+    abs_actual = np.abs(actual)
+    actual_exponent = _unit_exponent(abs_actual, "actual values")
+    return actual, predicted, abs_actual, actual_exponent, _unit_exponent(np.abs(predicted), "predictions")
 
 
 def _check_epsilon(epsilon) -> None:
@@ -103,8 +107,7 @@ def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
     number > 0.
     """
     _check_epsilon(epsilon)
-    actual, predicted, _, _ = _as_pair(actual, predicted)
-    abs_actual = np.abs(actual)
+    actual, predicted, abs_actual, _, _ = _as_pair(actual, predicted)
     mask = abs_actual >= epsilon
     if not mask.any():
         raise ValueError(f"all {actual.size} points below epsilon={epsilon}, MAPE undefined")
@@ -128,7 +131,7 @@ def rmse(actual, predicted) -> float:
     magnitude in [0.5, 1), as in :func:`r2`, so every finite input whose RMSE
     float64 holds gets its true value.
     """
-    actual, predicted, *exponents = _as_pair(actual, predicted)
+    actual, predicted, _, *exponents = _as_pair(actual, predicted)
     with np.errstate(over="ignore"):
         return _rmse(actual, predicted, max(exponents))
 
@@ -139,7 +142,7 @@ def r2(actual, predicted) -> float:
     Both inputs are scaled by the power of two that puts max |actual| in
     [0.5, 1), as in :func:`pearson`, so every finite input gets its true value.
     """
-    actual, predicted, exponent, _ = _as_pair(actual, predicted)
+    actual, predicted, _, exponent, _ = _as_pair(actual, predicted)
     with np.errstate(over="ignore"):
         return _r2(actual, predicted, exponent)
 
@@ -152,7 +155,7 @@ def pearson(xs, ys) -> float:
     no sum can overflow and no standard deviation underflow, so no finite
     input loses its value to the range of float64.
     """
-    xs, ys, x_exponent, y_exponent = _as_pair(xs, ys)
+    xs, ys, _, x_exponent, y_exponent = _as_pair(xs, ys)
     if xs.size < 2:
         raise ValueError("pearson requires at least 2 points")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):

@@ -109,7 +109,8 @@ def generate_dataset(
     Each DOE point's scaled parameter positions combine with
     ``param_sensitivity`` into a modifier that scales the stress magnitude
     (1 + m), the failure strain (1 + m/2), and the yield strain (1 + m/4).
-    Per-curve noise streams derive from (seed, curve index), so generation is
+    All curves are computed as one (curves, points) block; each curve's
+    noise stream derives from (seed, curve index) alone, so generation is
     order-independent.
     """
     if not doe or any(len(levels) == 0 for levels in doe.values()):
@@ -120,34 +121,41 @@ def generate_dataset(
         pname: (min(levels), max(levels) - min(levels) if max(levels) > min(levels) else 1.0)
         for pname, levels in doe.items()
     }
-    curves = []
-    for idx, params in enumerate(_doe_points(doe)):
+    points = _doe_points(doe)
+    modifiers = []
+    for params in points:
         m = 0.0
         for pname, value in params.items():
             lo, span = spans[pname]
             scaled = (value - lo) / span
             m += spec.param_sensitivity.get(pname, 0.0) * (scaled - 0.5)
-        m = float(np.clip(m, -_MODIFIER_LIMIT, _MODIFIER_LIMIT))
-
-        yield_strain = spec.yield_strain * (1.0 + 0.25 * m)
-        failure_strain = spec.failure_strain * (1.0 + 0.5 * m)
-        yield_stress = spec.base_modulus * yield_strain
-        strain = np.linspace(0.0, failure_strain, spec.points_per_curve)
-        stress = np.where(
-            strain <= yield_strain,
-            spec.base_modulus * strain,
-            _post_yield_stress(
-                spec,
-                np.clip((strain - yield_strain) / (failure_strain - yield_strain), 0.0, 1.0),
-                yield_stress,
-            ),
-        )
-        stress = stress * (1.0 + m)
-        if spec.noise_sd > 0:
-            rng = np.random.default_rng([seed, idx])
-            stress = stress + rng.normal(0.0, spec.noise_sd * (1.0 + m), size=stress.shape)
-        stress = np.maximum(stress, 0.0)
-        curves.append(RawCurve(str(idx + 1), strain, stress, params))
+        modifiers.append(m)
+    # One (C, 1) column per curve quantity; each curve is a row of the (C, P) blocks below.
+    m = np.clip(np.array(modifiers), -_MODIFIER_LIMIT, _MODIFIER_LIMIT)[:, None]
+    yield_strain = spec.yield_strain * (1.0 + 0.25 * m)
+    failure_strain = spec.failure_strain * (1.0 + 0.5 * m)
+    # linspace over the (C,) stops puts the curve axis first; the rows are copied contiguous.
+    strain = np.ascontiguousarray(np.linspace(0.0, failure_strain[:, 0], spec.points_per_curve, axis=1))
+    stress = np.where(
+        strain <= yield_strain,
+        spec.base_modulus * strain,
+        _post_yield_stress(
+            spec,
+            np.clip((strain - yield_strain) / (failure_strain - yield_strain), 0.0, 1.0),
+            spec.base_modulus * yield_strain,
+        ),
+    )
+    scale = 1.0 + m
+    stress *= scale
+    if spec.noise_sd > 0:
+        for idx, row in enumerate(stress):
+            row += np.random.default_rng([seed, idx]).normal(
+                0.0, spec.noise_sd * scale[idx, 0], size=spec.points_per_curve
+            )
+    np.maximum(stress, 0.0, out=stress)
+    curves = [
+        RawCurve(str(idx + 1), strain[idx], stress[idx], params) for idx, params in enumerate(points)
+    ]
     return Dataset(name=name, role=role, param_schema=schema, curves=curves)
 
 

@@ -344,18 +344,16 @@ def _dataset_map(datasets: list[Dataset]) -> dict[str, Dataset]:
 
 
 def _split_target(plan: ExperimentPlan, target: Dataset) -> tuple[list[RawCurve], list[RawCurve]]:
+    # curve_by_id raises for an unknown id, train ids first, so every id is known below.
+    train_curves = [target.curve_by_id(sid) for sid in plan.target_train_ids]
+    test_curves = [target.curve_by_id(sid) for sid in plan.target_test_ids]
     known = set(target.sample_ids())
-    for sid in list(plan.target_train_ids) + list(plan.target_test_ids):
-        if sid not in known:
-            raise DataValidationError(f"dataset {target.name!r} has no sample {sid!r}")
     covered = set(plan.target_train_ids) | set(plan.target_test_ids)
     if covered != known:
         raise DataValidationError(
             f"train/test ids must cover dataset {target.name!r} exactly; "
             f"missing {sorted(known - covered)}"
         )
-    train_curves = [target.curve_by_id(sid) for sid in plan.target_train_ids]
-    test_curves = [target.curve_by_id(sid) for sid in plan.target_test_ids]
     return train_curves, test_curves
 
 

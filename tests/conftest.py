@@ -184,6 +184,57 @@ def list_dp_cumulative_cost(local) -> np.ndarray:
     return np.array(rows)
 
 
+def reference_generate_dataset(spec, doe, seed, name="synthetic", role="source", units=None):
+    """One curve per full-factorial DOE point, each computed on its own.
+
+    Test oracle for :func:`curvetransfer.synthgen.generate_dataset`, which
+    computes every curve of a dataset in one array block: per DOE point its
+    modifier, strains, ``linspace``, clipped post-yield position, stress and
+    noise from ``default_rng([seed, idx])``, one curve at a time.
+    """
+    from curvetransfer.curves import Dataset, ParamField, RawCurve
+    from curvetransfer.errors import DataValidationError
+    from curvetransfer.synthgen import _MODIFIER_LIMIT, _doe_points, _post_yield_stress
+
+    if not doe or any(len(levels) == 0 for levels in doe.values()):
+        raise DataValidationError("DOE must declare at least one level per parameter")
+    units = units or {}
+    schema = [ParamField(pname, units.get(pname, "-")) for pname in doe]
+    spans = {
+        pname: (min(levels), max(levels) - min(levels) if max(levels) > min(levels) else 1.0)
+        for pname, levels in doe.items()
+    }
+    curves = []
+    for idx, params in enumerate(_doe_points(doe)):
+        m = 0.0
+        for pname, value in params.items():
+            lo, span = spans[pname]
+            scaled = (value - lo) / span
+            m += spec.param_sensitivity.get(pname, 0.0) * (scaled - 0.5)
+        m = float(np.clip(m, -_MODIFIER_LIMIT, _MODIFIER_LIMIT))
+
+        yield_strain = spec.yield_strain * (1.0 + 0.25 * m)
+        failure_strain = spec.failure_strain * (1.0 + 0.5 * m)
+        yield_stress = spec.base_modulus * yield_strain
+        strain = np.linspace(0.0, failure_strain, spec.points_per_curve)
+        stress = np.where(
+            strain <= yield_strain,
+            spec.base_modulus * strain,
+            _post_yield_stress(
+                spec,
+                np.clip((strain - yield_strain) / (failure_strain - yield_strain), 0.0, 1.0),
+                yield_stress,
+            ),
+        )
+        stress = stress * (1.0 + m)
+        if spec.noise_sd > 0:
+            rng = np.random.default_rng([seed, idx])
+            stress = stress + rng.normal(0.0, spec.noise_sd * (1.0 + m), size=stress.shape)
+        stress = np.maximum(stress, 0.0)
+        curves.append(RawCurve(str(idx + 1), strain, stress, params))
+    return Dataset(name=name, role=role, param_schema=schema, curves=curves)
+
+
 def loss_mse(predictions, targets) -> float:
     """Mean squared error."""
     predictions = np.asarray(predictions, dtype=float)

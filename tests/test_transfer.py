@@ -615,6 +615,22 @@ class TestRunVariant:
         with pytest.raises(DataValidationError, match="cover"):
             run_variant(plan, sources + [target])
 
+    @pytest.mark.parametrize(
+        "train_ids, test_ids, unknown",
+        [(["1", "98"], ["2"], "98"), (["98"], ["99"], "98"), (["1"], ["2", "99"], "99")],
+    )
+    def test_unknown_sample_named_before_coverage_train_first(self, suite, train_ids, test_ids, unknown):
+        sources, targets, _ = suite
+        target = targets[0]
+        plan = ExperimentPlan(
+            variant="vanilla", source_datasets=[], target_dataset=target.name,
+            target_train_ids=train_ids, target_test_ids=test_ids,
+            config=small_config(),
+        )
+        with pytest.raises(DataValidationError) as excinfo:
+            run_variant(plan, sources + [target])
+        assert str(excinfo.value) == f"dataset {target.name!r} has no sample {unknown!r}"
+
     def test_no_test_leakage_into_training_windows(self, suite):
         sources, targets, _ = suite
         target = targets[0]
