@@ -56,6 +56,26 @@ def _sigmoid(
     return np.divide(out, den, out)
 
 
+def _cell_step(z_sig, z_g, sig, den, g, f, i, o, c_prev, c, tmp, h) -> None:
+    """One LSTM cell step into the given buffers; both forward loops run it.
+
+    Writes the gates ``sig`` (``f``, ``i``, ``o`` are its views) and ``g`` from
+    the pre-activations ``z_sig`` and ``z_g``, then c = f * c_prev + i * g and
+    h = o * tanh(c); ``den`` and ``tmp`` are scratch, ``c_prev`` may be ``c``.
+    A numpy call on 32-128 elements costs mostly its dispatch, so every ufunc
+    is bound once and takes its output by position (augmented assignment or
+    a keyword ``out=`` costs about 0.1-0.5 us more).
+    """
+    add, multiply, tanh = np.add, np.multiply, np.tanh
+    _sigmoid(z_sig, sig, den)
+    tanh(z_g, g)
+    multiply(f, c_prev, c)
+    multiply(i, g, tmp)
+    add(c, tmp, c)
+    tanh(c, tmp)
+    multiply(o, tmp, h)
+
+
 class ModelParams:
     """All learnable parameters of the LSTM regressor, held in one float64 vector.
 
@@ -146,13 +166,13 @@ class _StepWorkspace:
 
     Owns the activations ``(gates, cs, hs)``, the scratch of the forward and
     the backward pass (one ``tmp`` serves both), the gradient ``grads``, and
-    each time step's views: ``forward_steps`` in the order t = 0..n-1 and
-    ``backward_steps`` in the order t = n-1..0. The parameter block views
-    are bound to ``params.flat``, which the optimizer updates in place. So
-    neither :func:`_forward_into` nor :func:`_backward_into` slices or
-    allocates. Each call of :func:`train`, :func:`forward_sequence` and
-    :func:`backward` builds its own; none is shared between calls, and none
-    binds arrays it does not own.
+    each time step's views: ``forward_steps`` (t = 0..n-1; the input column,
+    then :func:`_cell_step`'s views) and ``backward_steps`` (t = n-1..0).
+    The parameter block views are bound to ``params.flat``, which the
+    optimizer updates in place. So neither :func:`_forward_into` nor
+    :func:`_backward_into` slices or allocates. Each call of :func:`train`,
+    :func:`forward_sequence` and :func:`backward` builds its own; none is
+    shared between calls, and none binds arrays it does not own.
     """
 
     def __init__(self, params: ModelParams, n: int):
@@ -202,15 +222,13 @@ def _forward_into(ws: _StepWorkspace, window: np.ndarray) -> float:
     (n + 1, h) cell and hidden states, whose row 0 holds the zero initial
     state. Returns the prediction. The per-step loop only unpacks
     ``ws.forward_steps`` and writes into bound buffers: it allocates nothing
-    and slices nothing. On arrays of 32-128 elements a numpy call costs
-    mostly its dispatch, so every ufunc is a local bound once per call and
-    takes its output by position (augmented assignment and a keyword
-    ``out=`` each cost about 0.1-0.5 us more), and every BLAS product is an
-    ``np.dot``, which dispatches faster than ``np.matmul`` and gives its
-    bytes. This is the only copy of the batch-1 forward arithmetic:
-    :func:`forward_sequence` and :func:`train` both run it.
+    and slices nothing. Ufuncs are called as in :func:`_cell_step`, and every
+    BLAS product is an ``np.dot``, which dispatches faster than ``np.matmul``
+    and gives its bytes. :func:`forward_sequence` and :func:`train` run it;
+    it shares the cell step with :func:`predict_series` and the output layer
+    with :func:`backward`, and only the projections and buffers differ.
     """
-    add, multiply, tanh, dot = np.add, np.multiply, np.tanh, np.dot
+    add, dot = np.add, np.dot
     xz = ws.xz
     dot(ws.W_x, window.T, xz)  # input contributions for every step at once
     add(xz, ws.b_col, xz)
@@ -218,16 +236,13 @@ def _forward_into(ws: _StepWorkspace, window: np.ndarray) -> float:
     for xz_t, sig, f, i, o, g, c_prev, c, h_prev, h in ws.forward_steps:
         dot(W_h, h_prev, z)
         add(z, xz_t, z)
-        _sigmoid(z_sig, sig, den)
-        tanh(z_g, g)
-        # c = f * c_prev + i * g
-        multiply(f, c_prev, c)
-        multiply(i, g, tmp)
-        add(c, tmp, c)
-        # h = o * tanh(c)
-        tanh(c, tmp)
-        multiply(o, tmp, h)
-    return float(dot(ws.w_out, ws.h_n) + ws.b_out[0])
+        _cell_step(z_sig, z_g, sig, den, g, f, i, o, c_prev, c, tmp, h)
+    return _output_layer(ws)
+
+
+def _output_layer(ws: _StepWorkspace) -> float:
+    """The prediction W_out . h_n + b_out from the last hidden state in ``ws``."""
+    return float(np.dot(ws.w_out, ws.h_n) + ws.b_out[0])
 
 
 def forward_sequence(
@@ -259,22 +274,16 @@ def predict_series(params: ModelParams, rows: np.ndarray, n: int) -> np.ndarray:
 
     Window j is rows j..j+n-1. Returns the (R - n + 1,) predictions, bitwise
     equal to ``[forward_sequence(params, rows[j : j + n])[0] for j in
-    range(R - n + 1)]``. Overlapping windows share rows, so each row is
-    projected once: one ``rows @ W_x.T`` GEMM and one bias add for the whole
-    series (a stacked GEMV per row when n == 1, as :func:`forward_sequence`
-    makes then), and step t of all B = R - n + 1 windows reads the contiguous
-    block of projected rows t..t+B-1. Each step keeps
-    :func:`forward_sequence`'s hidden projection, one GEMV per window (a
-    stacked matmul), not a ``(B, h) @ W_h.T`` GEMM, and the output is a dot
-    per window; a GEMM sums in another order, so it would move predictions
-    in the last bit. Every buffer is allocated once per call and every ufunc
-    writes into one, in :func:`_forward_into`'s call form. Step 0 starts
-    from the zero state, so it skips ``W_h @ 0`` and its add and reads the
-    input projection as the pre-activation: for finite parameters that
-    changes at most the sign of a zero in ``z``, which never reaches the cell
-    or hidden state. With a non-finite ``W_h`` it would not be exact
-    (``inf * 0`` is NaN), so parameters holding a non-finite value raise
-    ValueError.
+    range(R - n + 1)]``. Each row is projected once, in the product
+    :func:`forward_sequence` makes (a GEMM over rows, a stacked GEMV per row
+    when n == 1), and step t of all B = R - n + 1 windows reads projected rows
+    t..t+B-1. The hidden projection is one GEMV per window (a stacked matmul)
+    and the output one dot per window: a GEMM sums in another order and would
+    move predictions in the last bit. The cell update is :func:`_cell_step`
+    on (B, .) blocks allocated once per call, with c updated in place. Step 0
+    skips ``W_h @ 0`` and its add, which for finite parameters changes at most
+    the sign of a zero in the pre-activation, never the cell or hidden state;
+    parameters holding a non-finite value (``inf * 0`` is NaN) raise ValueError.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"window length n must be an int >= 1, got {n!r}")
@@ -289,12 +298,9 @@ def predict_series(params: ModelParams, rows: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("parameters hold a non-finite value")
     R, hd = len(rows), params.hidden_dim
     B, h3 = R - n + 1, 3 * hd
-    add, multiply, tanh, matmul = np.add, np.multiply, np.tanh, np.matmul
+    add, matmul = np.add, np.matmul
     W_h, W_x = params.W_h, params.W_x
-    # Every row's input contribution, once; forward_sequence makes the same
-    # call per window: a GEMM over its n rows, or a GEMV when n == 1. The
-    # transposed product W_x @ rows.T is not bitwise equal to it from about
-    # R = 200 rows on.
+    # The transposed product W_x @ rows.T is not bitwise equal to this from about R = 200 rows on.
     xz = np.empty((R, 4 * hd))
     if n == 1:
         matmul(W_x, rows[:, :, None], xz[:, :, None])
@@ -316,15 +322,8 @@ def predict_series(params: ModelParams, rows: np.ndarray, n: int) -> np.ndarray:
             matmul(W_h, h_col, z_col)
             add(z, xz_t, z)
             z_t = z
-        _sigmoid(z_t[:, :h3], sig, den)
-        tanh(z_t[:, h3:], g)
-        # c = f * c + i * g
-        multiply(f, c, c)
-        multiply(i, g, tmp)
-        add(c, tmp, c)
-        # h = o * tanh(c)
-        tanh(c, tmp)
-        multiply(o, tmp, h)
+        # c is updated in place: it is both c_prev and c.
+        _cell_step(z_t[:, :h3], z_t[:, h3:], sig, den, g, f, i, o, c, c, tmp, h)
     return np.vecdot(h, params.W_out[0]) + params.b_out[0]
 
 
@@ -389,9 +388,9 @@ def backward(
 
     ``activations`` is the ``(gates, cs, hs)`` triple :func:`forward_sequence`
     returned for this window; it is copied into a fresh workspace, so it is
-    never written and writing it later leaves the gradient alone.
-    Backpropagates through the output layer and all time steps; the gradient
-    has the layout of ``params``.
+    never written and writing it later leaves the gradient alone. Backpropagates
+    through :func:`_output_layer` and all time steps; the gradient has the
+    layout of ``params``.
     """
     window = np.asarray(window, dtype=float)
     n = window.shape[0]
@@ -403,8 +402,7 @@ def backward(
                 f"expected {own.shape} for {n} rows"
             )
         own[...] = given
-    prediction = float(params.W_out[0] @ ws.h_n + params.b_out[0])
-    _backward_into(ws, window, 2.0 * (prediction - target))
+    _backward_into(ws, window, 2.0 * (_output_layer(ws) - target))
     return ws.grads
 
 
@@ -495,7 +493,7 @@ def train(
     One workspace per call (see ``_StepWorkspace``) owns every buffer the
     step writes and binds every view it reads, so the per-window loop
     allocates nothing and slices nothing beyond taking the window itself;
-    each ufunc of the step takes its output by position (see :func:`_forward_into`).
+    each ufunc of the step takes its output by position (see :func:`_cell_step`).
     """
     windows = np.asarray(windows, dtype=float)
     targets = np.asarray(targets, dtype=float)

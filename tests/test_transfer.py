@@ -807,6 +807,14 @@ def test_every_training_stage_runs_one_body():
     ]
 
 
+def test_both_forward_loops_share_one_cell_step_and_output_layer():
+    # train's per-window forward and predict_series' batched one run one cell
+    # update; the batch-1 forward and backward read one output expression.
+    assert source_calls("_sigmoid") == ["seqnet._cell_step"]
+    assert source_calls("_cell_step") == ["seqnet._forward_into", "seqnet.predict_series"]
+    assert source_calls("_output_layer") == ["seqnet._forward_into", "seqnet.backward"]
+
+
 def test_sweep_entry_of_selected_source_is_the_dtw_tl_run():
     report = metamorphic_report(0, "dtw_tl")
     sources, targets, _ = standard_suite(0)
