@@ -146,15 +146,10 @@ def _dump_dtw_pair(source: Dataset, target_curve, n: int, out_dir: Path) -> None
     _write_text(out_dir / f"{source.name}_path.csv", _csv_text(["k", "l"], dtw_path(cumulative)))
 
 
-def _load_sources(paths: list[str] | None) -> list[Dataset]:
-    """The datasets of the repeatable ``--sources`` flag; a dataset name given twice is a data error."""
-    return list(_dataset_map([load_dataset(path) for path in paths or []]).values())
-
-
 def cmd_rank(args) -> int:
-    sources = _load_sources(args.sources)
+    sources = [load_dataset(path) for path in args.sources]
     target = load_dataset(args.target)
-    _dataset_map(sources + [target])  # the target may not be one of the sources
+    _dataset_map(sources + [target])  # the one name check: no source twice, the target not among them
     train_ids = _train_ids(args, target)
     train_curves = [target.curve_by_id(sid) for sid in train_ids]
     ranking = rank_sources(sources, train_curves, args.grid_n)
@@ -177,7 +172,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    sources = _load_sources(args.sources)
+    sources = [load_dataset(path) for path in args.sources]
+    _dataset_map(sources)  # a source named twice would be pooled twice
     config = _train_config(args)
     arity = max(len(ds.param_schema) for ds in sources)
     pool, name = _pretrain_pool(sources, args.seed, arity, args.pad_params)
@@ -229,7 +225,7 @@ def _check_can_be_dir(path: Path) -> None:
 
 
 def cmd_pipeline(args) -> int:
-    sources = _load_sources(args.sources)
+    sources = [load_dataset(path) for path in args.sources or []]
     target = load_dataset(args.target)
     train_ids = _train_ids(args, target)
     test_ids = [sid for sid in target.sample_ids() if sid not in set(train_ids)]

@@ -168,16 +168,14 @@ def _curve_features(curve: RawCurve, scalers: CurveScalers) -> np.ndarray:
 
 
 def _curve_windows(curve: RawCurve, scalers: CurveScalers, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The curve's L - n windows as one (L - n, n, d) view, and the scaled stress each predicts.
+    """The curve's L - n windows as one read-only (L - n, n, d) view, and the scaled stress each predicts.
 
     Window t is feature rows t..t+n-1 and predicts the stress at point
-    t + n. Needs L > n.
+    t + n: the length-n windows of the first L - 1 feature rows, the rows
+    ``predict_curve`` hands to ``predict_series``. Needs L > n.
     """
-    features = _curve_features(curve, scalers)
-    s_row, s_col = features.strides
-    windows = np.lib.stride_tricks.as_strided(
-        features, (len(features) - n, n, scalers.input_dim), (s_row, s_row, s_col), writeable=False
-    )
+    rows = _curve_features(curve, scalers)[:-1]
+    windows = np.lib.stride_tricks.sliding_window_view(rows, n, axis=0).swapaxes(1, 2)
     return windows, scalers.stress.scale(curve.stress)[n:]
 
 
@@ -322,11 +320,12 @@ def predict_curve(checkpoint: ModelCheckpoint, curve: RawCurve) -> np.ndarray:
 
     The first n points seed the first window and receive no prediction. The
     curve's L - n windows are the length-n windows of its first L - 1
-    feature rows, the windows training reads (see ``_curve_windows``), and
-    run through the LSTM in one batched pass. Features are scaled with the
-    checkpoint's scalers; values outside the training range simply scale
-    outside [0, 1]. A curve whose parameter count is not the checkpoint's is
-    rejected; ``scaling.padded_curves`` pads a shorter one first.
+    feature rows, the rows ``_curve_windows`` slides training's windows
+    over, and run through the LSTM in one batched pass. Features are scaled
+    with the checkpoint's scalers; values outside the training range simply
+    scale outside [0, 1]. A curve whose parameter count is not the
+    checkpoint's is rejected; ``scaling.padded_curves`` pads a shorter one
+    first.
     """
     n = checkpoint.sequence_length
     _check_predictable(curve, n)
@@ -409,17 +408,18 @@ def evaluate(
 def _prepare(plan: ExperimentPlan, datasets):
     """Resolve the plan's datasets, split the target, and pad the split to the datasets' one arity.
 
+    The resolved names must be distinct (``_dataset_map``): a repeated source
+    would be pooled twice, and a target among its sources would put its own
+    test curves in the pre-training pool (and dtw_tl would select it).
+
     Returns (sources, train_curves, test_curves).
     """
     name_map = _dataset_map(datasets)
-    if plan.target_dataset not in name_map:
-        raise DataValidationError(f"unknown target dataset {plan.target_dataset!r}")
-    target = name_map[plan.target_dataset]
-    sources = []
-    for name in plan.source_datasets:
+    names = [plan.target_dataset, *plan.source_datasets]
+    for i, name in enumerate(names):
         if name not in name_map:
-            raise DataValidationError(f"unknown source dataset {name!r}")
-        sources.append(name_map[name])
+            raise DataValidationError(f"unknown {'source' if i else 'target'} dataset {name!r}")
+    target, *sources = _dataset_map([name_map[name] for name in names]).values()
     train_curves, test_curves = _split_target(plan, target)
     # predict_curve's length rule and every metric's preconditions (scoring
     # the tail against itself), applied before any training is spent.
@@ -476,8 +476,11 @@ def run_source_sweep(plan: ExperimentPlan, datasets) -> tuple[list[tuple[str, fl
     Returns ([(source, avg_dtw, aggregate_mape)], pearson) over all sources in
     the plan, in plan order; this is the per-target experiment behind the
     distance-vs-error tables. Each source's fit is the one ``run_variant``
-    makes for dtw_tl when that source is selected.
+    makes for dtw_tl when that source is selected. A correlation needs at
+    least two sources; fewer is rejected before anything is trained.
     """
+    if len(plan.source_datasets) < 2:
+        raise DataValidationError(f"run_source_sweep requires at least 2 source datasets, got {len(plan.source_datasets)}")
     sources, train_curves, test_curves = _prepare(plan, datasets)
     avg_dtw = dict(rank_sources(sources, train_curves, plan.grid_n).entries)
     entries = []

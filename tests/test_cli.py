@@ -998,13 +998,19 @@ class TestManifestValidationThroughCli:
         assert capsys.readouterr() == ("", "error: duplicate dataset name 'poly_plateau'\n")
         assert not out.exists()
 
-    def test_rank_target_among_sources_exits_2(self, suite_dir, tmp_path, capsys):
-        # As in pipeline: a target among the sources would be ranked against itself and selected.
+    @pytest.mark.parametrize("command", ["rank", "pipeline"])
+    def test_target_among_sources_exits_2(self, suite_dir, tmp_path, capsys, command):
+        # A target among the sources would be ranked against itself and selected,
+        # and pipeline would pretrain on the target's own test curves.
         target = manifest_of(suite_dir, "metal_plateau")
-        out, dump = tmp_path / "ranking.json", tmp_path / "dump"
+        out, dump = tmp_path / "out", tmp_path / "dump"
+        rest = {
+            "rank": ["--out", str(out), "--dump-dtw", str(dump)],
+            "pipeline": ["--variant", "tl_all", "--out", str(out), *FAST_TRAIN],
+        }[command]
         capsys.readouterr()
-        assert main(["rank", "--sources", target, "--sources", manifest_of(suite_dir, "poly_plateau"),
-                     "--target", target, "--seed", "0", "--out", str(out), "--dump-dtw", str(dump)]) == 2
+        assert main([command, "--sources", target, "--sources", manifest_of(suite_dir, "poly_plateau"),
+                     "--target", target, "--seed", "0", *rest]) == 2
         assert capsys.readouterr() == ("", "error: duplicate dataset name 'metal_plateau'\n")
         assert not out.exists() and not dump.exists()
 

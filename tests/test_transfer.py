@@ -551,11 +551,45 @@ class TestRunVariant:
                 config=small_config(),
             )
 
-    def test_unknown_dataset_rejected(self, suite):
+    @pytest.mark.parametrize("missing", ["target", "source"])
+    def test_unknown_dataset_rejected(self, suite, missing):
         sources, targets, _ = suite
         plan = suite_plan("vanilla", sources, targets[0])
-        with pytest.raises(DataValidationError, match="unknown target"):
-            run_variant(plan, sources)
+        gone = targets[0] if missing == "target" else sources[1]
+        with pytest.raises(DataValidationError) as excinfo:
+            run_variant(plan, [ds for ds in sources + [targets[0]] if ds is not gone])
+        assert str(excinfo.value) == f"unknown {missing} dataset {gone.name!r}"
+
+    @pytest.mark.parametrize("bad", ["target_as_source", "source_twice"])
+    @pytest.mark.parametrize("variant", ["vanilla", "tl_all", "dtw_tl", "sweep"])
+    def test_repeated_dataset_name_rejected_before_training(self, suite, monkeypatch, variant, bad):
+        # A target among its sources would pretrain on its own test curves
+        # (and dtw_tl would select it); a repeated source would be pooled twice.
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(transfer, "train", no_training)
+        sources, targets, _ = suite
+        target = next(t for t in targets if t.name == "metal_plateau")
+        repeated = target if bad == "target_as_source" else sources[0]
+        plan = suite_plan("dtw_tl" if variant == "sweep" else variant, sources, target)
+        plan.source_datasets.insert(1, repeated.name)
+        run = run_source_sweep if variant == "sweep" else run_variant
+        with pytest.raises(DataValidationError) as excinfo:
+            run(plan, sources + [target])
+        assert str(excinfo.value) == f"duplicate dataset name {repeated.name!r}"
+
+    @pytest.mark.parametrize("n_sources", [0, 1])
+    def test_sweep_needs_two_sources_before_training(self, suite, monkeypatch, n_sources):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(transfer, "train", no_training)
+        sources, targets, _ = suite
+        plan = suite_plan("dtw_tl" if n_sources else "vanilla", sources[:n_sources], targets[0])
+        with pytest.raises(DataValidationError) as excinfo:
+            run_source_sweep(plan, sources + [targets[0]])
+        assert str(excinfo.value) == f"run_source_sweep requires at least 2 source datasets, got {n_sources}"
 
     @pytest.mark.parametrize("missing", ["target", "source"])
     def test_sweep_unknown_dataset_rejected(self, suite, missing):
@@ -795,6 +829,14 @@ def test_every_pretraining_pool_is_built_by_one_helper():
     # The CLI pads only the target curves it hands to a checkpoint, never a pool.
     assert [c for c in source_calls("padded_curves") if c.startswith("cli.")] == ["cli.cmd_finetune", "cli.cmd_evaluate"]
     assert list(inspect.signature(transfer._fit).parameters) == ["plan", "sources", "train_curves", "test_curves"]
+
+
+def test_every_run_checks_its_dataset_names_once():
+    # One name check per CLI command; _prepare maps the given datasets, then checks the plan's resolved names.
+    assert source_calls("_dataset_map") == ["cli.cmd_rank", "cli.cmd_pretrain", "transfer._prepare", "transfer._prepare"]
+    assert not any("_load_sources" in path.read_text(encoding="utf-8") for path in Path(transfer.__file__).parent.glob("*.py"))
+    # Training windows and predict_curve's rows are one sliding view, with no hand-computed strides.
+    assert source_calls("as_strided") == []
 
 
 def test_every_training_stage_runs_one_body():
