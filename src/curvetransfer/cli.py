@@ -22,12 +22,14 @@ from .curves import _csv_text, _write_json, _write_text
 from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import DEFAULT_MAPE_EPSILON
 from .scaling import padded_curves
-from .seqnet import TrainConfig
+from .seqnet import OPTIMIZERS, TrainConfig
 from .similarity import cumulative_cost, dtw_path, local_distance_matrix, rank_sources
 from .synthgen import standard_suite
 from .transfer import (
+    VARIANTS,
     Evaluation,
     ExperimentPlan,
+    _check_predictable,
     _dataset_map,
     _pretrain_pool,
     _stage_errors,
@@ -106,10 +108,12 @@ def _positive_float(text: str) -> float:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seq-len", type=_positive_int, default=5, help="window length n (default 5)")
+    parser.add_argument("--seq-len", type=_positive_int, default=TrainConfig.sequence_length,
+                        help="window length n (default %(default)s)")
     parser.add_argument("--epochs", type=_positive_int, default=100, help="training epochs (default 100)")
-    parser.add_argument("--lr", type=_positive_float, default=1e-3, help="learning rate (default 1e-3)")
-    parser.add_argument("--optimizer", choices=["sgd", "adam"], default="adam")
+    parser.add_argument("--lr", type=_positive_float, default=TrainConfig.learning_rate,
+                        help="learning rate (default %(default)g)")
+    parser.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
 
 
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:
@@ -188,6 +192,8 @@ def cmd_finetune(args) -> int:
     target = load_dataset(args.target)
     train_ids = _train_ids(args, target)
     train_curves = [target.curve_by_id(sid) for sid in train_ids]
+    for curve in train_curves:  # refused before training, as pipeline's split is
+        _check_predictable(curve, args.seq_len)
     params0 = None  # no checkpoint: fresh seeded weights on the target's own arity, as pipeline's vanilla
     if source_ckpt is not None:
         with _stage_errors("finetune", target.name):
@@ -326,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="run one experiment variant end to end")
-    p.add_argument("--variant", choices=["vanilla", "tl_all", "dtw_tl"], required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--sources", action="append", help="source manifest (repeatable)")
     p.add_argument("--target", required=True)
     _add_split_flags(p)

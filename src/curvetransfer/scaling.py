@@ -7,6 +7,8 @@ Values outside the training range scale outside [0, 1]; that is permitted.
 Process parameters are matched by POSITION, so curves from datasets with
 different parameter names can share one scaler set as long as the arity
 matches; :func:`padded_curves` pads shorter ones once, where the arity is fixed.
+:class:`FeatureScaler` is the one min-max rule; :func:`fit_scalers`, the DOE corners
+(``transfer.select_extreme_training_samples``) and ``synthgen.generate_dataset`` use it.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import numpy as np
 
 from .curves import Dataset, ParamField, RawCurve
 from .errors import DataValidationError
+from .scaling import FeatureScaler
 
 FAMILIES = ("plateau", "hardening", "yield_drop", "brittle")
 
@@ -106,9 +107,9 @@ def generate_dataset(
 ) -> Dataset:
     """One curve per full-factorial DOE point, deterministic per seed.
 
-    Each DOE point's scaled parameter positions combine with
-    ``param_sensitivity`` into a modifier that scales the stress magnitude
-    (1 + m), the failure strain (1 + m/2), and the yield strain (1 + m/4).
+    A ``scaling.FeatureScaler`` per parameter places each DOE point among its
+    levels; with ``param_sensitivity`` the positions sum into a modifier m: the
+    stress scales by 1 + m, the failure strain by 1 + m/2, the yield strain by 1 + m/4.
     All curves are computed as one (curves, points) block; each curve's
     noise stream derives from (seed, curve index) alone, so generation is
     order-independent.
@@ -117,21 +118,13 @@ def generate_dataset(
         raise DataValidationError("DOE must declare at least one level per parameter")
     units = units or {}
     schema = [ParamField(pname, units.get(pname, "-")) for pname in doe]
-    spans = {
-        pname: (min(levels), max(levels) - min(levels) if max(levels) > min(levels) else 1.0)
-        for pname, levels in doe.items()
-    }
     points = _doe_points(doe)
-    modifiers = []
-    for params in points:
-        m = 0.0
-        for pname, value in params.items():
-            lo, span = spans[pname]
-            scaled = (value - lo) / span
-            m += spec.param_sensitivity.get(pname, 0.0) * (scaled - 0.5)
-        modifiers.append(m)
+    m = np.zeros(len(points))
+    for pname, levels in doe.items():
+        scaled = FeatureScaler(pname, min(levels), max(levels)).scale([p[pname] for p in points])
+        m += spec.param_sensitivity.get(pname, 0.0) * (scaled - 0.5)
     # One (C, 1) column per curve quantity; each curve is a row of the (C, P) blocks below.
-    m = np.clip(np.array(modifiers), -_MODIFIER_LIMIT, _MODIFIER_LIMIT)[:, None]
+    m = np.clip(m, -_MODIFIER_LIMIT, _MODIFIER_LIMIT)[:, None]
     yield_strain = spec.yield_strain * (1.0 + 0.25 * m)
     failure_strain = spec.failure_strain * (1.0 + 0.5 * m)
     # linspace over the (C,) stops puts the curve axis first; the rows are copied contiguous.

@@ -19,7 +19,7 @@ from .checkpoint import ModelCheckpoint
 from .curves import DEFAULT_GRID_N, Dataset, RawCurve
 from .errors import DataValidationError, TrainingDivergenceError
 from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, _check_epsilon, pearson, summarize
-from .scaling import CurveScalers, check_arity, fit_scalers, padded_curves
+from .scaling import CurveScalers, FeatureScaler, check_arity, fit_scalers, padded_curves
 from .seqnet import ModelParams, TrainConfig, init_params, predict_series, train
 from .similarity import SourceRanking, rank_sources
 
@@ -210,26 +210,22 @@ def window_dataset(curves: list[RawCurve], scalers: CurveScalers, n: int) -> tup
 def select_extreme_training_samples(dataset: Dataset) -> tuple[str, str]:
     """The two samples at the parameter-space corners of the DOE.
 
-    Each parameter column is min-max scaled over the dataset; the samples with
-    the smallest and largest scaled-parameter sums are returned (all-minimum
-    and all-maximum corners). Ties break toward the smaller sample_id, and the
-    two returned ids are always distinct.
+    Each parameter column is min-max scaled over the dataset (``scaling.FeatureScaler``);
+    the samples with the smallest and largest scaled-parameter sums are returned
+    (all-minimum and all-maximum corners). Ties break toward the smaller sample_id,
+    and the two returned ids are always distinct.
     """
     if len(dataset.curves) < 2:
         raise DataValidationError(f"dataset {dataset.name!r} needs >= 2 samples, has {len(dataset.curves)}")
     matrix = np.array([c.param_values() for c in dataset.curves], dtype=float)
     if matrix.shape[1] == 0:
         raise DataValidationError(f"dataset {dataset.name!r} has no process parameters")
-    lo = matrix.min(axis=0)
-    hi = matrix.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    scores = ((matrix - lo) / span).sum(axis=1)
+    scaled = [FeatureScaler(name, col.min(), col.max()).scale(col)
+              for name, col in zip(dataset.curves[0].params, matrix.T)]
+    scores = np.stack(scaled, axis=1).sum(axis=1)
     ids = dataset.sample_ids()
-    by_min = sorted(zip(scores, ids), key=lambda e: (e[0], e[1]))
-    low_id = by_min[0][1]
-    by_max = sorted(zip(scores, ids), key=lambda e: (-e[0], e[1]))
-    high_id = next(sid for _, sid in by_max if sid != low_id)
-    return low_id, high_id
+    low_id = min(zip(scores, ids))[1]
+    return low_id, min((-score, sid) for score, sid in zip(scores, ids) if sid != low_id)[1]
 
 
 def concat_shuffle_sources(datasets: list[Dataset], seed: int) -> list[RawCurve]:
@@ -421,12 +417,14 @@ def _prepare(plan: ExperimentPlan, datasets):
             raise DataValidationError(f"unknown {'source' if i else 'target'} dataset {name!r}")
     target, *sources = _dataset_map([name_map[name] for name in names]).values()
     train_curves, test_curves = _split_target(plan, target)
-    # predict_curve's length rule and every metric's preconditions (scoring
-    # the tail against itself), applied before any training is spent.
+    # predict_curve's length rule on the whole split (a short training curve is refused, not
+    # skipped) and every metric's preconditions on the test tails, before any training is spent.
     n = plan.config.sequence_length
     for curve in test_curves:
         _check_predictable(curve, n)
         _summarize_sample(curve, n, curve.stress[n:], plan.mape_epsilon)
+    for curve in train_curves:
+        _check_predictable(curve, n)
     arity = _resolve_arity(plan, target, sources if plan.variant != "vanilla" else [])
     train_curves = padded_curves(train_curves, arity, plan.pad_params)
     test_curves = padded_curves(test_curves, arity, plan.pad_params)
@@ -476,11 +474,11 @@ def run_source_sweep(plan: ExperimentPlan, datasets) -> tuple[list[tuple[str, fl
     Returns ([(source, avg_dtw, aggregate_mape)], pearson) over all sources in
     the plan, in plan order; this is the per-target experiment behind the
     distance-vs-error tables. Each source's fit is the one ``run_variant``
-    makes for dtw_tl when that source is selected. A correlation needs at
-    least two sources; fewer is rejected before anything is trained.
+    makes for dtw_tl when that source is selected. Two points always give
+    +-1, so fewer than three sources are rejected before anything is trained.
     """
-    if len(plan.source_datasets) < 2:
-        raise DataValidationError(f"run_source_sweep requires at least 2 source datasets, got {len(plan.source_datasets)}")
+    if len(plan.source_datasets) < 3:
+        raise DataValidationError(f"run_source_sweep requires at least 3 source datasets, got {len(plan.source_datasets)}")
     sources, train_curves, test_curves = _prepare(plan, datasets)
     avg_dtw = dict(rank_sources(sources, train_curves, plan.grid_n).entries)
     entries = []

@@ -184,6 +184,32 @@ def list_dp_cumulative_cost(local) -> np.ndarray:
     return np.array(rows)
 
 
+def reference_extreme_training_samples(dataset):
+    """The two DOE-corner sample ids: the smallest and the largest sum of min-max scaled parameters.
+
+    Test oracle for :func:`curvetransfer.transfer.select_extreme_training_samples`,
+    with its own span arithmetic (a constant column spans 1.0) and two full
+    sorts: ties break toward the smaller sample_id, and the two ids differ.
+    """
+    from curvetransfer.errors import DataValidationError
+
+    if len(dataset.curves) < 2:
+        raise DataValidationError(f"dataset {dataset.name!r} needs >= 2 samples, has {len(dataset.curves)}")
+    matrix = np.array([c.param_values() for c in dataset.curves], dtype=float)
+    if matrix.shape[1] == 0:
+        raise DataValidationError(f"dataset {dataset.name!r} has no process parameters")
+    lo = matrix.min(axis=0)
+    hi = matrix.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    scores = ((matrix - lo) / span).sum(axis=1)
+    ids = dataset.sample_ids()
+    by_min = sorted(zip(scores, ids), key=lambda e: (e[0], e[1]))
+    low_id = by_min[0][1]
+    by_max = sorted(zip(scores, ids), key=lambda e: (-e[0], e[1]))
+    high_id = next(sid for _, sid in by_max if sid != low_id)
+    return low_id, high_id
+
+
 def reference_generate_dataset(spec, doe, seed, name="synthetic", role="source", units=None):
     """One curve per full-factorial DOE point, each computed on its own.
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, exit codes, determinism, round trips."""
 
+import argparse
 import base64
 import csv
 import dataclasses
@@ -11,11 +12,12 @@ import struct
 
 import pytest
 
-from curvetransfer import cli
+from curvetransfer import cli, transfer
 from curvetransfer.checkpoint import load_checkpoint, save_checkpoint
 from curvetransfer.cli import _write_json, build_parser, main
 from curvetransfer.curves import Dataset, RawCurve, load_dataset, save_dataset
-from curvetransfer.seqnet import PARAM_NAMES
+from curvetransfer.seqnet import OPTIMIZERS, PARAM_NAMES, TrainConfig
+from curvetransfer.transfer import VARIANTS
 
 from conftest import with_stress_unit, write_manifest
 
@@ -407,6 +409,25 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+def parser_action(command, flag):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[command]._option_string_actions[flag]
+
+
+class TestFlagsFollowTheLibrary:
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "pipeline"])
+    def test_train_flags_are_train_config_defaults_and_choices(self, command):
+        args = build_parser().parse_args([command, *REQUIRED_FLAGS[command]])
+        defaults = TrainConfig(epochs=args.epochs)
+        assert (args.seq_len, args.lr, args.optimizer) == (
+            defaults.sequence_length, defaults.learning_rate, defaults.optimizer
+        )
+        assert parser_action(command, "--optimizer").choices is OPTIMIZERS
+
+    def test_variant_choices_are_the_library_tuple(self):
+        assert parser_action("pipeline", "--variant").choices is VARIANTS
+
+
 FAST_TRAIN = ["--epochs", "3", "--seq-len", "5", "--lr", "1e-3"]
 
 
@@ -737,6 +758,26 @@ class TestCheckpointCommands:
         }[command]
         assert main(argv) == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pipeline", "finetune"])
+    def test_short_training_curve_exits_2_before_training(self, suite_dir, tmp_path, capsys, monkeypatch, command):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(transfer, "train", no_training)
+        full = load_dataset(manifest_of(suite_dir, "metal_plateau"))
+        curves = [dataclasses.replace(c, strain=c.strain[:4], stress=c.stress[:4]) if c.sample_id == "9" else c
+                  for c in full.curves]
+        target = ["--target", str(save_dataset(dataclasses.replace(full, curves=curves), tmp_path / "cut"))]
+        out = tmp_path / "out"
+        argv = {
+            "pipeline": ["pipeline", "--variant", "dtw_tl", *source_args(suite_dir), *target],
+            "finetune": ["finetune", *target],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out), "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == "error: sample '9' has 4 points, need more than sequence length 5\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["rank", "finetune", "evaluate", "pipeline"])
     def test_repeated_sample_id_exits_2(self, suite_dir, tmp_path, capsys, command):

@@ -33,7 +33,7 @@ from curvetransfer.transfer import (
     window_dataset,
 )
 
-from conftest import evaluate_loss, linear_curve, with_stress_unit
+from conftest import evaluate_loss, linear_curve, reference_extreme_training_samples, with_stress_unit
 
 
 # Laser power (W) x scanning speed (mm/s) for the 32-sample L-PBF aluminum
@@ -235,7 +235,35 @@ class TestCurveWindows:
         assert predicted.tobytes() == scalers.stress.unscale(expected).tobytes()
 
 
+@st.composite
+def corner_datasets(draw):
+    """2-30 samples over 1-10 parameters: some columns constant, some rows repeated, ids shuffled.
+
+    From eight parameters on, numpy sums a row in eight interleaved partial
+    sums; small integer levels and repeated rows tie scores, so ties break on the id.
+    """
+    n_samples, n_params = draw(st.integers(2, 30)), draw(st.integers(1, 10))
+    value = st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6)
+    columns = [[draw(value)] * n_samples if draw(st.booleans())
+               else draw(st.lists(value, min_size=n_samples, max_size=n_samples))
+               for _ in range(n_params)]
+    rows = list(zip(*columns))
+    for i in range(1, n_samples):
+        if draw(st.integers(0, 3)) == 0:
+            rows[i] = rows[draw(st.integers(0, i - 1))]
+    ids = draw(st.permutations([str(k) for k in range(1, n_samples + 1)]))
+    names = [f"p{k}" for k in range(n_params)]
+    curves = [RawCurve(sid, np.array([0.0, 0.01]), np.array([0.0, 1.0]), dict(zip(names, row)))
+              for sid, row in zip(ids, rows)]
+    return Dataset("ds", "target", [ParamField(name) for name in names], curves)
+
+
 class TestSelectExtremeTrainingSamples:
+    @settings(max_examples=300, deadline=None)
+    @given(corner_datasets())
+    def test_matches_the_two_sort_oracle(self, ds):
+        assert select_extreme_training_samples(ds) == reference_extreme_training_samples(ds)
+
     def test_doe_grid_corners(self):
         doe = {
             str(i + 1): (speed, temp)
@@ -579,8 +607,27 @@ class TestRunVariant:
             run(plan, sources + [target])
         assert str(excinfo.value) == f"duplicate dataset name {repeated.name!r}"
 
-    @pytest.mark.parametrize("n_sources", [0, 1])
-    def test_sweep_needs_two_sources_before_training(self, suite, monkeypatch, n_sources):
+    @pytest.mark.parametrize("variant", transfer.VARIANTS)
+    def test_short_training_curve_refused_before_training(self, suite, monkeypatch, variant):
+        # Skipping the curve would train on the other sample's windows alone
+        # while the report still lists it among the train ids.
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(transfer, "train", no_training)
+        sources, targets, _ = suite
+        target = dataclasses.replace(targets[0], curves=[
+            dataclasses.replace(c, strain=c.strain[:4], stress=c.stress[:4]) if c.sample_id == "9" else c
+            for c in targets[0].curves
+        ])
+        plan = suite_plan(variant, sources, target, small_config(epochs=2))
+        assert plan.target_train_ids == ["1", "9"]
+        with pytest.raises(DataValidationError) as excinfo:
+            run_variant(plan, sources + [target])
+        assert str(excinfo.value) == "sample '9' has 4 points, need more than sequence length 5"
+
+    @pytest.mark.parametrize("n_sources", [0, 1, 2])
+    def test_sweep_needs_three_sources_before_training(self, suite, monkeypatch, n_sources):
         def no_training(*args, **kwargs):
             raise AssertionError("train ran")
 
@@ -589,7 +636,7 @@ class TestRunVariant:
         plan = suite_plan("dtw_tl" if n_sources else "vanilla", sources[:n_sources], targets[0])
         with pytest.raises(DataValidationError) as excinfo:
             run_source_sweep(plan, sources + [targets[0]])
-        assert str(excinfo.value) == f"run_source_sweep requires at least 2 source datasets, got {n_sources}"
+        assert str(excinfo.value) == f"run_source_sweep requires at least 3 source datasets, got {n_sources}"
 
     @pytest.mark.parametrize("missing", ["target", "source"])
     def test_sweep_unknown_dataset_rejected(self, suite, missing):
@@ -846,6 +893,15 @@ def test_every_training_stage_runs_one_body():
     assert source_calls("_train_stage") == ["transfer.pretrain", "transfer.finetune"]
     assert list(inspect.signature(transfer._train_stage).parameters) == [
         "stage", "dataset_name", "params", "curves", "config"
+    ]
+
+
+def test_every_min_max_position_is_one_feature_scaler():
+    # The LSTM's features, the DOE-corner choice and the synthetic DOE modifier
+    # place a value between its column's min and max by one rule.
+    assert source_calls("FeatureScaler") == [
+        "scaling.from_dict", "scaling.fit_scalers", "scaling.fit_scalers", "scaling.fit_scalers",
+        "synthgen.generate_dataset", "transfer.select_extreme_training_samples",
     ]
 
 
