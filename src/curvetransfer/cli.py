@@ -29,7 +29,6 @@ from .transfer import (
     VARIANTS,
     Evaluation,
     ExperimentPlan,
-    _check_predictable,
     _dataset_map,
     _pretrain_pool,
     _stage_errors,
@@ -107,23 +106,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seq-len", type=_positive_int, default=TrainConfig.sequence_length,
-                        help="window length n (default %(default)s)")
-    parser.add_argument("--epochs", type=_positive_int, default=100, help="training epochs (default 100)")
-    parser.add_argument("--lr", type=_positive_float, default=TrainConfig.learning_rate,
-                        help="learning rate (default %(default)g)")
-    parser.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
-
-
-def _add_split_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--train-ids",
-        help="comma-separated target training sample ids (default: the two DOE-corner samples, "
-        "the scaled-parameter-sum extremes)",
-    )
-
-
 def _print_summary(evaluation: Evaluation) -> None:
     print(f"MAPE: {evaluation.aggregate_mape:.2f}%  RMSE: {evaluation.aggregate_rmse:.2f}  "
           f"R2: {evaluation.aggregate_r2:.4f}")
@@ -192,8 +174,6 @@ def cmd_finetune(args) -> int:
     target = load_dataset(args.target)
     train_ids = _train_ids(args, target)
     train_curves = [target.curve_by_id(sid) for sid in train_ids]
-    for curve in train_curves:  # refused before training, as pipeline's split is
-        _check_predictable(curve, args.seq_len)
     params0 = None  # no checkpoint: fresh seeded weights on the target's own arity, as pipeline's vanilla
     if source_ckpt is not None:
         with _stage_errors("finetune", target.name):
@@ -287,70 +267,75 @@ def build_parser() -> argparse.ArgumentParser:
     formatter), about a tenth of one ``evaluate``. Parsing never changes
     it: each call fills a fresh namespace, and ``append`` flags copy their
     list, so nothing carries over from one :func:`main` call to the next.
+    A flag that several commands take is defined once, in an ``add_help=False``
+    parent parser that each of those commands lists in ``parents``, so the
+    staged commands parse it exactly as ``pipeline`` does.
     """
     parser = _Parser(prog="curvetransfer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    seed, pad, grid, split, train = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    seed.add_argument("--seed", type=_seed, default=None)
+    pad.add_argument("--pad-params", action="store_true")
+    grid.add_argument("--grid-n", type=_grid_size, default=DEFAULT_GRID_N)
+    split.add_argument(
+        "--train-ids",
+        help="comma-separated target training sample ids (default: the two DOE-corner samples, "
+        "the scaled-parameter-sum extremes)",
+    )
+    train.add_argument("--seq-len", type=_positive_int, default=TrainConfig.sequence_length,
+                       help="window length n (default %(default)s)")
+    train.add_argument("--epochs", type=_positive_int, default=100, help="training epochs (default 100)")
+    train.add_argument("--lr", type=_positive_float, default=TrainConfig.learning_rate,
+                       help="learning rate (default %(default)g)")
+    train.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
 
     p = sub.add_parser("ingest", help="validate a dataset manifest and print a summary")
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("rank", help="rank source datasets by average DTW distance to the target")
+    p = sub.add_parser("rank", parents=[split, grid, seed],
+                       help="rank source datasets by average DTW distance to the target")
     p.add_argument("--sources", action="append", required=True, help="source manifest (repeatable)")
     p.add_argument("--target", required=True, help="target manifest")
-    _add_split_flags(p)
-    p.add_argument("--grid-n", type=_grid_size, default=DEFAULT_GRID_N)
-    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", help="write ranking JSON here")
     p.add_argument("--dump-dtw", help="dump local/cumulative matrices and path CSVs to this dir")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("pretrain", help="pre-train a model on one or more source datasets")
+    p = sub.add_parser("pretrain", parents=[seed, pad, train],
+                       help="pre-train a model on one or more source datasets")
     p.add_argument("--sources", action="append", required=True)
     p.add_argument("--out", required=True, help="checkpoint JSON path")
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--pad-params", action="store_true")
-    _add_train_flags(p)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="fine-tune a checkpoint, or fresh weights, on target training samples")
+    p = sub.add_parser("finetune", parents=[split, seed, pad, train],
+                       help="fine-tune a checkpoint, or fresh weights, on target training samples")
     p.add_argument("--checkpoint", help="checkpoint to start from (default: fresh seeded weights, i.e. vanilla)")
     p.add_argument("--target", required=True)
-    _add_split_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--pad-params", action="store_true")
-    _add_train_flags(p)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
+    p = sub.add_parser("evaluate", parents=[pad], help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--test-ids", help="comma-separated sample ids (default: all)")
-    p.add_argument("--pad-params", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("pipeline", help="run one experiment variant end to end")
+    p = sub.add_parser("pipeline", parents=[split, grid, seed, pad, train],
+                       help="run one experiment variant end to end")
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--sources", action="append", help="source manifest (repeatable)")
     p.add_argument("--target", required=True)
-    _add_split_flags(p)
-    p.add_argument("--grid-n", type=_grid_size, default=DEFAULT_GRID_N)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--pad-params", action="store_true")
     p.add_argument("--mape-epsilon", type=_positive_float, default=DEFAULT_MAPE_EPSILON,
                    help="|stress| below this (MPa) is excluded from MAPE (default %(default)g)")
     p.add_argument("--out", required=True, help="output directory")
-    _add_train_flags(p)
     p.add_argument(
         "--pretrain-epochs", type=_positive_int, default=None,
         help="epoch cap for the pre-training stage (default: same as --epochs)",
     )
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("synth", help="generate the synthetic source/target suite")
-    p.add_argument("--seed", type=_seed, default=None)
+    p = sub.add_parser("synth", parents=[seed], help="generate the synthetic source/target suite")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

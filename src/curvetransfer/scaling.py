@@ -126,35 +126,30 @@ def padded_curves(curves: list[RawCurve], arity: int, pad: bool) -> list[RawCurv
     return padded
 
 
+def _fit(name: str, values: np.ndarray) -> FeatureScaler:
+    """The min-max scaler of all of one feature's values; a span max - min that is not finite is rejected."""
+    scaler = FeatureScaler(name, float(np.min(values)), float(np.max(values)))
+    if not math.isfinite(scaler.vmax - scaler.vmin):
+        raise DataValidationError(f"feature {name!r}: non-finite span of [{scaler.vmin!r}, {scaler.vmax!r}]")
+    return scaler
+
+
 def fit_scalers(train_curves: list[RawCurve]) -> CurveScalers:
     """Per-feature min-max over the training curves only.
 
     The curves must share one arity (:func:`padded_curves` pads them to one).
-    Parameter names are recorded for audit from the first curve alone. A span
-    max - min that overflows is rejected.
+    Each feature is fit over all its values at once, so a NaN anywhere is
+    refused whatever the curve order. Parameter names are recorded for audit
+    from the first curve alone. A span max - min that overflows is rejected.
     """
     if not train_curves:
         raise DataValidationError("fit_scalers requires at least one training curve")
     arity = max(len(c.params) for c in train_curves)
     for curve in train_curves:
         check_arity(curve, arity)
-
-    strain_min = min(float(np.min(c.strain)) for c in train_curves)
-    strain_max = max(float(np.max(c.strain)) for c in train_curves)
-    stress_min = min(float(np.min(c.stress)) for c in train_curves)
-    stress_max = max(float(np.max(c.stress)) for c in train_curves)
-
     columns = np.array([c.param_values() for c in train_curves])
-    param_scalers = tuple(
-        FeatureScaler(name, float(np.min(columns[:, i])), float(np.max(columns[:, i])))
-        for i, name in enumerate(train_curves[0].params)
+    return CurveScalers(
+        strain=_fit("strain", np.concatenate([c.strain for c in train_curves])),
+        params=tuple(_fit(name, columns[:, i]) for i, name in enumerate(train_curves[0].params)),
+        stress=_fit("stress", np.concatenate([c.stress for c in train_curves])),
     )
-    scalers = CurveScalers(
-        strain=FeatureScaler("strain", strain_min, strain_max),
-        params=param_scalers,
-        stress=FeatureScaler("stress", stress_min, stress_max),
-    )
-    for s in (scalers.strain, *scalers.params, scalers.stress):
-        if not math.isfinite(s.vmax - s.vmin):
-            raise DataValidationError(f"feature {s.name!r}: non-finite span of [{s.vmin!r}, {s.vmax!r}]")
-    return scalers

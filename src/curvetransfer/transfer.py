@@ -306,8 +306,12 @@ def finetune(
 
     Scalers are refit on the target training split; all parameters update (no
     freezing). The caller's ``params_init`` is left untouched; None starts
-    from fresh seeded weights (the vanilla baseline).
+    from fresh seeded weights (the vanilla baseline). A training curve with
+    no more points than the sequence length is refused before anything is
+    trained, as ``run_variant`` refuses it; a pre-training pool skips one.
     """
+    for curve in target_train_curves:
+        _check_predictable(curve, config.sequence_length)
     return _train_stage("finetune", dataset_name, params_init, target_train_curves, config)
 
 

@@ -409,9 +409,33 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+def subcommands():
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def parser_action(command, flag):
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return subparsers.choices[command]._option_string_actions[flag]
+    return subcommands()[command]._option_string_actions[flag]
+
+
+# Each command's option strings, sorted, each with its ``required`` flag.
+FLAG_SURFACE = {
+    "ingest": [("--help", False), ("--manifest", True), ("-h", False)],
+    "rank": [("--dump-dtw", False), ("--grid-n", False), ("--help", False), ("--out", False), ("--seed", False),
+             ("--sources", True), ("--target", True), ("--train-ids", False), ("-h", False)],
+    "pretrain": [("--epochs", False), ("--help", False), ("--lr", False), ("--optimizer", False), ("--out", True),
+                 ("--pad-params", False), ("--seed", False), ("--seq-len", False), ("--sources", True),
+                 ("-h", False)],
+    "finetune": [("--checkpoint", False), ("--epochs", False), ("--help", False), ("--lr", False),
+                 ("--optimizer", False), ("--out", True), ("--pad-params", False), ("--seed", False),
+                 ("--seq-len", False), ("--target", True), ("--train-ids", False), ("-h", False)],
+    "evaluate": [("--checkpoint", True), ("--help", False), ("--out", False), ("--pad-params", False),
+                 ("--target", True), ("--test-ids", False), ("-h", False)],
+    "pipeline": [("--epochs", False), ("--grid-n", False), ("--help", False), ("--lr", False),
+                 ("--mape-epsilon", False), ("--optimizer", False), ("--out", True), ("--pad-params", False),
+                 ("--pretrain-epochs", False), ("--seed", False), ("--seq-len", False), ("--sources", False),
+                 ("--target", True), ("--train-ids", False), ("--variant", True), ("-h", False)],
+    "synth": [("--help", False), ("--out", True), ("--seed", False), ("-h", False)],
+}
 
 
 class TestFlagsFollowTheLibrary:
@@ -426,6 +450,20 @@ class TestFlagsFollowTheLibrary:
 
     def test_variant_choices_are_the_library_tuple(self):
         assert parser_action("pipeline", "--variant").choices is VARIANTS
+
+    def test_each_command_keeps_its_flags(self):
+        surface = {command: sorted((flag, action.required) for action in p._actions for flag in action.option_strings)
+                   for command, p in subcommands().items()}
+        assert surface == FLAG_SURFACE
+
+    @pytest.mark.parametrize(
+        "flag", ["--seed", "--pad-params", "--grid-n", "--train-ids", "--seq-len", "--epochs", "--lr", "--optimizer"]
+    )
+    def test_shared_flags_are_one_definition(self, flag):
+        # One action per shared flag, so every staged command parses it as pipeline does.
+        commands = [command for command, surface in FLAG_SURFACE.items() if (flag, False) in surface]
+        assert len(commands) >= 2
+        assert all(parser_action(command, flag) is parser_action(commands[0], flag) for command in commands)
 
 
 FAST_TRAIN = ["--epochs", "3", "--seq-len", "5", "--lr", "1e-3"]

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import inspect
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,18 @@ class TestFitScalers:
         curves = [linear_curve(sample_id=str(i), params={"speed": v})
                   for i, v in enumerate((-8e307, 8e307))]
         assert fit_scalers(curves).params[0] == FeatureScaler("speed", -8e307, 8e307)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_nan_refused_whatever_the_curve_order(self, order):
+        # Fit per curve and then merged, a NaN was caught only in the first curve:
+        # min(0.0, nan) is 0.0 but min(nan, 0.0) is nan.
+        clean = linear_curve(sample_id="a", n=12, params={"p": 1.0})
+        nan = linear_curve(sample_id="b", n=12, params={"p": 2.0})
+        nan.stress[-1] = np.nan
+        curves = [(clean, nan)[i] for i in order]
+        with pytest.raises(DataValidationError) as excinfo:
+            fit_scalers(curves)
+        assert str(excinfo.value) == "feature 'stress': non-finite span of [nan, nan]"
 
 
 class TestFeatureScalerFromDict:
@@ -411,6 +424,22 @@ class TestPretrainTransferFinetune:
         assert (tmp_path / "none.json").read_bytes() == (tmp_path / "seeded.json").read_bytes()
         assert fresh.stage == "finetuned"
         assert fresh.params.flat.tobytes() == pretrain(ds.curves, config, ds.name).params.flat.tobytes()
+
+    @pytest.mark.parametrize("start", ["fresh", "params"])
+    def test_short_training_curve_refused_before_training(self, monkeypatch, start):
+        # Skipped with a warning, the short curve would leave the stage training on the long one alone.
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(transfer, "train", no_training)
+        curves = [linear_curve(sample_id="1", n=46, params={"p": 1.0}),
+                  linear_curve(sample_id="9", n=4, params={"p": 2.0})]
+        params0 = None if start == "fresh" else init_params(0, 2, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError) as excinfo:
+                finetune(params0, curves, small_config(), "tgt")
+        assert str(excinfo.value) == "sample '9' has 4 points, need more than sequence length 5"
 
     def test_finetune_does_not_mutate_input_params(self):
         target = small_source(seed=3, name="tgt")
@@ -900,8 +929,7 @@ def test_every_min_max_position_is_one_feature_scaler():
     # The LSTM's features, the DOE-corner choice and the synthetic DOE modifier
     # place a value between its column's min and max by one rule.
     assert source_calls("FeatureScaler") == [
-        "scaling.from_dict", "scaling.fit_scalers", "scaling.fit_scalers", "scaling.fit_scalers",
-        "synthgen.generate_dataset", "transfer.select_extreme_training_samples",
+        "scaling.from_dict", "scaling._fit", "synthgen.generate_dataset", "transfer.select_extreme_training_samples",
     ]
 
 
