@@ -190,7 +190,8 @@ def cmd_evaluate(args) -> int:
     target = load_dataset(args.target)
     test_ids = _parse_ids(args.test_ids) if args.test_ids else target.sample_ids()
     test_curves = [target.curve_by_id(sid) for sid in test_ids]
-    evaluation = evaluate(checkpoint, padded_curves(test_curves, checkpoint.scalers.arity, args.pad_params))
+    test_curves = padded_curves(test_curves, checkpoint.scalers.arity, args.pad_params)
+    evaluation = evaluate(checkpoint, test_curves, args.mape_epsilon)
     if args.out:
         _write_json({"dataset": target.name, **evaluation.to_dict(with_predicted=False)}, Path(args.out))
     _print_summary(evaluation)
@@ -273,9 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     """
     parser = _Parser(prog="curvetransfer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    seed, pad, grid, split, train = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    seed, pad, grid, split, train, epsilon = (argparse.ArgumentParser(add_help=False) for _ in range(6))
     seed.add_argument("--seed", type=_seed, default=None)
     pad.add_argument("--pad-params", action="store_true")
+    epsilon.add_argument("--mape-epsilon", type=_positive_float, default=DEFAULT_MAPE_EPSILON,
+                         help="|stress| below this (MPa) is excluded from MAPE (default %(default)g)")
     grid.add_argument("--grid-n", type=_grid_size, default=DEFAULT_GRID_N)
     split.add_argument(
         "--train-ids",
@@ -314,20 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("evaluate", parents=[pad], help="evaluate a checkpoint on a dataset")
+    p = sub.add_parser("evaluate", parents=[pad, epsilon], help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--test-ids", help="comma-separated sample ids (default: all)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("pipeline", parents=[split, grid, seed, pad, train],
+    p = sub.add_parser("pipeline", parents=[split, grid, seed, pad, train, epsilon],
                        help="run one experiment variant end to end")
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--sources", action="append", help="source manifest (repeatable)")
     p.add_argument("--target", required=True)
-    p.add_argument("--mape-epsilon", type=_positive_float, default=DEFAULT_MAPE_EPSILON,
-                   help="|stress| below this (MPa) is excluded from MAPE (default %(default)g)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
         "--pretrain-epochs", type=_positive_int, default=None,

@@ -14,6 +14,7 @@ enumerates every alignment path, in ``tests/conftest.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -50,6 +51,32 @@ def local_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of squared differences between every pair of stress values of two gridded curves."""
     _check_same_length(a, b)
     return (a[:, None] - b[None, :]) ** 2
+
+
+_PAGE_BYTES = 4096
+
+
+def _page_aligned(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Uninitialised float64 arrays of ``shapes``, each starting on its own 4 KiB page of one allocation.
+
+    The DTW sweep's ufuncs write whole vector registers. numpy allocates
+    through malloc, which aligns only to 16 bytes, so heap history decided
+    whether an array started on a 64-byte cache line; stores into one that
+    did not split across lines, and a rank op ran 10-30 % slower. One
+    allocation per call, not per array, also matters: glibc raises its trim
+    threshold to twice the largest block it has unmapped, and with the
+    sweep's four arrays apart that threshold sat below what one ranking
+    frees, so every rank op handed its 1.1 MB of buffers back to the kernel
+    and faulted them in again (250-275 minor page faults per op).
+    """
+    spans = [-(-prod(shape) * 8 // _PAGE_BYTES) * _PAGE_BYTES for shape in shapes]
+    raw = np.empty(sum(spans) + _PAGE_BYTES, dtype=np.uint8)
+    start = -raw.ctypes.data % _PAGE_BYTES
+    arrays = []
+    for shape, span in zip(shapes, spans):
+        arrays.append(raw[start : start + prod(shape) * 8].view(np.float64).reshape(shape))
+        start += span
+    return arrays
 
 
 def _sweep(diagonals: np.ndarray, m: int, local_costs) -> np.ndarray:
@@ -105,11 +132,16 @@ def _dtw_many(a: np.ndarray, b_rev: np.ndarray) -> np.ndarray:
     holds cell (k, d-k) of every pair in row k+1, whose local cost is read from
     rows k of ``a`` and N-1-d+k of ``b_rev``. So each of a diagonal's five
     ufuncs is one contiguous loop, none allocates, and three rolling buffers
-    keep the memory at O(P*N). Every distance is bitwise
-    ``cumulative_cost(local)[-1, -1]`` of its pair.
+    keep the memory at O(P*N). The squared differences and the three
+    diagonals (one block) come from one :func:`_page_aligned` call, so the
+    speed of their stores does not hang on where malloc put them;
+    :func:`_mean_dtws` builds ``a`` and ``b_rev`` the same way. Every distance
+    is bitwise ``cumulative_cost(local)[-1, -1]`` of its pair, wherever the
+    arrays lie.
     """
     n, m = len(a), len(b_rev)
-    square = np.empty_like(a)
+    square, diagonals = _page_aligned(a.shape, (3, n + 1) + a.shape[1:])
+    diagonals.fill(np.inf)
 
     def local_costs(d: int, k0: int, k1: int) -> np.ndarray:
         sq = square[: k1 - k0]
@@ -118,7 +150,7 @@ def _dtw_many(a: np.ndarray, b_rev: np.ndarray) -> np.ndarray:
         # pow, which can differ from the exact product in the last bit.
         return np.square(sq, out=sq)
 
-    return _sweep(np.full((3, n + 1) + a.shape[1:], np.inf), m, local_costs).copy()
+    return _sweep(diagonals, m, local_costs).copy()
 
 
 def dtw_path(cumulative: np.ndarray) -> list[tuple[int, int]]:
@@ -159,14 +191,21 @@ def _mean_dtws(sources: list[np.ndarray], target: np.ndarray) -> list[float]:
 
     Each source's grid length is checked first; then all pairs of all sources
     run through one :func:`_dtw_many` sweep, one column per (source curve,
-    target curve) pair in that order. Each source's distances are summed one by
-    one in that order, so every mean is bitwise that of a per-pair loop.
+    target curve) pair in that order. The sweep's two (N, S*T) stacks are
+    broadcast in place into one :func:`_page_aligned` call's arrays, with no
+    intermediate copy: column s*T + t of ``a`` is source curve s, and of
+    ``b_rev`` target curve t reversed. Each source's distances are summed one
+    by one in that order, so every mean is bitwise that of a per-pair loop.
     """
     for source in sources:
         if source.shape[1] != target.shape[1]:
             raise ValueError(f"grid length mismatch: {source.shape[1]} vs {target.shape[1]}")
-    a = np.repeat(np.concatenate(sources).T, len(target), axis=1)
-    b_rev = np.tile(target[:, ::-1].T, (1, sum(len(source) for source in sources)))
+    stack = np.concatenate(sources)
+    (n_curves, n), n_targets = stack.shape, len(target)
+    shape = (n, n_curves * n_targets)
+    a, b_rev = _page_aligned(shape, shape)
+    a.reshape(n, n_curves, n_targets)[...] = stack.T[:, :, None]
+    b_rev.reshape(n, n_curves, n_targets)[...] = target[:, ::-1].T[:, None, :]
     distances = iter(_dtw_many(a, b_rev).tolist())
     means = []
     for source in sources:

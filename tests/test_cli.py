@@ -301,6 +301,24 @@ class TestStagedChainReproducesPipeline:
         assert json.dumps(staged["per_sample"]) == json.dumps(expected)
         assert json.dumps(staged["aggregate"]) == json.dumps(report["aggregate"])
 
+    def test_evaluate_takes_pipelines_mape_epsilon(self, tmp_path):
+        suite, fine = tmp_path / "suite", tmp_path / "fine.json"
+        assert main(["synth", "--seed", "0", "--out", str(suite)]) == 0
+        common = ["--target", manifest_of(suite, "metal_plateau"), "--seed", "0", "--epochs", "2"]
+        assert main(["pipeline", "--variant", "vanilla", *common, "--mape-epsilon", "200",
+                     "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert main(["finetune", *common, "--out", str(fine)]) == 0
+        aggregates = []
+        for epsilon in (["--mape-epsilon", "200"], []):
+            out = tmp_path / f"eval{len(epsilon)}.json"
+            assert main(["evaluate", "--checkpoint", str(fine), "--target", manifest_of(suite, "metal_plateau"),
+                         "--test-ids", ",".join(report["plan"]["test_ids"]), *epsilon, "--out", str(out)]) == 0
+            aggregates.append(json.loads(out.read_text())["aggregate"])
+        assert json.dumps(aggregates[0]) == json.dumps(report["aggregate"])
+        # Without the flag evaluate scores at the default epsilon, which excludes fewer points here.
+        assert aggregates[1]["mape"] != aggregates[0]["mape"]
+
 
 def tree_digest(root) -> str:
     """sha256 over the sorted (relative path, file sha256) pairs of every file under ``root``."""
@@ -428,8 +446,8 @@ FLAG_SURFACE = {
     "finetune": [("--checkpoint", False), ("--epochs", False), ("--help", False), ("--lr", False),
                  ("--optimizer", False), ("--out", True), ("--pad-params", False), ("--seed", False),
                  ("--seq-len", False), ("--target", True), ("--train-ids", False), ("-h", False)],
-    "evaluate": [("--checkpoint", True), ("--help", False), ("--out", False), ("--pad-params", False),
-                 ("--target", True), ("--test-ids", False), ("-h", False)],
+    "evaluate": [("--checkpoint", True), ("--help", False), ("--mape-epsilon", False), ("--out", False),
+                 ("--pad-params", False), ("--target", True), ("--test-ids", False), ("-h", False)],
     "pipeline": [("--epochs", False), ("--grid-n", False), ("--help", False), ("--lr", False),
                  ("--mape-epsilon", False), ("--optimizer", False), ("--out", True), ("--pad-params", False),
                  ("--pretrain-epochs", False), ("--seed", False), ("--seq-len", False), ("--sources", False),
@@ -457,7 +475,8 @@ class TestFlagsFollowTheLibrary:
         assert surface == FLAG_SURFACE
 
     @pytest.mark.parametrize(
-        "flag", ["--seed", "--pad-params", "--grid-n", "--train-ids", "--seq-len", "--epochs", "--lr", "--optimizer"]
+        "flag", ["--seed", "--pad-params", "--grid-n", "--train-ids", "--seq-len", "--epochs", "--lr", "--optimizer",
+                 "--mape-epsilon"]
     )
     def test_shared_flags_are_one_definition(self, flag):
         # One action per shared flag, so every staged command parses it as pipeline does.

@@ -11,6 +11,7 @@ from curvetransfer.metrics import pearson
 from curvetransfer.similarity import (
     _dtw_many,
     _mean_dtws,
+    _page_aligned,
     cumulative_cost,
     dtw_distance,
     dtw_path,
@@ -434,6 +435,46 @@ class TestOneSweepRankingOracle:
         monkeypatch.setattr("curvetransfer.similarity._dtw_many", sweep)
         with pytest.raises(ValueError, match="grid length mismatch: 4 vs 3"):
             _mean_dtws([np.zeros((1, 3)), np.zeros((1, 4))], np.zeros((1, 3)))
+
+
+class TestPageAlignedSweepArrays:
+    """The sweep's arrays start on a 4 KiB page wherever the heap stands, so no store splits a cache line."""
+
+    # A rank op's stacks, a pair count that is not a multiple of 8, a 1-D
+    # pair with its diagonals, and a rank op's square with its three diagonals.
+    @pytest.mark.parametrize(
+        "shapes", [[(120, 200)], [(7, 75)], [(120,), (3, 121)], [(120, 200), (3, 121, 200)], [(7, 75), (7, 75)]]
+    )
+    def test_helper_gives_writable_float64_arrays_each_on_a_page(self, shapes):
+        for k in range(4):
+            spacer = np.empty(1024 + 16 * k, dtype=np.uint8)  # moves later heap allocations by 16 B
+            arrays = _page_aligned(*shapes)
+            del spacer
+            assert [array.shape for array in arrays] == shapes
+            for value, array in enumerate(arrays):
+                assert (array.dtype, array.ctypes.data % 4096) == (np.float64, 0)
+                assert array.flags.writeable and array.flags.c_contiguous
+                array[...] = value
+            assert all((array == value).all() for value, array in enumerate(arrays))
+
+    @pytest.mark.parametrize("counts, n_targets, n", [([50, 50], 2, 120), ([3, 1, 5], 7, 11), ([1], 1, 1)])
+    def test_mean_dtws_builds_the_repeat_and_tile_stacks_on_pages(self, monkeypatch, counts, n_targets, n):
+        rng = np.random.default_rng(len(counts))
+        sources = [rng.normal(size=(count, n)) for count in counts]
+        target = rng.normal(size=(n_targets, n))
+        built = []
+
+        def capture(a, b_rev):
+            built.append((a, b_rev))
+            return np.zeros(a.shape[1])
+
+        monkeypatch.setattr("curvetransfer.similarity._dtw_many", capture)
+        _mean_dtws(sources, target)
+        (a, b_rev), = built
+        assert a.ctypes.data % 4096 == 0 and b_rev.ctypes.data % 4096 == 0
+        assert a.tobytes() == np.repeat(np.concatenate(sources).T, n_targets, axis=1).tobytes()
+        assert b_rev.tobytes() == np.tile(target[:, ::-1].T, (1, sum(counts))).tobytes()
+        assert a.shape == b_rev.shape == (n, sum(counts) * n_targets)
 
 
 class TestBaselines:
