@@ -79,24 +79,18 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _seed(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """The type of an integer flag: ASCII digits only (no sign, space, ``_`` or other digits) and at least ``low``."""
+    def parse(text: str) -> int:
+        if not (text.isascii() and text.isdigit()):
+            raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _grid_size(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
-    return value
+_seed = _int_at_least(0)
 
 
 def _positive_float(text: str) -> float:
@@ -279,15 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     pad.add_argument("--pad-params", action="store_true")
     epsilon.add_argument("--mape-epsilon", type=_positive_float, default=DEFAULT_MAPE_EPSILON,
                          help="|stress| below this (MPa) is excluded from MAPE (default %(default)g)")
-    grid.add_argument("--grid-n", type=_grid_size, default=DEFAULT_GRID_N)
+    grid.add_argument("--grid-n", type=_int_at_least(2), default=DEFAULT_GRID_N)
     split.add_argument(
         "--train-ids",
         help="comma-separated target training sample ids (default: the two DOE-corner samples, "
         "the scaled-parameter-sum extremes)",
     )
-    train.add_argument("--seq-len", type=_positive_int, default=TrainConfig.sequence_length,
+    train.add_argument("--seq-len", type=_int_at_least(1), default=TrainConfig.sequence_length,
                        help="window length n (default %(default)s)")
-    train.add_argument("--epochs", type=_positive_int, default=100, help="training epochs (default 100)")
+    train.add_argument("--epochs", type=_int_at_least(1), default=100, help="training epochs (default 100)")
     train.add_argument("--lr", type=_positive_float, default=TrainConfig.learning_rate,
                        help="learning rate (default %(default)g)")
     train.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
@@ -331,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
-        "--pretrain-epochs", type=_positive_int, default=None,
+        "--pretrain-epochs", type=_int_at_least(1), default=None,
         help="epoch cap for the pre-training stage (default: same as --epochs)",
     )
     p.set_defaults(func=cmd_pipeline)

@@ -268,11 +268,12 @@ def _read_curve_csv(path: Path, sample_id: str) -> tuple[np.ndarray, np.ndarray]
 
 
 def _param_value(raw, where: str) -> float:
-    if isinstance(raw, bool):  # float() would turn JSON true/false into 1.0/0.0
+    # A JSON number only: float() would also take true/false, "1_000", " 12 " and "٥".
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise DataValidationError(f"{where}: not a number: {raw!r}")
     try:
         value = float(raw)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON integer beyond float range
+    except OverflowError:  # a JSON integer beyond float range
         raise DataValidationError(f"{where}: not a number: {raw!r}") from None
     if not math.isfinite(value):
         raise DataValidationError(f"{where}: non-finite value {raw!r}")

@@ -9,7 +9,6 @@ source model's weights copied verbatim.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
@@ -184,26 +183,17 @@ def window_dataset(curves: list[RawCurve], scalers: CurveScalers, n: int) -> tup
 
     Returns ``(windows, targets)``: a curve of L points yields L - n windows,
     stacked in curve order into one (W, n, d) array, and ``targets`` holds the
-    (W,) scaled stress each window predicts. Curves with <= n points are
-    skipped with a warning; an error is raised if no windows remain.
+    (W,) scaled stress each window predicts. A curve with <= n points is
+    refused, as ``predict_curve`` refuses it: skipping it would leave its
+    samples out of a stage whose scalers were fit on them.
     """
     if n < 1:
         raise DataValidationError(f"sequence length must be >= 1, got {n}")
-    windows: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
+    if not curves:
+        raise DataValidationError("window_dataset requires at least one curve")
     for curve in curves:
-        length = curve.n_points()
-        if length <= n:
-            warnings.warn(
-                f"sample {curve.sample_id!r} has {length} points (<= sequence length {n}); skipped",
-                stacklevel=2,
-            )
-            continue
-        curve_windows, curve_targets = _curve_windows(curve, scalers, n)
-        windows.append(curve_windows)
-        targets.append(curve_targets)
-    if not windows:
-        raise DataValidationError(f"no usable windows: every curve has <= {n} points")
+        _check_predictable(curve, n)
+    windows, targets = zip(*(_curve_windows(curve, scalers, n) for curve in curves))
     return np.concatenate(windows), np.concatenate(targets)
 
 
@@ -308,7 +298,8 @@ def finetune(
     freezing). The caller's ``params_init`` is left untouched; None starts
     from fresh seeded weights (the vanilla baseline). A training curve with
     no more points than the sequence length is refused before anything is
-    trained, as ``run_variant`` refuses it; a pre-training pool skips one.
+    trained, with ``run_variant``'s message for a target curve (no stage
+    prefix); ``pretrain`` refuses one too, naming the stage and the pool.
     """
     for curve in target_train_curves:
         _check_predictable(curve, config.sequence_length)
@@ -421,15 +412,21 @@ def _prepare(plan: ExperimentPlan, datasets):
             raise DataValidationError(f"unknown {'source' if i else 'target'} dataset {name!r}")
     target, *sources = _dataset_map([name_map[name] for name in names]).values()
     train_curves, test_curves = _split_target(plan, target)
-    # predict_curve's length rule on the whole split (a short training curve is refused, not
-    # skipped) and every metric's preconditions on the test tails, before any training is spent.
+    # predict_curve's length rule on the whole split and on every source a variant may pool
+    # (dtw_tl ranks all of them), and every metric's preconditions on the test tails, before
+    # any ranking or training is spent.
     n = plan.config.sequence_length
     for curve in test_curves:
         _check_predictable(curve, n)
         _summarize_sample(curve, n, curve.stress[n:], plan.mape_epsilon)
     for curve in train_curves:
         _check_predictable(curve, n)
-    arity = _resolve_arity(plan, target, sources if plan.variant != "vanilla" else [])
+    candidates = sources if plan.variant != "vanilla" else []
+    for ds in candidates:
+        with _stage_errors("pretrain", ds.name):
+            for curve in ds.curves:
+                _check_predictable(curve, n)
+    arity = _resolve_arity(plan, target, candidates)
     train_curves = padded_curves(train_curves, arity, plan.pad_params)
     test_curves = padded_curves(test_curves, arity, plan.pad_params)
     return sources, train_curves, test_curves
@@ -478,11 +475,14 @@ def run_source_sweep(plan: ExperimentPlan, datasets) -> tuple[list[tuple[str, fl
     Returns ([(source, avg_dtw, aggregate_mape)], pearson) over all sources in
     the plan, in plan order; this is the per-target experiment behind the
     distance-vs-error tables. Each source's fit is the one ``run_variant``
-    makes for dtw_tl when that source is selected. Two points always give
-    +-1, so fewer than three sources are rejected before anything is trained.
+    makes for dtw_tl when that source is selected, so the plan's variant must
+    be dtw_tl. Two points always give +-1, so fewer than three sources are
+    rejected before anything is trained.
     """
     if len(plan.source_datasets) < 3:
         raise DataValidationError(f"run_source_sweep requires at least 3 source datasets, got {len(plan.source_datasets)}")
+    if plan.variant != "dtw_tl":
+        raise DataValidationError(f"run_source_sweep requires variant 'dtw_tl', got {plan.variant!r}")
     sources, train_curves, test_curves = _prepare(plan, datasets)
     avg_dtw = dict(rank_sources(sources, train_curves, plan.grid_n).entries)
     entries = []

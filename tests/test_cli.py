@@ -9,6 +9,7 @@ import json
 import random
 import shutil
 import struct
+import warnings
 
 import pytest
 
@@ -390,6 +391,17 @@ class TestUsageErrors:
         assert main([command, *REQUIRED_FLAGS[command], flag]) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0665", "+2", " 2 ", "2.0", "0x2"])
+    @pytest.mark.parametrize("command, flag", [("pretrain", "--epochs"), ("pretrain", "--seq-len"),
+                                               ("pipeline", "--pretrain-epochs"), ("rank", "--grid-n")])
+    def test_integer_flag_takes_ascii_digits_only(self, command, flag, value, tmp_path, monkeypatch, capsys):
+        # int() takes the first four; --seed never did, and now no integer flag does.
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *REQUIRED_FLAGS[command], flag, value]) == 1
+        last_line = capsys.readouterr().err.splitlines()[-1]
+        assert flag in last_line and "non-negative integer" in last_line
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_positive_pretrain_epochs_exits_1(self, capsys):
         assert main(["pipeline", *REQUIRED_FLAGS["pipeline"], "--pretrain-epochs=0"]) == 1
         assert "--pretrain-epochs" in capsys.readouterr().err
@@ -631,20 +643,25 @@ class TestPipeline:
         assert rc == 2
         assert "sample '2'" in capsys.readouterr().err
 
-    def test_no_usable_source_windows_names_the_stage(self, suite_dir, tmp_path, capsys):
-        # Every source curve has 45 points and every target curve 50, so the
-        # target split passes the length check and only pre-training has no windows.
+    def test_short_source_curves_name_the_stage(self, suite_dir, tmp_path, capsys):
+        # Every source curve has 45 points and every target curve 50, so the target
+        # split passes the length check and the first source listed is refused.
         argv = ["pipeline", "--variant", "dtw_tl",
                 "--sources", manifest_of(suite_dir, "poly_plateau"),
                 "--sources", manifest_of(suite_dir, "poly_hardening"),
                 "--target", manifest_of(suite_dir, "metal_plateau"),
                 "--seq-len", "47", "--epochs", "1", "--out", str(tmp_path / "run")]
+        first = load_dataset(manifest_of(suite_dir, "poly_plateau")).curves[0]
+        assert first.n_points() == 45
         capsys.readouterr()
-        with pytest.warns(UserWarning, match=r"has 45 points \(<= sequence length 47\); skipped"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "error: pretrain on dataset 'poly_plateau': no usable windows: every curve has <= 47 points\n"
+            f"error: pretrain on dataset 'poly_plateau': sample {first.sample_id!r} has 45 points, "
+            "need more than sequence length 47\n"
         )
+        assert not (tmp_path / "run").exists()
 
     def test_divergence_exits_3(self, suite_dir, tmp_path, capsys):
         rc = main(
@@ -834,6 +851,32 @@ class TestCheckpointCommands:
         capsys.readouterr()
         assert main([*argv, "--out", str(out), "--epochs", "1"]) == 2
         assert capsys.readouterr().err == "error: sample '9' has 4 points, need more than sequence length 5\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "pipeline"])
+    def test_short_source_curve_exits_2_before_training(self, suite_dir, tmp_path, capsys, monkeypatch, command):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(transfer, "train", no_training)
+        full = load_dataset(manifest_of(suite_dir, "poly_plateau"))
+        last = full.curves[-1]
+        curves = [*full.curves[:-1], dataclasses.replace(last, strain=last.strain[:4], stress=last.stress[:4])]
+        cut = str(save_dataset(dataclasses.replace(full, curves=curves), tmp_path / "cut"))
+        out = tmp_path / "out"
+        argv = {
+            "pretrain": ["pretrain", "--sources", cut],
+            "pipeline": ["pipeline", "--variant", "dtw_tl", "--sources", cut,
+                         *source_args(suite_dir)[2:], "--target", manifest_of(suite_dir, "metal_plateau")],
+        }[command]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out), "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: pretrain on dataset 'poly_plateau': sample {last.sample_id!r} has 4 points, "
+            "need more than sequence length 5\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["rank", "finetune", "evaluate", "pipeline"])
@@ -1113,8 +1156,9 @@ class TestManifestValidationThroughCli:
         assert not out.exists() and not dump.exists()
 
     def test_nan_parameter_exits_2(self, tmp_path, capsys):
+        # json.dumps writes the literal NaN, which the loader reads as a number; the string "NaN" is not one.
         path = write_manifest(
-            tmp_path, samples={"1": ([0.0, 0.01], [0.0, 1.0], {"speed": "NaN"})}
+            tmp_path, samples={"1": ([0.0, 0.01], [0.0, 1.0], {"speed": float("nan")})}
         )
         assert main(["ingest", "--manifest", str(path)]) == 2
         assert "non-finite" in capsys.readouterr().err

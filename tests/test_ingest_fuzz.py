@@ -147,6 +147,16 @@ def test_any_value_anywhere_loads_or_raises_data_error(where, value):
         assert all(math.isfinite(v) for v in curve.params.values())
 
 
+@pytest.mark.parametrize("text", ["12", "1_000", "\u0665", " 12 ", "1e3", "inf"])
+def test_param_value_must_be_a_json_number(text):
+    # float() takes every one of these strings; a parameter value is a JSON number.
+    manifest = _valid_manifest()
+    manifest["samples"][0]["params"]["speed"] = text
+    with pytest.raises(DataValidationError) as excinfo:
+        _load(manifest)
+    assert str(excinfo.value).endswith(f": sample '1' parameter 'speed': not a number: {text!r}")
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.text(max_size=20).filter(lambda h: _first_csv_row(h) != ["strain", "stress"]))
 def test_bad_csv_header(header):

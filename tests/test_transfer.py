@@ -162,23 +162,31 @@ class TestWindowDataset:
             assert np.all(window >= -1e-12) and np.all(window <= 1 + 1e-12)
         assert np.all(targets >= -1e-12) and np.all(targets <= 1 + 1e-12)
 
-    def test_short_curves_skipped_with_warning(self):
-        curves = [
-            linear_curve(sample_id="short", n=4, params={"p": 1.0}),
-            linear_curve(sample_id="long", n=10, params={"p": 2.0}),
-        ]
+    @pytest.mark.parametrize("order", [("short", "long"), ("long", "short")])
+    def test_short_curve_refused(self, order):
+        # Skipped, the curve would leave the windows while the scalers were fit on its values.
+        lengths = {"short": 4, "long": 10}
+        curves = [linear_curve(sample_id=sid, n=lengths[sid], params={"p": float(i)}) for i, sid in enumerate(order)]
         scalers = fit_scalers(curves)
-        with pytest.warns(UserWarning, match="short"):
-            windows, _ = window_dataset(curves, scalers, 5)
-        assert len(windows) == 10 - 5
-        assert np.all(windows[:, :, 1] == 1.0)  # long's scaled p; short's would be 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError) as excinfo:
+                window_dataset(curves, scalers, 5)
+        assert str(excinfo.value) == "sample 'short' has 4 points, need more than sequence length 5"
 
     def test_all_short_rejected(self):
         curves = [linear_curve(n=3, params={"p": 1.0})]
         scalers = fit_scalers(curves)
-        with pytest.warns(UserWarning):
-            with pytest.raises(DataValidationError, match="no usable windows"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError) as excinfo:
                 window_dataset(curves, scalers, 5)
+        assert str(excinfo.value) == "sample 's' has 3 points, need more than sequence length 5"
+
+    def test_no_curves_rejected(self):
+        scalers = fit_scalers([linear_curve(n=10, params={"p": 1.0})])
+        with pytest.raises(DataValidationError, match="requires at least one curve"):
+            window_dataset([], scalers, 5)
 
 
 def random_curve(seed, length, n_params):
@@ -441,6 +449,20 @@ class TestPretrainTransferFinetune:
                 finetune(params0, curves, small_config(), "tgt")
         assert str(excinfo.value) == "sample '9' has 4 points, need more than sequence length 5"
 
+    def test_short_source_curve_refused_before_training(self, monkeypatch):
+        # Skipped, the short curve would still set the pool's scalers and so every pretrained weight.
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(transfer, "train", no_training)
+        curves = [linear_curve(sample_id="1", n=46, params={"p": 1.0}),
+                  linear_curve(sample_id="5", n=4, params={"p": 2.0})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError) as excinfo:
+                pretrain(curves, small_config(), "p")
+        assert str(excinfo.value) == "pretrain on dataset 'p': sample '5' has 4 points, need more than sequence length 5"
+
     def test_finetune_does_not_mutate_input_params(self):
         target = small_source(seed=3, name="tgt")
         params0 = init_params(0, 2, 8)
@@ -655,6 +677,34 @@ class TestRunVariant:
             run_variant(plan, sources + [target])
         assert str(excinfo.value) == "sample '9' has 4 points, need more than sequence length 5"
 
+    @pytest.mark.parametrize("variant", ["tl_all", "dtw_tl", "sweep"])
+    def test_short_source_curve_refused_before_ranking(self, suite, monkeypatch, variant):
+        # The curve sits in a source dtw_tl does not select: ranked but never pooled, it would
+        # shape the ranking while the report said nothing of it.
+        def no_work(*args, **kwargs):
+            raise AssertionError("ranking or training ran")
+
+        sources, targets, _ = suite
+        plan = suite_plan("dtw_tl" if variant == "sweep" else variant, sources, targets[0], small_config(epochs=2))
+        train_curves = [targets[0].curve_by_id(sid) for sid in plan.target_train_ids]
+        selected = transfer.rank_sources(sources, train_curves, plan.grid_n).selected
+        monkeypatch.setattr(transfer, "train", no_work)
+        monkeypatch.setattr(transfer, "rank_sources", no_work)
+        cut = next(ds for ds in sources if ds.name != selected)
+        last = cut.curves[-1]
+        short = dataclasses.replace(cut, curves=[
+            *cut.curves[:-1], dataclasses.replace(last, strain=last.strain[:4], stress=last.stress[:4])
+        ])
+        run = run_source_sweep if variant == "sweep" else run_variant
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError) as excinfo:
+                run(plan, [short if ds is cut else ds for ds in sources] + [targets[0]])
+        assert str(excinfo.value) == (
+            f"pretrain on dataset {cut.name!r}: sample {last.sample_id!r} has 4 points, "
+            "need more than sequence length 5"
+        )
+
     @pytest.mark.parametrize("n_sources", [0, 1, 2])
     def test_sweep_needs_three_sources_before_training(self, suite, monkeypatch, n_sources):
         def no_training(*args, **kwargs):
@@ -666,6 +716,18 @@ class TestRunVariant:
         with pytest.raises(DataValidationError) as excinfo:
             run_source_sweep(plan, sources + [targets[0]])
         assert str(excinfo.value) == f"run_source_sweep requires at least 3 source datasets, got {n_sources}"
+
+    @pytest.mark.parametrize("variant", ["vanilla", "tl_all"])
+    def test_sweep_needs_a_dtw_tl_plan_before_training(self, suite, monkeypatch, variant):
+        # Each entry is a dtw_tl fit; any other plan would skip the checks its sources need.
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(transfer, "train", no_training)
+        sources, targets, _ = suite
+        with pytest.raises(DataValidationError) as excinfo:
+            run_source_sweep(suite_plan(variant, sources, targets[0]), sources + [targets[0]])
+        assert str(excinfo.value) == f"run_source_sweep requires variant 'dtw_tl', got {variant!r}"
 
     @pytest.mark.parametrize("missing", ["target", "source"])
     def test_sweep_unknown_dataset_rejected(self, suite, missing):
