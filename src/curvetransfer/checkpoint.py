@@ -12,9 +12,9 @@ is rejected. Every stage is seed-deterministic, so re-running the ``pretrain``
 or ``finetune`` that made an old file writes the same weights in format 2.
 
 Loading is strict: the dimensions, sequence length and seed must be JSON
-integers, the hidden size and sequence length at least 1, every scaler bound a
-finite number, input_dim one more than the number of parameter scalers, and
-every weight finite and of its expected size.
+integers, the seed at least 0 and the others at least 1, every scaler bound a
+finite number with a finite span, input_dim one more than the number of
+parameter scalers, and every weight finite and of its expected size.
 """
 
 from __future__ import annotations
@@ -26,16 +26,21 @@ from pathlib import Path
 import numpy as np
 
 from .curves import _read_json, _write_json
-from .errors import DataValidationError
+from .errors import DataValidationError, check_int
 from .scaling import CurveScalers
 from .seqnet import ModelParams
 
 FORMAT_VERSION = 2
 
-INTEGER_FIELDS = ("input_dim", "hidden_dim", "sequence_length", "seed")
+# Each integer header field and its least value.
+INTEGER_FIELDS = {"input_dim": 1, "hidden_dim": 1, "sequence_length": 1, "seed": 0}
 
 # Byte order of the weight block, fixed so a file reads the same on any machine.
 WEIGHT_DTYPE = np.dtype("<f8")
+
+
+class _UnsupportedVersion(DataValidationError):
+    """A checkpoint in a format this version does not read; :func:`load_checkpoint` does not call it malformed."""
 
 
 @dataclass
@@ -69,16 +74,12 @@ class ModelCheckpoint:
     def from_dict(doc: dict) -> "ModelCheckpoint":
         version = doc.get("format_version")
         if type(version) is not int or version != FORMAT_VERSION:  # a bool is not an int here
-            raise DataValidationError(
+            raise _UnsupportedVersion(
                 f"unsupported checkpoint format_version: {version}; "
                 f"re-run pretrain or finetune to write format {FORMAT_VERSION}"
             )
-        for key in INTEGER_FIELDS:
-            if isinstance(doc[key], bool) or not isinstance(doc[key], int):
-                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
-        for key in ("hidden_dim", "sequence_length"):
-            if doc[key] < 1:
-                raise ValueError(f"{key} must be >= 1, got {doc[key]}")
+        for key, low in INTEGER_FIELDS.items():
+            check_int(key, doc[key], low)
         scalers = CurveScalers.from_dict(doc["feature_scalers"])
         if doc["input_dim"] != scalers.input_dim:
             raise ValueError(
@@ -125,7 +126,7 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
     doc = _read_json(path, "checkpoint")
     try:
         return ModelCheckpoint.from_dict(doc)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, DataValidationError):
-            raise
+    except _UnsupportedVersion:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: malformed checkpoint: {exc}") from exc

@@ -84,9 +84,15 @@ def _int_at_least(low: int):
     def parse(text: str) -> int:
         if not (text.isascii() and text.isdigit()):
             raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-        if int(text) < low:
+        try:
+            value = int(text)
+        except ValueError:  # more digits than int() converts
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at most {sys.get_int_max_str_digits()} digits, got {len(text)} digits"
+            ) from None
+        if value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-        return int(text)
+        return value
     return parse
 
 
@@ -94,7 +100,11 @@ _seed = _int_at_least(0)
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    """The type of a float flag: ASCII only, no ``_`` or surrounding space, and a positive finite number."""
+    try:
+        value = float(text) if text.isascii() and "_" not in text and text == text.strip() else math.nan
+    except ValueError:  # not a number at all
+        value = math.nan
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return value

@@ -14,13 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, check_int, check_number
 
 DEFAULT_GRID_N = 120
 
@@ -151,13 +150,6 @@ def validate_curve(curve: RawCurve) -> RawCurve:
     return RawCurve(curve.sample_id, strain, stress, dict(curve.params))
 
 
-def _check_grid_size(n) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DataValidationError(f"grid size must be an int, got {n!r}")
-    if n < 2:
-        raise DataValidationError(f"grid size must be >= 2, got {n}")
-
-
 def grid_curve(curve: RawCurve, n: int = DEFAULT_GRID_N) -> np.ndarray:
     """One clean curve's (n,) normalized stress on the grid: row 0 of :func:`grid_curves`."""
     return grid_curves([curve], n)[0]
@@ -180,7 +172,7 @@ def grid_curves(curves: list[RawCurve], n: int = DEFAULT_GRID_N) -> np.ndarray:
     unsorted curve or a repeated strain raises "strain must be strictly
     increasing"; it is never cleaned here.
     """
-    _check_grid_size(n)
+    check_int("grid size", n, 2)
     points = [(np.asarray(c.strain, dtype=float), np.asarray(c.stress, dtype=float)) for c in curves]
     shaped = [
         k for k, (strain, stress) in enumerate(points)
@@ -267,19 +259,6 @@ def _read_curve_csv(path: Path, sample_id: str) -> tuple[np.ndarray, np.ndarray]
     return np.array(strain), np.array(stress)
 
 
-def _param_value(raw, where: str) -> float:
-    # A JSON number only: float() would also take true/false, "1_000", " 12 " and "٥".
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise DataValidationError(f"{where}: not a number: {raw!r}")
-    try:
-        value = float(raw)
-    except OverflowError:  # a JSON integer beyond float range
-        raise DataValidationError(f"{where}: not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise DataValidationError(f"{where}: non-finite value {raw!r}")
-    return value
-
-
 def _text_field(raw, where: str, non_empty: bool = False) -> str:
     if not isinstance(raw, str):  # str() would turn ["x"] or null into a name
         raise DataValidationError(f"{where} must be a string, got {raw!r}")
@@ -351,8 +330,9 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             raise DataValidationError(
                 f"{manifest_path}: sample {sample_id!r} missing parameters {sorted(missing)}"
             )
+        # A JSON number only: float() would also take true/false, "1_000", " 12 " and "٥".
         params = {
-            name: _param_value(declared[name], f"{manifest_path}: sample {sample_id!r} parameter {name!r}")
+            name: float(check_number(f"{manifest_path}: sample {sample_id!r} parameter {name!r}", declared[name]))
             for name in schema_names
         }
         strain, stress = _read_curve_csv(base / sample["file"], sample_id)

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_number
+
 DEFAULT_MAPE_EPSILON = 1e-6
 
 
@@ -50,12 +52,6 @@ def _as_pair(actual, predicted) -> tuple[np.ndarray, np.ndarray, np.ndarray, int
     abs_actual = np.abs(actual)
     actual_exponent = _unit_exponent(abs_actual, "actual values")
     return actual, predicted, abs_actual, actual_exponent, _unit_exponent(np.abs(predicted), "predictions")
-
-
-def _check_epsilon(epsilon) -> None:
-    """Raise ValueError unless ``epsilon`` is an int or float, finite and > 0 (a bool is not one)."""
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)) or not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError(f"MAPE epsilon must be a finite number > 0, got {epsilon!r}")
 
 
 # These functions call ndarray methods (``x.sum()``), which run the same
@@ -106,7 +102,7 @@ def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
     every point is excluded, and first if ``epsilon`` is not a finite
     number > 0.
     """
-    _check_epsilon(epsilon)
+    check_number("MAPE epsilon", epsilon, positive=True)
     actual, predicted, abs_actual, _, _ = _as_pair(actual, predicted)
     mask = abs_actual >= epsilon
     if not mask.any():
@@ -118,7 +114,7 @@ def mape(actual, predicted, epsilon: float = DEFAULT_MAPE_EPSILON) -> float:
 
 def mape_excluded_count(actual, epsilon: float = DEFAULT_MAPE_EPSILON) -> int:
     """Number of points the MAPE near-zero guard would drop; raises ValueError if a value is not finite."""
-    _check_epsilon(epsilon)
+    check_number("MAPE epsilon", epsilon, positive=True)
     magnitudes = np.abs(np.asarray(actual, dtype=float))
     _unit_exponent(magnitudes, "actual values")
     return int((magnitudes < epsilon).sum())

@@ -19,16 +19,26 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import RawCurve
-from .errors import DataValidationError
+from .errors import DataValidationError, check_number
 
 
 @dataclass(frozen=True)
 class FeatureScaler:
-    """Min-max scaler for one feature; constant features map to 0."""
+    """Min-max scaler for one feature; constant features map to 0.
+
+    The span ``vmax - vmin`` must be finite, which also refuses a NaN or
+    infinite bound (DataValidationError): an overflowing span scales every
+    value to NaN or 0.
+    """
 
     name: str
     vmin: float
     vmax: float
+
+    def __post_init__(self):
+        lo, hi = float(self.vmin), float(self.vmax)
+        if not math.isfinite(hi - lo):
+            raise DataValidationError(f"feature {self.name!r}: non-finite span of [{lo!r}, {hi!r}]")
 
     @property
     def degenerate(self) -> bool:
@@ -51,18 +61,9 @@ class FeatureScaler:
 
     @staticmethod
     def from_dict(d: dict) -> "FeatureScaler":
-        """Rejects a min or max that is not a finite JSON number, or a span max - min
-        that overflows float64 (ValueError)."""
-        for key in ("min", "max"):
-            value = d[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"scaler {d['name']!r}: {key} must be a finite number, got {value!r}")
-        scaler = FeatureScaler(name=str(d["name"]), vmin=float(d["min"]), vmax=float(d["max"]))
-        if not math.isfinite(scaler.vmax - scaler.vmin):
-            raise ValueError(
-                f"scaler {d['name']!r}: span max - min of [{scaler.vmin!r}, {scaler.vmax!r}] is not finite"
-            )
-        return scaler
+        """Rejects a min or max that is not a finite JSON number, and a span the constructor refuses."""
+        vmin, vmax = (float(check_number(f"scaler {d['name']!r}: {key}", d[key])) for key in ("min", "max"))
+        return FeatureScaler(name=str(d["name"]), vmin=vmin, vmax=vmax)
 
 
 @dataclass(frozen=True)
@@ -127,11 +128,8 @@ def padded_curves(curves: list[RawCurve], arity: int, pad: bool) -> list[RawCurv
 
 
 def _fit(name: str, values: np.ndarray) -> FeatureScaler:
-    """The min-max scaler of all of one feature's values; a span max - min that is not finite is rejected."""
-    scaler = FeatureScaler(name, float(np.min(values)), float(np.max(values)))
-    if not math.isfinite(scaler.vmax - scaler.vmin):
-        raise DataValidationError(f"feature {name!r}: non-finite span of [{scaler.vmin!r}, {scaler.vmax!r}]")
-    return scaler
+    """The min-max scaler of all of one feature's values."""
+    return FeatureScaler(name, float(np.min(values)), float(np.max(values)))
 
 
 def fit_scalers(train_curves: list[RawCurve]) -> CurveScalers:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingDivergenceError
+from .errors import TrainingDivergenceError, check_int, check_number
 
 # Row order of the gate-stacked blocks in ModelParams.flat.
 STACK_ORDER = ("f", "i", "o", "c")
@@ -125,19 +125,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "sequence_length", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not (lr > 0 and math.isfinite(lr)):
-            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.sequence_length < 1:
-            raise ValueError(f"sequence_length must be >= 1, got {self.sequence_length}")
+        for name, low in (("epochs", 1), ("sequence_length", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
+        check_number("learning_rate", self.learning_rate, positive=True)
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
@@ -148,8 +138,9 @@ def init_params(seed: int, input_dim: int, hidden_dim: int = HIDDEN_DIM) -> Mode
     Each weight matrix is drawn uniformly from [-s, s] with
     s = sqrt(6 / (fan_in + fan_out)); biases start at zero.
     """
-    if input_dim < 1 or hidden_dim < 1:
-        raise ValueError("dimensions must be >= 1")
+    check_int("seed", seed, 0)
+    check_int("input_dim", input_dim, 1)
+    check_int("hidden_dim", hidden_dim, 1)
     rng = np.random.default_rng(seed)
     params = ModelParams(input_dim, hidden_dim)
     for name in PARAM_NAMES:
@@ -285,8 +276,7 @@ def predict_series(params: ModelParams, rows: np.ndarray, n: int) -> np.ndarray:
     the sign of a zero in the pre-activation, never the cell or hidden state;
     parameters holding a non-finite value (``inf * 0`` is NaN) raise ValueError.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"window length n must be an int >= 1, got {n!r}")
+    check_int("window length n", n, 1)
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError(f"rows must be a 2-D (R, d) matrix, got shape {rows.shape}")

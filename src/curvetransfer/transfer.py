@@ -16,20 +16,13 @@ import numpy as np
 
 from .checkpoint import ModelCheckpoint
 from .curves import DEFAULT_GRID_N, Dataset, RawCurve
-from .errors import DataValidationError, TrainingDivergenceError
-from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, _check_epsilon, pearson, summarize
+from .errors import DataValidationError, TrainingDivergenceError, check_int, check_number
+from .metrics import DEFAULT_MAPE_EPSILON, MetricSummary, pearson, summarize
 from .scaling import CurveScalers, FeatureScaler, check_arity, fit_scalers, padded_curves
 from .seqnet import ModelParams, TrainConfig, init_params, predict_series, train
 from .similarity import SourceRanking, rank_sources
 
 VARIANTS = ("vanilla", "tl_all", "dtw_tl")
-
-
-def _check_mape_epsilon(epsilon, label: str) -> None:
-    try:
-        _check_epsilon(epsilon)
-    except ValueError as exc:
-        raise DataValidationError(f"{label}: {exc}") from None
 
 
 @dataclass
@@ -62,14 +55,12 @@ class ExperimentPlan:
             raise DataValidationError("target_train_ids must not be empty")
         if not self.target_test_ids:
             raise DataValidationError("target_test_ids must not be empty")
-        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, int) or self.grid_n < 2:
-            raise DataValidationError(f"grid_n must be >= 2 and an int, got {self.grid_n!r}")
+        check_int("grid_n", self.grid_n, 2)
         if self.variant != "vanilla" and not self.source_datasets:
             raise DataValidationError(f"variant {self.variant!r} requires source datasets")
-        _check_mape_epsilon(self.mape_epsilon, "mape_epsilon")
-        epochs = self.pretrain_epochs
-        if epochs is not None and (isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 1):
-            raise DataValidationError(f"pretrain_epochs must be None or an int >= 1, got {epochs!r}")
+        check_number("mape_epsilon", self.mape_epsilon, positive=True)
+        if self.pretrain_epochs is not None:
+            check_int("pretrain_epochs", self.pretrain_epochs, 1)
 
     def to_dict(self) -> dict:
         return {
@@ -187,8 +178,7 @@ def window_dataset(curves: list[RawCurve], scalers: CurveScalers, n: int) -> tup
     refused, as ``predict_curve`` refuses it: skipping it would leave its
     samples out of a stage whose scalers were fit on them.
     """
-    if n < 1:
-        raise DataValidationError(f"sequence length must be >= 1, got {n}")
+    check_int("sequence length", n, 1)
     if not curves:
         raise DataValidationError("window_dataset requires at least one curve")
     for curve in curves:
@@ -380,7 +370,7 @@ def evaluate(
     """Predict each curve's stress tail, score it, and average MAPE, RMSE and R2 over the curves."""
     if not curves:
         raise DataValidationError("evaluate requires at least one curve")
-    _check_mape_epsilon(epsilon, "evaluate")
+    check_number("evaluate: MAPE epsilon", epsilon, positive=True)
     n = checkpoint.sequence_length
     per_sample = []
     for curve in curves:

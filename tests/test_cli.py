@@ -9,6 +9,7 @@ import json
 import random
 import shutil
 import struct
+import sys
 import warnings
 
 import pytest
@@ -89,6 +90,26 @@ class TestRank:
         assert doc["selected"] == gt["metal_yield_drop"]
         distances = [e["avg_dtw"] for e in doc["entries"]]
         assert distances == sorted(distances)
+
+    def test_overflowing_doe_span_exits_2(self, suite_dir, tmp_path, capsys):
+        # With no --train-ids the DOE corners are scored through a FeatureScaler,
+        # which refuses a span of inf before numpy can overflow on it.
+        target = tmp_path / "target"
+        target.mkdir()
+        curve = ([0.0, 0.01, 0.02, 0.03], [0.0, 10.0, 20.0, 25.0])
+        manifest = write_manifest(target, samples={
+            sid: (*curve, {"speed": speed}) for sid, speed in (("1", -1.7e308), ("2", 0.0), ("3", 1.7e308))
+        })
+        out = tmp_path / "ranking.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["rank", "--sources", manifest_of(suite_dir, "poly_brittle"),
+                       "--target", str(manifest), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: feature 'speed': non-finite span of [-1.7e+308, 1.7e+308]"
+        ]
+        assert not out.exists()
 
     def test_single_source_selected_trivially(self, suite_dir, tmp_path):
         out = tmp_path / "ranking.json"
@@ -402,6 +423,17 @@ class TestUsageErrors:
         assert flag in last_line and "non-negative integer" in last_line
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["\u0665e-3", "1_0", " 2 ", "2 ", "\t1e-3", "\uff12", "abc"])
+    @pytest.mark.parametrize("command, flag", [("pretrain", "--lr"), ("pipeline", "--lr"),
+                                               ("pipeline", "--mape-epsilon")])
+    def test_float_flag_takes_ascii_text_only(self, command, flag, value, tmp_path, monkeypatch, capsys):
+        # float() takes all but the last; a float flag, like an integer flag, takes plain ASCII text.
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *REQUIRED_FLAGS[command], flag, value]) == 1
+        last_line = capsys.readouterr().err.splitlines()[-1]
+        assert flag in last_line and f"must be a positive finite number, got {value!r}" in last_line
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_positive_pretrain_epochs_exits_1(self, capsys):
         assert main(["pipeline", *REQUIRED_FLAGS["pipeline"], "--pretrain-epochs=0"]) == 1
         assert "--pretrain-epochs" in capsys.readouterr().err
@@ -427,6 +459,25 @@ class TestUsageErrors:
         assert main([command, *REQUIRED_FLAGS[command], f"--seed={value}"]) == 1
         last_line = capsys.readouterr().err.splitlines()[-1]
         assert "--seed" in last_line and "non-negative integer" in last_line
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_seed_beyond_int_conversion_exits_1(self, via, tmp_path, monkeypatch, capsys):
+        # int() refuses more than sys.get_int_max_str_digits() digits with a ValueError.
+        monkeypatch.chdir(tmp_path)
+        digits = "9" * 5000
+        argv = ["synth", "--out", "suite"]
+        if via == "env":
+            monkeypatch.setenv("CURVETRANSFER_SEED", digits)
+        else:
+            monkeypatch.delenv("CURVETRANSFER_SEED", raising=False)
+            argv += ["--seed", digits]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        name = "CURVETRANSFER_SEED" if via == "env" else "argument --seed:"
+        assert lines[-1].endswith(f"{name} must be an integer of at most {sys.get_int_max_str_digits()} digits, "
+                                  "got 5000 digits")
+        assert len(lines) == 1 if via == "env" else lines[-1].startswith("curvetransfer synth: error: ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
     @pytest.mark.parametrize("value", ["-1", "abc", "1.5", "", "1e3"])
@@ -939,7 +990,7 @@ class TestCheckpointCommands:
         err = capsys.readouterr().err
         assert "malformed checkpoint" in err
         if tamper == "stress_span=inf":
-            assert "scaler 'stress'" in err
+            assert "feature 'stress': non-finite span" in err
 
     @pytest.mark.parametrize("hidden_dim", [None, 10**6])
     def test_version_1_checkpoint_exits_2(self, suite_dir, tmp_path, capsys, hidden_dim):
@@ -1161,4 +1212,4 @@ class TestManifestValidationThroughCli:
             tmp_path, samples={"1": ([0.0, 0.01], [0.0, 1.0], {"speed": float("nan")})}
         )
         assert main(["ingest", "--manifest", str(path)]) == 2
-        assert "non-finite" in capsys.readouterr().err
+        assert "parameter 'speed' must be a finite number, got nan" in capsys.readouterr().err

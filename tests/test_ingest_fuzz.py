@@ -154,7 +154,7 @@ def test_param_value_must_be_a_json_number(text):
     manifest["samples"][0]["params"]["speed"] = text
     with pytest.raises(DataValidationError) as excinfo:
         _load(manifest)
-    assert str(excinfo.value).endswith(f": sample '1' parameter 'speed': not a number: {text!r}")
+    assert str(excinfo.value).endswith(f": sample '1' parameter 'speed' must be a finite number, got {text!r}")
 
 
 @settings(max_examples=100, deadline=None)

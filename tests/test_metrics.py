@@ -348,17 +348,17 @@ class TestSummarizeOnePass:
 
 
 def test_summarize_checks_its_input_once(monkeypatch):
-    calls = {"_check_epsilon": 0, "_as_pair": 0}
+    calls = {"check_number": 0, "_as_pair": 0}
     for name in calls:
         check = getattr(metrics, name)
 
-        def counted(*args, _check=check, _name=name):
+        def counted(*args, _check=check, _name=name, **kwargs):
             calls[_name] += 1
-            return _check(*args)
+            return _check(*args, **kwargs)
 
         monkeypatch.setattr(metrics, name, counted)
     summarize([1.0, 2.0, 3.0], [1.1, 2.0, 2.9])
-    assert calls == {"_check_epsilon": 1, "_as_pair": 1}
+    assert calls == {"check_number": 1, "_as_pair": 1}
 
 
 class TestPublicMetricsRejectNonFiniteInput:

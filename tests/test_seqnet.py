@@ -363,7 +363,7 @@ class TestPredictSeries:
 
     @pytest.mark.parametrize("n", [0, -1, True, 2.0, "2", None])
     def test_bad_window_length_rejected(self, n):
-        with pytest.raises(ValueError, match="window length n must be an int >= 1"):
+        with pytest.raises(ValueError, match="window length n must be an integer >= 1"):
             predict_series(zero_params(), np.zeros((6, 2)), n)
 
 
@@ -496,7 +496,7 @@ class TestTrain:
 
     def test_negative_seed_rejected(self):
         # numpy's generators refuse a negative seed deep inside training; the config refuses it first.
-        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
             TrainConfig(epochs=1, seed=-1)
 
     def test_single_epoch_single_pass(self):

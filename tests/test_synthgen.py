@@ -53,6 +53,12 @@ class TestGenerateDataset:
         curve = ds.curves[0]
         np.testing.assert_allclose(curve.stress, spec.base_modulus * curve.strain, rtol=1e-12)
 
+    def test_overflowing_doe_span_refused(self):
+        # Over a span of inf the DOE modifier, and so every stress, would be NaN.
+        with pytest.raises(DataValidationError) as excinfo:
+            generate_dataset(brittle_spec(param_sensitivity={"speed": 0.2}), {"speed": [-1.7e308, 1.7e308]}, seed=0)
+        assert str(excinfo.value) == "feature 'speed': non-finite span of [-1.7e+308, 1.7e+308]"
+
     def test_deterministic(self):
         spec = brittle_spec(noise_sd=0.5, param_sensitivity={"speed": 0.1})
         a = generate_dataset(spec, SMALL_DOE, seed=7)

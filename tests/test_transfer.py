@@ -114,7 +114,7 @@ class TestFitScalers:
 
 class TestFeatureScalerFromDict:
     def test_infinite_span_rejected_naming_the_scaler(self):
-        with pytest.raises(ValueError, match="scaler 'stress': span max - min .* is not finite"):
+        with pytest.raises(ValueError, match=r"^feature 'stress': non-finite span of \[-1.7e\+308, 1.7e\+308\]$"):
             FeatureScaler.from_dict({"name": "stress", "min": -1.7e308, "max": 1.7e308})
 
     def test_large_finite_span_accepted(self):
@@ -296,6 +296,13 @@ class TestSelectExtremeTrainingSamples:
         low, high = select_extreme_training_samples(ds)
         assert ds.curve_by_id(low).params == {"laser_power": 10.0, "scan_speed": 220.0}
         assert ds.curve_by_id(high).params == {"laser_power": 50.0, "scan_speed": 260.0}
+
+    def test_overflowing_parameter_span_refused(self):
+        # Over a span of inf every score would be NaN or 0, and the corners arbitrary.
+        ds = param_dataset({"1": (-1.7e308, 220.0), "2": (0.0, 240.0), "3": (1.7e308, 260.0)})
+        with pytest.raises(DataValidationError) as excinfo:
+            select_extreme_training_samples(ds)
+        assert str(excinfo.value) == "feature 'laser_power': non-finite span of [-1.7e+308, 1.7e+308]"
 
     def test_published_aluminum_doe_corners(self):
         ds = param_dataset(ALSI10MG_DOE_1)
@@ -1164,7 +1171,7 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize("grid_n", [1, 0, -1, 2.5, "7", True])
     def test_bad_grid_n_rejected(self, grid_n):
-        with pytest.raises(DataValidationError, match="grid_n must be >= 2"):
+        with pytest.raises(DataValidationError, match="grid_n must be an integer >= 2"):
             ExperimentPlan(
                 variant="vanilla", source_datasets=[], target_dataset="t",
                 target_train_ids=["1"], target_test_ids=["2"], config=small_config(),
