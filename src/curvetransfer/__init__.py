@@ -45,7 +45,6 @@ from .transfer import (
     run_source_sweep,
     run_variant,
     select_extreme_training_samples,
-    transfer_init,
     window_dataset,
 )
 

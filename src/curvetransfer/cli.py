@@ -37,7 +37,6 @@ from .transfer import (
     pretrain,
     run_variant,
     select_extreme_training_samples,
-    transfer_init,
 )
 
 EXIT_OK = 0
@@ -182,7 +181,7 @@ def cmd_finetune(args) -> int:
     if source_ckpt is not None:
         with _stage_errors("finetune", target.name):
             train_curves = padded_curves(train_curves, source_ckpt.scalers.arity, args.pad_params)
-        params0 = transfer_init(source_ckpt)
+        params0 = source_ckpt.params
     checkpoint = finetune(params0, train_curves, _train_config(args), target.name)
     save_checkpoint(checkpoint, args.out)
     print(f"finetuned on {target.name} (train ids {','.join(train_ids)}) -> {args.out}")

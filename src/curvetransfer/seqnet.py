@@ -162,8 +162,8 @@ class _StepWorkspace:
     The parameter block views are bound to ``params.flat``, which the
     optimizer updates in place. So neither :func:`_forward_into` nor
     :func:`_backward_into` slices or allocates. Each call of :func:`train`,
-    :func:`forward_sequence` and :func:`backward` builds its own; none is
-    shared between calls, and none binds arrays it does not own.
+    :func:`forward_sequence` and :func:`backward` builds its own and fills it
+    only through those two kernels; none is shared between calls.
     """
 
     def __init__(self, params: ModelParams, n: int):
@@ -215,9 +215,9 @@ def _forward_into(ws: _StepWorkspace, window: np.ndarray) -> float:
     ``ws.forward_steps`` and writes into bound buffers: it allocates nothing
     and slices nothing. Ufuncs are called as in :func:`_cell_step`, and every
     BLAS product is an ``np.dot``, which dispatches faster than ``np.matmul``
-    and gives its bytes. :func:`forward_sequence` and :func:`train` run it;
-    it shares the cell step with :func:`predict_series` and the output layer
-    with :func:`backward`, and only the projections and buffers differ.
+    and gives its bytes. :func:`forward_sequence`, :func:`backward` and
+    :func:`train` run it; it shares the cell step with :func:`predict_series`,
+    and only the projections and buffers differ.
     """
     add, dot = np.add, np.dot
     xz = ws.xz
@@ -228,12 +228,7 @@ def _forward_into(ws: _StepWorkspace, window: np.ndarray) -> float:
         dot(W_h, h_prev, z)
         add(z, xz_t, z)
         _cell_step(z_sig, z_g, sig, den, g, f, i, o, c_prev, c, tmp, h)
-    return _output_layer(ws)
-
-
-def _output_layer(ws: _StepWorkspace) -> float:
-    """The prediction W_out . h_n + b_out from the last hidden state in ``ws``."""
-    return float(np.dot(ws.w_out, ws.h_n) + ws.b_out[0])
+    return float(dot(ws.w_out, ws.h_n) + ws.b_out[0])
 
 
 def forward_sequence(
@@ -248,16 +243,23 @@ def forward_sequence(
     cell and hidden states, row 0 the zero initial state and row t + 1 the
     state after step t. Equivalent to iterating the single-step cell oracle
     in ``tests/step_oracle.py``, with the four gate products fused into one
-    multiply by the gate-stacked W_h per step.
+    multiply by the gate-stacked W_h per step. The activations are the
+    fresh workspace's own, so a later call never writes them.
     """
+    window = _checked_window(params, window)
+    ws = _StepWorkspace(params, window.shape[0])
+    prediction = _forward_into(ws, window)
+    return prediction, ws.activations
+
+
+def _checked_window(params: ModelParams, window) -> np.ndarray:
+    """``window`` as a float array, refused unless it is a non-empty (n, input_dim) matrix."""
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[0] == 0:
         raise ValueError(f"window must be a non-empty 2-D matrix, got shape {window.shape}")
     if window.shape[1] != params.input_dim:
         raise ValueError(f"window columns {window.shape[1]} != input_dim {params.input_dim}")
-    ws = _StepWorkspace(params, window.shape[0])
-    prediction = _forward_into(ws, window)
-    return prediction, ws.activations
+    return window
 
 
 def predict_series(params: ModelParams, rows: np.ndarray, n: int) -> np.ndarray:
@@ -368,31 +370,17 @@ def _backward_into(ws: _StepWorkspace, window: np.ndarray, dpred: float) -> None
     grads.b_out[0] = dpred
 
 
-def backward(
-    params: ModelParams,
-    activations: tuple[np.ndarray, np.ndarray, np.ndarray],
-    window: np.ndarray,
-    target: float,
-) -> ModelParams:
+def backward(params: ModelParams, window: np.ndarray, target: float) -> ModelParams:
     """Exact gradients of the squared error (pred - target)^2 for one window.
 
-    ``activations`` is the ``(gates, cs, hs)`` triple :func:`forward_sequence`
-    returned for this window; it is copied into a fresh workspace, so it is
-    never written and writing it later leaves the gradient alone. Backpropagates
-    through :func:`_output_layer` and all time steps; the gradient has the
-    layout of ``params``.
+    Checks the window by :func:`forward_sequence`'s rule, then runs
+    :func:`train`'s own step on one fresh workspace: :func:`_forward_into`,
+    then :func:`_backward_into` through the output layer and all time steps.
+    The gradient has the layout of ``params`` and belongs to the caller.
     """
-    window = np.asarray(window, dtype=float)
-    n = window.shape[0]
-    ws = _StepWorkspace(params, n)
-    for name, own, given in zip(("gates", "cs", "hs"), ws.activations, activations):
-        if np.shape(given) != own.shape:
-            raise ValueError(
-                f"activation/window mismatch: {name} has shape {np.shape(given)}, "
-                f"expected {own.shape} for {n} rows"
-            )
-        own[...] = given
-    _backward_into(ws, window, 2.0 * (_output_layer(ws) - target))
+    window = _checked_window(params, window)
+    ws = _StepWorkspace(params, window.shape[0])
+    _backward_into(ws, window, 2.0 * (_forward_into(ws, window) - target))
     return ws.grads
 
 

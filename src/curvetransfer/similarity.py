@@ -19,6 +19,7 @@ from math import prod
 import numpy as np
 
 from .curves import RawCurve, Dataset, grid_curves, DEFAULT_GRID_N
+from .errors import DataValidationError, check_int
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,14 @@ def _mean_dtws(sources: list[np.ndarray], target: np.ndarray) -> list[float]:
     return means
 
 
+def _grid_named(curves: list[RawCurve], n: int, owner: str) -> np.ndarray:
+    """``grid_curves(curves, n)``; a curve it refuses raises with ``owner`` named first."""
+    try:
+        return grid_curves(curves, n)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{owner}: {exc}") from exc
+
+
 def rank_sources(
     sources: list[Dataset],
     target_train: list[RawCurve],
@@ -226,18 +235,21 @@ def rank_sources(
     Only target TRAINING curves may be passed here; using test curves would
     leak them into model selection. Each dataset is gridded in one
     :func:`~curvetransfer.curves.grid_curves` call, and the pairs of all sources
-    run in one DTW sweep.
+    run in one DTW sweep. A curve that cannot be gridded raises its
+    ``DataValidationError`` prefixed with ``dataset '<name>': `` for a source
+    and ``target training curve: `` for the target.
     """
     if not sources:
         raise ValueError("rank_sources requires at least one source dataset")
     if not target_train:
         raise ValueError("rank_sources requires at least one target training curve")
-    target_grids = grid_curves(target_train, n)
+    check_int("grid size", n, 2)  # before any prefix: the size belongs to no curve
+    target_grids = _grid_named(target_train, n, "target training curve")
     source_grids = []
     for dataset in sources:
         if not dataset.curves:
             raise ValueError(f"source dataset {dataset.name!r} is empty")
-        source_grids.append(grid_curves(dataset.curves, n))
+        source_grids.append(_grid_named(dataset.curves, n, f"dataset {dataset.name!r}"))
     means = _mean_dtws(source_grids, target_grids)
     entries = sorted(zip([ds.name for ds in sources], means), key=lambda e: (e[1], e[0]))
     return SourceRanking(entries)

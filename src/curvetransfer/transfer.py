@@ -193,15 +193,19 @@ def select_extreme_training_samples(dataset: Dataset) -> tuple[str, str]:
     Each parameter column is min-max scaled over the dataset (``scaling.FeatureScaler``);
     the samples with the smallest and largest scaled-parameter sums are returned
     (all-minimum and all-maximum corners). Ties break toward the smaller sample_id,
-    and the two returned ids are always distinct.
+    and the two returned ids are always distinct. A column whose span overflows
+    is refused naming the dataset.
     """
     if len(dataset.curves) < 2:
         raise DataValidationError(f"dataset {dataset.name!r} needs >= 2 samples, has {len(dataset.curves)}")
     matrix = np.array([c.param_values() for c in dataset.curves], dtype=float)
     if matrix.shape[1] == 0:
         raise DataValidationError(f"dataset {dataset.name!r} has no process parameters")
-    scaled = [FeatureScaler(name, col.min(), col.max()).scale(col)
-              for name, col in zip(dataset.curves[0].params, matrix.T)]
+    try:
+        scaled = [FeatureScaler(name, col.min(), col.max()).scale(col)
+                  for name, col in zip(dataset.curves[0].params, matrix.T)]
+    except DataValidationError as exc:
+        raise DataValidationError(f"dataset {dataset.name!r}: {exc}") from exc
     scores = np.stack(scaled, axis=1).sum(axis=1)
     ids = dataset.sample_ids()
     low_id = min(zip(scores, ids))[1]
@@ -268,14 +272,6 @@ def pretrain(
     return _train_stage("pretrain", dataset_name, None, source_curves, config)
 
 
-def transfer_init(checkpoint: ModelCheckpoint) -> ModelParams:
-    """Initialize target parameters as an elementwise copy of the source model's.
-
-    Optimizer state is never carried over; fine-tuning starts a fresh one.
-    """
-    return checkpoint.params.copy()
-
-
 def finetune(
     params_init: ModelParams | None,
     target_train_curves: list[RawCurve],
@@ -284,10 +280,12 @@ def finetune(
 ) -> ModelCheckpoint:
     """Continue training from the given parameters on the target training curves.
 
-    Scalers are refit on the target training split; all parameters update (no
-    freezing). The caller's ``params_init`` is left untouched; None starts
-    from fresh seeded weights (the vanilla baseline). A training curve with
-    no more points than the sequence length is refused before anything is
+    This is the transfer: the stage trains a verbatim copy of ``params_init``
+    (a pretrained checkpoint's ``params``) with a fresh optimizer state, and
+    leaves the caller's weights untouched; None starts from fresh seeded
+    weights (the vanilla baseline). Scalers are refit on the target training
+    split; all parameters update (no freezing). A training curve with no
+    more points than the sequence length is refused before anything is
     trained, with ``run_variant``'s message for a target curve (no stage
     prefix); ``pretrain`` refuses one too, naming the stage and the pool.
     """
@@ -427,15 +425,16 @@ def _fit(
 ) -> Evaluation:
     """The one fit chain behind ``run_variant`` and ``run_source_sweep``.
 
-    Pretrain on the pool of ``sources`` and copy its weights verbatim, or,
-    with no sources (vanilla), pass None for fresh seeded weights; then
-    fine-tune on the target training curves and evaluate on the test curves.
+    Pretrain on the pool of ``sources`` and hand its weights to ``finetune``,
+    which copies them verbatim, or, with no sources (vanilla), hand it None
+    for fresh seeded weights; then fine-tune on the target training curves
+    and evaluate on the test curves.
     """
     params0 = None
     if sources:
         pool, pool_name = _pretrain_pool(sources, plan.config.seed, len(train_curves[0].params), plan.pad_params)
         pre_config = replace(plan.config, epochs=plan.pretrain_epochs or plan.config.epochs)
-        params0 = transfer_init(pretrain(pool, pre_config, pool_name))
+        params0 = pretrain(pool, pre_config, pool_name).params
     checkpoint = finetune(params0, train_curves, plan.config, plan.target_dataset)
     return evaluate(checkpoint, test_curves, plan.mape_epsilon)
 

@@ -1,6 +1,7 @@
 """Shared fixtures: tiny manifest/CSV writers for ingestion tests, and test-only oracles."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -288,3 +289,25 @@ def with_stress_unit(report_doc: dict, factor: float) -> dict:
         sample["predicted"] = [v * factor for v in sample["predicted"]]
     doc["aggregate"]["rmse"] *= factor
     return doc
+
+
+def flat_sample(dataset, sample_id):
+    """``dataset`` with sample ``sample_id``'s stress set to zero, a curve no grid can normalize."""
+    curves = [dataclasses.replace(c, stress=0.0 * c.stress) if c.sample_id == sample_id else c
+              for c in dataset.curves]
+    return dataclasses.replace(dataset, curves=curves)
+
+
+def record_train_starts(monkeypatch) -> list:
+    """Wrap ``transfer.train``; the returned list gets ``(params, params.flat.tobytes())`` of each call's start."""
+    from curvetransfer import transfer
+
+    started = []
+    real_train = transfer.train
+
+    def recording_train(params, *args):
+        started.append((params, params.flat.tobytes()))
+        return real_train(params, *args)
+
+    monkeypatch.setattr(transfer, "train", recording_train)
+    return started

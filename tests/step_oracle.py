@@ -27,7 +27,6 @@ from curvetransfer.seqnet import (
     OptimizerState,
     TrainConfig,
     backward,
-    forward_sequence,
     init_optimizer_state,
 )
 
@@ -79,9 +78,8 @@ def gradient_check(
     injection); otherwise :func:`backward` is called.
     """
     window = np.asarray(window, dtype=float)
-    _, activations = forward_sequence(params, window)  # also checks the window
     if grads is None:
-        grads = backward(params, activations, window, target)
+        grads = backward(params, window, target)
     # One workspace serves every perturbed forward: its views follow params.flat.
     ws = seqnet._StepWorkspace(params, len(window))
 

@@ -14,10 +14,8 @@ from curvetransfer.checkpoint import load_checkpoint, save_checkpoint
 from curvetransfer.cli import main
 from curvetransfer.metrics import mape, pearson, r2, rmse, summarize
 from curvetransfer.seqnet import (
-    PARAM_NAMES,
     TrainConfig,
     backward,
-    forward_sequence,
     init_params,
 )
 from curvetransfer.similarity import (
@@ -27,14 +25,14 @@ from curvetransfer.similarity import (
 from curvetransfer.synthgen import FamilySpec, generate_dataset, standard_suite
 from curvetransfer.transfer import (
     ExperimentPlan,
+    finetune,
     pretrain,
     run_source_sweep,
     run_variant,
     select_extreme_training_samples,
-    transfer_init,
 )
 
-from conftest import brute_force_dtw, euclidean_distance
+from conftest import brute_force_dtw, euclidean_distance, record_train_starts
 from step_oracle import gradient_check
 
 
@@ -116,8 +114,7 @@ def test_criterion_3_gradient_correctness():
     # injected fault: zeroing one gate's input weights must be detected
     params = init_params(1, 3, 4)
     window = rng.normal(size=(5, 3))
-    _, activations = forward_sequence(params, window)
-    grads = backward(params, activations, window, 0.3)
+    grads = backward(params, window, 0.3)
     grads.W_ix[:] = 0.0
     fault_error = gradient_check(params, window, 0.3, grads=grads)
     elapsed = time.perf_counter() - start
@@ -126,25 +123,26 @@ def test_criterion_3_gradient_correctness():
            f"injected fault err {fault_error:.2e}; {elapsed:.1f}s")
 
 
-def test_criterion_4_literal_transfer(tmp_path):
+def test_criterion_4_literal_transfer(tmp_path, monkeypatch):
     spec = FamilySpec(family="hardening", base_modulus=2000.0, yield_strain=0.02,
                       ultimate_stress=60.0, failure_strain=0.06,
                       param_sensitivity={"p": 0.3}, noise_sd=0.2, points_per_curve=20)
     source = generate_dataset(spec, {"p": [1.0, 2.0, 3.0]}, seed=5, name="src")
     checkpoint = pretrain(source.curves, TrainConfig(epochs=2, seed=5), "src")
-
-    direct = transfer_init(checkpoint)
-    ok = all(
-        np.array_equal(getattr(direct, name), getattr(checkpoint.params, name))
-        for name in PARAM_NAMES
-    )
     save_checkpoint(checkpoint, tmp_path / "ckpt.json")
-    reloaded = transfer_init(load_checkpoint(tmp_path / "ckpt.json"))
-    ok = ok and all(
-        np.array_equal(getattr(reloaded, name), getattr(checkpoint.params, name))
-        for name in PARAM_NAMES
+
+    # The weights the fine-tuning stage's training starts from, as handed to train.
+    started = record_train_starts(monkeypatch)
+    pretrained = checkpoint.params.flat.tobytes()
+    handed = [checkpoint.params, load_checkpoint(tmp_path / "ckpt.json").params]
+    for params in handed:
+        finetune(params, source.curves, TrainConfig(epochs=1, seed=5), "tgt")
+    # Training starts from a bitwise copy, and the caller's weights are left as they were.
+    ok = len(started) == 2 and all(
+        flat == pretrained == params.flat.tobytes() and not np.shares_memory(trained.flat, params.flat)
+        for (trained, flat), params in zip(started, handed)
     )
-    report(4, ok, "transfer_init elementwise identical, including after JSON round trip")
+    report(4, ok, "finetune starts from the checkpoint's weights bitwise, including after JSON round trip")
 
 
 def test_criterion_5_metric_closed_forms():

@@ -19,9 +19,10 @@ from curvetransfer.checkpoint import load_checkpoint, save_checkpoint
 from curvetransfer.cli import _write_json, build_parser, main
 from curvetransfer.curves import Dataset, RawCurve, load_dataset, save_dataset
 from curvetransfer.seqnet import OPTIMIZERS, PARAM_NAMES, TrainConfig
+from curvetransfer.synthgen import standard_suite
 from curvetransfer.transfer import VARIANTS
 
-from conftest import with_stress_unit, write_manifest
+from conftest import flat_sample, with_stress_unit, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +108,25 @@ class TestRank:
                        "--target", str(manifest), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: feature 'speed': non-finite span of [-1.7e+308, 1.7e+308]"
+            "error: dataset 'demo': feature 'speed': non-finite span of [-1.7e+308, 1.7e+308]"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flat, named", [
+        ("poly_hardening", "dataset 'poly_hardening'"),
+        ("metal_plateau", "target training curve"),
+    ])
+    def test_curve_that_cannot_be_gridded_names_its_dataset(self, tmp_path, capsys, flat, named):
+        # Every suite dataset has a sample '3', so the sample id alone does not say which file to fix.
+        sources, targets, _ = standard_suite(0)
+        for ds in sources + [targets[0]]:
+            save_dataset(flat_sample(ds, "3") if ds.name == flat else ds, tmp_path / ds.name)
+        out = tmp_path / "ranking.json"
+        rc = main(["rank", *source_args(tmp_path), "--target", manifest_of(tmp_path, "metal_plateau"),
+                   "--train-ids", "3,7", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {named}: sample '3': max stress is 0.0 (flat curve), cannot normalize"
         ]
         assert not out.exists()
 
@@ -295,12 +314,26 @@ class TestStagedChainReproducesPipeline:
     @pytest.mark.parametrize("suite_seed", [0, 3])
     @pytest.mark.parametrize("variant", ["vanilla", "tl_all", "dtw_tl"])
     def test_per_sample_and_aggregate_metrics_equal(self, variant, suite_seed, tmp_path):
+        self.check_staged_chain(variant, suite_seed, tmp_path)
+
+    @pytest.mark.parametrize("variant", ["tl_all", "dtw_tl"])
+    def test_target_narrower_than_its_sources_with_pad_params(self, variant, tmp_path):
+        # The pool keeps its two parameters; the one-parameter target is padded to them in each command.
+        self.check_staged_chain(variant, 0, tmp_path, narrow=True)
+
+    @staticmethod
+    def check_staged_chain(variant, suite_seed, tmp_path, narrow=False):
         suite = tmp_path / "suite"
         assert main(["synth", "--seed", str(suite_seed), "--out", str(suite)]) == 0
-        seed, target = ["--seed", str(suite_seed)], ["--target", manifest_of(suite, "metal_plateau")]
-        assert main(["pipeline", "--variant", variant, *source_args(suite), *target, *seed,
+        seed = ["--seed", str(suite_seed)]
+        if narrow:
+            target, pad = ["--target", one_parameter_copy(suite, "metal_plateau", tmp_path)], ["--pad-params"]
+        else:
+            target, pad = ["--target", manifest_of(suite, "metal_plateau")], []
+        assert main(["pipeline", "--variant", variant, *source_args(suite), *target, *seed, *pad,
                      "--epochs", "2", "--pretrain-epochs", "1", "--out", str(tmp_path / "run")]) == 0
         report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["plan"]["pad_params"] == narrow
 
         pool = source_args(suite)
         if variant == "dtw_tl":
@@ -312,10 +345,10 @@ class TestStagedChainReproducesPipeline:
         pre, fine, out = tmp_path / "pre.json", tmp_path / "fine.json", tmp_path / "eval.json"
         start = []
         if variant != "vanilla":
-            assert main(["pretrain", *pool, *seed, "--epochs", "1", "--out", str(pre)]) == 0
+            assert main(["pretrain", *pool, *seed, *pad, "--epochs", "1", "--out", str(pre)]) == 0
             start = ["--checkpoint", str(pre)]
-        assert main(["finetune", *start, *target, *seed, "--epochs", "2", "--out", str(fine)]) == 0
-        assert main(["evaluate", "--checkpoint", str(fine), *target,
+        assert main(["finetune", *start, *target, *seed, *pad, "--epochs", "2", "--out", str(fine)]) == 0
+        assert main(["evaluate", "--checkpoint", str(fine), *target, *pad,
                      "--test-ids", ",".join(report["plan"]["test_ids"]), "--out", str(out)]) == 0
 
         staged = json.loads(out.read_text())

@@ -386,25 +386,27 @@ class TestBackward:
     def test_zero_residual_zero_gradients(self):
         params = zero_params()
         window = np.ones((3, 2))
-        pred, activations = forward_sequence(params, window)
-        grads = backward(params, activations, window, target=pred)
+        pred, _ = forward_sequence(params, window)
+        grads = backward(params, window, target=pred)
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(grads, name), 0.0)
 
     def test_output_bias_gradient(self):
         params = init_params(5, 2, 4)
         window = np.random.default_rng(0).normal(size=(3, 2))
-        pred, activations = forward_sequence(params, window)
+        pred, _ = forward_sequence(params, window)
         target = pred - 1.5
-        grads = backward(params, activations, window, target)
+        grads = backward(params, window, target)
         assert abs(grads.b_out[0] - 2.0 * (pred - target)) < 1e-12
 
-    def test_cache_window_mismatch(self):
+    @pytest.mark.parametrize("window", [np.zeros((3, 3)), np.zeros((0, 2)), np.zeros(2), np.zeros((1, 3, 2))])
+    def test_window_refused_by_forward_sequences_rule(self, window):
         params = init_params(5, 2, 4)
-        window = np.zeros((3, 2))
-        _, activations = forward_sequence(params, window)
-        with pytest.raises(ValueError, match="mismatch"):
-            backward(params, activations, np.zeros((4, 2)), 0.0)
+        with pytest.raises(ValueError) as want:
+            forward_sequence(params, window)
+        with pytest.raises(ValueError) as got:
+            backward(params, window, 0.0)
+        assert str(got.value) == str(want.value)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -420,8 +422,7 @@ class TestGradientCheck:
         params = init_params(2, 3, 4)
         window = np.random.default_rng(2).normal(size=(5, 3))
         target = 0.7
-        _, activations = forward_sequence(params, window)
-        grads = backward(params, activations, window, target)
+        grads = backward(params, window, target)
         grads.W_cx[:] = 0.0
         assert gradient_check(params, window, target, grads=grads) > 0.5
 
@@ -602,7 +603,7 @@ class TestTrainOracle:
         assert prediction == want_prediction
         for got, want in zip(activations, want_activations):
             assert got.tobytes() == want.tobytes()
-        grads = backward(params, activations, windows[0], targets[0])
+        grads = backward(params, windows[0], targets[0])
         want_grads = oracle_backward(params, want_activations, windows[0], targets[0])
         assert grads.flat.tobytes() == want_grads.flat.tobytes()
 
@@ -711,26 +712,27 @@ class TestBufferOwnership:
         params, windows, targets = random_lstm_case(5, 8, 3, 6, 12, 4.0)
         _, activations = forward_sequence(params, windows[0])
         saved = [a.tobytes() for a in activations]
-        grads = backward(params, activations, windows[0], targets[0])
+        grads = backward(params, windows[0], targets[0])
         saved_grads = grads.flat.tobytes()
 
-        _, other = forward_sequence(params, windows[1])
-        backward(params, other, windows[1], targets[1])
+        forward_sequence(params, windows[1])
+        backward(params, windows[1], targets[1])
         train(params.copy(), windows, targets, TrainConfig(epochs=1))
         assert [a.tobytes() for a in activations] == saved
         assert grads.flat.tobytes() == saved_grads
 
     @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
-    def test_backward_copies_activations_of_any_layout(self, layout):
+    def test_backward_reads_a_window_of_any_layout(self, layout):
         params, windows, targets = random_lstm_case(7, 8, 3, 6, 2, 4.0)
-        _, activations = forward_sequence(params, windows[0])
-        want = backward(params, activations, windows[0], targets[0]).flat.tobytes()
-        given = [window_layout(layout, a.copy(), None) for a in activations]
-        assert [a.tobytes() for a in given] == [a.tobytes() for a in activations]
-        grads = backward(params, given, windows[0], targets[0])
+        window = windows[0]
+        _, want_activations = oracle_forward_sequence(params, window)
+        want = oracle_backward(params, want_activations, window, targets[0]).flat.tobytes()
+        given = {"c": np.ascontiguousarray(window), "fortran": np.asfortranarray(window),
+                 "strided": np.repeat(window, 2, axis=1)[:, ::2]}[layout]
+        assert given.tobytes() == window.tobytes()
+        grads = backward(params, given, targets[0])
         assert grads.flat.tobytes() == want
-        for a in given:
-            a[...] = np.nan
+        given[...] = np.nan  # the gradient is the caller's: a later write to the window leaves it alone
         assert grads.flat.tobytes() == want
 
     def test_train_calls_on_copies_agree(self):

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvetransfer import transfer
+from curvetransfer import seqnet, transfer
 from curvetransfer.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from curvetransfer.curves import Dataset, ParamField, RawCurve
 from curvetransfer.errors import DataValidationError
 from curvetransfer.metrics import MetricSummary
 from curvetransfer.scaling import FeatureScaler, fit_scalers, padded_curves
-from curvetransfer.seqnet import PARAM_NAMES, TrainConfig, forward_sequence, init_params
+from curvetransfer.seqnet import PARAM_NAMES, ModelParams, TrainConfig, forward_sequence, init_params
 from curvetransfer.synthgen import FamilySpec, generate_dataset, standard_suite
 from curvetransfer.transfer import (
     ExperimentPlan,
@@ -30,11 +30,12 @@ from curvetransfer.transfer import (
     run_source_sweep,
     run_variant,
     select_extreme_training_samples,
-    transfer_init,
     window_dataset,
 )
 
-from conftest import evaluate_loss, linear_curve, reference_extreme_training_samples, with_stress_unit
+from conftest import (
+    evaluate_loss, flat_sample, linear_curve, record_train_starts, reference_extreme_training_samples, with_stress_unit,
+)
 
 
 # Laser power (W) x scanning speed (mm/s) for the 32-sample L-PBF aluminum
@@ -302,7 +303,7 @@ class TestSelectExtremeTrainingSamples:
         ds = param_dataset({"1": (-1.7e308, 220.0), "2": (0.0, 240.0), "3": (1.7e308, 260.0)})
         with pytest.raises(DataValidationError) as excinfo:
             select_extreme_training_samples(ds)
-        assert str(excinfo.value) == "feature 'laser_power': non-finite span of [-1.7e+308, 1.7e+308]"
+        assert str(excinfo.value) == "dataset 'ds': feature 'laser_power': non-finite span of [-1.7e+308, 1.7e+308]"
 
     def test_published_aluminum_doe_corners(self):
         ds = param_dataset(ALSI10MG_DOE_1)
@@ -384,24 +385,38 @@ class TestPretrainTransferFinetune:
         with pytest.raises(DataValidationError, match="non-empty"):
             pretrain([], small_config())
 
-    def test_transfer_init_copies_exactly(self):
-        ds = small_source()
-        ckpt = pretrain(ds.curves, small_config(), ds.name)
-        params = transfer_init(ckpt)
-        for name in PARAM_NAMES:
-            np.testing.assert_array_equal(getattr(params, name), getattr(ckpt.params, name))
-        # a fresh copy, not an alias
-        params.b_out[0] += 1.0
-        assert ckpt.params.b_out[0] != params.b_out[0]
+    def test_finetune_starts_from_the_checkpoints_weights_bitwise(self, monkeypatch):
+        ckpt = pretrain(small_source().curves, small_config(), "src")
+        started = record_train_starts(monkeypatch)
+        finetune(ckpt.params, small_source(seed=2, name="tgt").curves, small_config(), "tgt")
+        assert [flat for _, flat in started] == [ckpt.params.flat.tobytes()]
 
-    def test_transfer_init_dimension_gate(self):
-        ds = small_source()
-        ckpt = pretrain(ds.curves, small_config(), ds.name)  # input_dim = 2
+    def test_finetune_leaves_the_checkpoints_weights_untouched(self):
+        ckpt = pretrain(small_source().curves, small_config(), "src")
+        pretrained = ckpt.params.flat.tobytes()
+        tuned = finetune(ckpt.params, small_source(seed=2, name="tgt").curves, small_config(), "tgt")
+        assert ckpt.params.flat.tobytes() == pretrained
+        assert tuned.params.flat.tobytes() != pretrained
+        assert not np.shares_memory(tuned.params.flat, ckpt.params.flat)
+
+    def test_finetune_refuses_a_checkpoint_of_another_width(self):
+        ckpt = pretrain(small_source().curves, small_config(), "src")  # input_dim = 2
         target = [linear_curve(sample_id=str(i), n=12, params={"a": i, "b": 1.0, "c": 2.0})
                   for i in range(2)]  # input_dim = 4
-        with pytest.raises(DataValidationError, match="input_dim") as raised:
-            finetune(transfer_init(ckpt), target, small_config(), "tgt")
+        with pytest.raises(DataValidationError) as raised:
+            finetune(ckpt.params, target, small_config(), "tgt")
         assert str(raised.value) == "finetune on dataset 'tgt': window columns 4 != input_dim 2"
+
+    @pytest.mark.parametrize("variant, copies", [("vanilla", 0), ("tl_all", 1), ("dtw_tl", 1)])
+    def test_each_fit_copies_weights_at_most_once(self, suite, monkeypatch, variant, copies):
+        # The transfer is finetune's own copy of the pretrained weights; nothing copies them before.
+        sources, targets, _ = suite
+        made = []
+        real_copy = ModelParams.copy
+        monkeypatch.setattr(ModelParams, "copy", lambda self: made.append(1) or real_copy(self))
+        run_variant(suite_plan(variant, sources, targets[0], small_config(epochs=1), pretrain_epochs=1),
+                    sources + [targets[0]])
+        assert len(made) == copies
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         ds = small_source()
@@ -419,7 +434,7 @@ class TestPretrainTransferFinetune:
         target = small_source(seed=2, name="tgt")
         config = small_config(epochs=20, learning_rate=5e-3)
         ckpt = pretrain(source.curves, config, source.name)
-        params0 = transfer_init(ckpt)
+        params0 = ckpt.params
         tuned = finetune(params0, target.curves, config, target.name)
 
         scalers = tuned.scalers
@@ -683,6 +698,25 @@ class TestRunVariant:
         with pytest.raises(DataValidationError) as excinfo:
             run_variant(plan, sources + [target])
         assert str(excinfo.value) == "sample '9' has 4 points, need more than sequence length 5"
+
+    @pytest.mark.parametrize("flat, named", [
+        ("poly_hardening", "dataset 'poly_hardening'"),
+        ("metal_plateau", "target training curve"),
+    ])
+    def test_curve_that_cannot_be_gridded_names_its_dataset(self, suite, monkeypatch, flat, named):
+        # Every suite dataset has a sample '3', so the sample id alone does not say which dataset to fix.
+        def no_training(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        sources, targets, _ = suite
+        datasets = [flat_sample(ds, "3") if ds.name == flat else ds for ds in sources + [targets[0]]]
+        test_ids = [sid for sid in targets[0].sample_ids() if sid not in ("3", "7")]
+        plan = ExperimentPlan("dtw_tl", [ds.name for ds in sources], targets[0].name, ["3", "7"], test_ids,
+                              small_config(epochs=2))
+        monkeypatch.setattr(transfer, "train", no_training)
+        with pytest.raises(DataValidationError) as excinfo:
+            run_variant(plan, datasets)
+        assert str(excinfo.value) == f"{named}: sample '3': max stress is 0.0 (flat curve), cannot normalize"
 
     @pytest.mark.parametrize("variant", ["tl_all", "dtw_tl", "sweep"])
     def test_short_source_curve_refused_before_ranking(self, suite, monkeypatch, variant):
@@ -1002,12 +1036,14 @@ def test_every_min_max_position_is_one_feature_scaler():
     ]
 
 
-def test_both_forward_loops_share_one_cell_step_and_output_layer():
+def test_both_forward_loops_share_one_cell_step_and_backward_runs_trains_step():
     # train's per-window forward and predict_series' batched one run one cell
-    # update; the batch-1 forward and backward read one output expression.
+    # update; backward runs train's own forward and backward kernels.
     assert source_calls("_sigmoid") == ["seqnet._cell_step"]
     assert source_calls("_cell_step") == ["seqnet._forward_into", "seqnet.predict_series"]
-    assert source_calls("_output_layer") == ["seqnet._forward_into", "seqnet.backward"]
+    assert source_calls("_forward_into") == ["seqnet.forward_sequence", "seqnet.backward", "seqnet.train"]
+    assert source_calls("_backward_into") == ["seqnet.backward", "seqnet.train"]
+    assert list(inspect.signature(seqnet.backward).parameters) == ["params", "window", "target"]
 
 
 def test_sweep_entry_of_selected_source_is_the_dtw_tl_run():
